@@ -4,8 +4,9 @@
 ///
 /// The topology is an undirected graph of named nodes joined by links, each
 /// carrying a `LinkProfile`. A message from A to B follows the minimum-
-/// latency route (Dijkstra over unloaded one-hop delay for its size) and
-/// experiences, per hop:
+/// latency route for its size. Dijkstra over unloaded one-hop delay finds
+/// that route once per (src, dst, size); an exact route cache serves it
+/// after that until the topology changes. Per hop, a message experiences:
 ///
 ///   queuing   — each link direction is a FIFO server; a message waits until
 ///               the link is free (this is what makes the shared-vs-
@@ -21,8 +22,10 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "df3/net/protocol.hpp"
@@ -78,7 +81,9 @@ class Network : public sim::Entity {
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }
 
   /// Minimum-delay route for a message of `size`; empty when unreachable.
-  /// The route is the sequence of link indices traversed.
+  /// The route is the sequence of link indices traversed. Routes are cached
+  /// per (src, dst, size); add_link and set_link_up state changes clear the
+  /// cache, like the min_peer_latency() memo.
   [[nodiscard]] std::vector<std::size_t> route(NodeId src, NodeId dst, util::Bytes size) const;
 
   /// Unloaded end-to-end delay along the current best route (no queuing).
@@ -107,6 +112,13 @@ class Network : public sim::Entity {
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
   [[nodiscard]] std::uint64_t messages_dropped() const { return dropped_; }
 
+  /// The route cache holds at most this many (src, dst, size) routes and
+  /// empties when it fills, so payload sizes drawn from a continuous
+  /// distribution cannot grow it without limit.
+  static constexpr std::size_t kRouteCacheCapacity = 65536;
+  /// Number of routes currently cached.
+  [[nodiscard]] std::size_t route_cache_entries() const { return route_index_.size(); }
+
  private:
   struct Link {
     NodeId a, b;
@@ -121,6 +133,35 @@ class Network : public sim::Entity {
     return from == l.a ? 0 : 1;
   }
 
+  /// Route cache key. The payload size enters by bit pattern, not by size
+  /// bucket: one_hop_delay(size) decides which path wins, so only an exact
+  /// key returns the route a fresh search would.
+  struct RouteKey {
+    NodeId src;
+    NodeId dst;
+    std::uint64_t size_bits;
+    bool operator==(const RouteKey&) const = default;
+  };
+  struct RouteKeyHash {
+    std::size_t operator()(const RouteKey& k) const noexcept;
+  };
+  /// A cached route: `length` hops starting at route_hops_[begin].
+  struct RouteSlice {
+    std::size_t begin;
+    std::size_t length;
+  };
+
+  /// The route lookup behind route(), unloaded_delay() and send(). The span
+  /// points into route_hops_ and is valid until the next lookup or topology
+  /// change.
+  [[nodiscard]] std::span<const std::size_t> cached_route(NodeId src, NodeId dst,
+                                                          util::Bytes size) const;
+  /// Dijkstra from src until dst settles, into dist_ and via_link_.
+  void search_route(NodeId src, NodeId dst, util::Bytes size) const;
+  /// Drops every memo derived from the set of up links.
+  void topology_changed();
+  void clear_routes() const;
+
   std::vector<std::string> node_names_;
   std::unordered_map<std::string, NodeId> by_name_;
   std::vector<Link> links_;
@@ -130,6 +171,16 @@ class Network : public sim::Entity {
   mutable LinkStats merged_stats_{};  // scratch for stats() aggregation
   /// min_peer_latency() memo; < 0 = stale (recompute on next query).
   mutable double min_peer_latency_cache_ = -1.0;
+  /// Route cache and Dijkstra scratch. They are mutable because route() and
+  /// unloaded_delay() are const queries, and need no lock because a Network
+  /// is only touched on the event-loop thread: control lanes run only the
+  /// engine-free sync_workers() of control-quiescent clusters, which sends
+  /// nothing (DESIGN.md §12). The TSan CI job runs the lane suites.
+  mutable std::unordered_map<RouteKey, RouteSlice, RouteKeyHash> route_index_;
+  mutable std::vector<std::size_t> route_hops_;  // the cached routes, back to back
+  mutable std::vector<double> dist_;
+  mutable std::vector<std::size_t> via_link_;
+  mutable std::vector<std::pair<double, NodeId>> heap_;
 };
 
 }  // namespace df3::net

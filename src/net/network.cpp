@@ -1,12 +1,19 @@
 #include "df3/net/network.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <bit>
+#include <cstddef>
 #include <stdexcept>
 
 #include "df3/obs/obs.hpp"
+#include "df3/util/rng.hpp"
 
 namespace df3::net {
+
+std::size_t Network::RouteKeyHash::operator()(const RouteKey& k) const noexcept {
+  std::uint64_t state = ((std::uint64_t{k.src} << 32) | k.dst) ^ std::rotl(k.size_bits, 29);
+  return static_cast<std::size_t>(util::splitmix64(state));
+}
 
 Network::Network(sim::Simulation& sim, std::string name) : sim::Entity(sim, std::move(name)) {}
 
@@ -38,7 +45,7 @@ std::size_t Network::add_link(NodeId a, NodeId b, LinkProfile profile) {
   const std::size_t idx = links_.size() - 1;
   adjacency_[a].push_back(idx);
   adjacency_[b].push_back(idx);
-  min_peer_latency_cache_ = -1.0;
+  topology_changed();
   return idx;
 }
 
@@ -46,10 +53,20 @@ void Network::set_link_up(std::size_t link, bool up) {
   Link& l = links_.at(link);
   if (l.up != up) {
     l.up = up;
-    min_peer_latency_cache_ = -1.0;
+    topology_changed();
   }
 }
 bool Network::link_up(std::size_t link) const { return links_.at(link).up; }
+
+void Network::topology_changed() {
+  min_peer_latency_cache_ = -1.0;
+  clear_routes();
+}
+
+void Network::clear_routes() const {
+  route_index_.clear();
+  route_hops_.clear();
+}
 
 util::Seconds Network::min_peer_latency() const {
   if (min_peer_latency_cache_ < 0.0) {
@@ -62,49 +79,74 @@ util::Seconds Network::min_peer_latency() const {
   return util::Seconds{min_peer_latency_cache_};
 }
 
-std::vector<std::size_t> Network::route(NodeId src, NodeId dst, util::Bytes size) const {
+std::span<const std::size_t> Network::cached_route(NodeId src, NodeId dst,
+                                                   util::Bytes size) const {
   if (src >= node_names_.size() || dst >= node_names_.size()) {
     throw std::out_of_range("Network::route: unknown node");
   }
   if (src == dst) return {};
-  // Dijkstra over unloaded one-hop delay for this payload size.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(node_names_.size(), kInf);
-  std::vector<std::size_t> via_link(node_names_.size(), SIZE_MAX);
-  std::vector<NodeId> via_node(node_names_.size(), 0);
-  using Item = std::pair<double, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  dist[src] = 0.0;
-  heap.emplace(0.0, src);
-  while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (d > dist[u]) continue;
+  const RouteKey key{src, dst, std::bit_cast<std::uint64_t>(size.value())};
+  if (const auto it = route_index_.find(key); it != route_index_.end()) {
+    return {route_hops_.data() + it->second.begin, it->second.length};
+  }
+  search_route(src, dst, size);
+  if (route_index_.size() >= kRouteCacheCapacity) clear_routes();
+  // Walk the search tree back from dst, then flip the hops into traversal
+  // order. An unreachable dst is cached too, as an empty route.
+  const std::size_t begin = route_hops_.size();
+  if (dist_[dst] != std::numeric_limits<double>::infinity()) {
+    for (NodeId cur = dst; cur != src;) {
+      const std::size_t li = via_link_[cur];
+      route_hops_.push_back(li);
+      cur = (links_[li].a == cur) ? links_[li].b : links_[li].a;
+    }
+    std::reverse(route_hops_.begin() + static_cast<std::ptrdiff_t>(begin), route_hops_.end());
+  }
+  const std::size_t length = route_hops_.size() - begin;
+  route_index_.emplace(key, RouteSlice{begin, length});
+  return {route_hops_.data() + begin, length};
+}
+
+void Network::search_route(NodeId src, NodeId dst, util::Bytes size) const {
+  // Dijkstra over unloaded one-hop delay for this payload size. The heap
+  // steps are exactly std::priority_queue's with std::greater, so ties
+  // between equal-delay paths resolve the same way on every search.
+  const auto later = std::greater<>{};
+  dist_.assign(node_names_.size(), std::numeric_limits<double>::infinity());
+  via_link_.resize(node_names_.size());
+  heap_.clear();
+  dist_[src] = 0.0;
+  heap_.emplace_back(0.0, src);
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const auto [d, u] = heap_.back();
+    heap_.pop_back();
+    if (d > dist_[u]) continue;
     if (u == dst) break;
     for (const std::size_t li : adjacency_[u]) {
       const Link& l = links_[li];
       if (!l.up) continue;
       const NodeId v = (l.a == u) ? l.b : l.a;
       const double w = l.profile.one_hop_delay(size).value();
-      if (d + w < dist[v]) {
-        dist[v] = d + w;
-        via_link[v] = li;
-        via_node[v] = u;
-        heap.emplace(dist[v], v);
+      if (d + w < dist_[v]) {
+        dist_[v] = d + w;
+        via_link_[v] = li;
+        heap_.emplace_back(dist_[v], v);
+        std::push_heap(heap_.begin(), heap_.end(), later);
       }
     }
   }
-  if (dist[dst] == kInf) return {};
-  std::vector<std::size_t> path;
-  for (NodeId cur = dst; cur != src; cur = via_node[cur]) path.push_back(via_link[cur]);
-  std::reverse(path.begin(), path.end());
-  return path;
+}
+
+std::vector<std::size_t> Network::route(NodeId src, NodeId dst, util::Bytes size) const {
+  const auto path = cached_route(src, dst, size);
+  return {path.begin(), path.end()};
 }
 
 std::optional<util::Seconds> Network::unloaded_delay(NodeId src, NodeId dst,
                                                      util::Bytes size) const {
   if (src == dst) return util::Seconds{0.0};
-  const auto path = route(src, dst, size);
+  const auto path = cached_route(src, dst, size);
   if (path.empty()) return std::nullopt;
   util::Seconds total{0.0};
   for (const std::size_t li : path) total += links_[li].profile.one_hop_delay(size);
@@ -119,7 +161,7 @@ void Network::send(const Message& msg, std::function<void(sim::Time)> on_deliver
     sim().schedule_in(0.0, [cb = std::move(on_delivery), t = now()] { cb(t); });
     return;
   }
-  const auto path = route(msg.src, msg.dst, msg.size);
+  const auto path = cached_route(msg.src, msg.dst, msg.size);
   if (path.empty()) {
     ++dropped_;
     if (on_drop) sim().schedule_in(0.0, std::move(on_drop));

@@ -71,8 +71,12 @@ FixedIntervalArrivals::FixedIntervalArrivals(double period_s, double phase_s)
 
 sim::Time FixedIntervalArrivals::next_after(sim::Time t, util::RngStream&) {
   // The first tick at or after `t` (strictly after if t is exactly a tick).
-  const double k = std::floor((t - phase_) / period_) + 1.0;
-  return phase_ + std::max(0.0, k) * period_;
+  const double k = std::max(0.0, std::floor((t - phase_) / period_) + 1.0);
+  const sim::Time next = phase_ + k * period_;
+  // (t - phase) / period can round just below a whole number of periods
+  // (period 60, phase 4.1, t 64.1), which makes `next` equal t itself; the
+  // calendar would then re-fire that instant forever.
+  return next > t ? next : phase_ + (k + 1.0) * period_;
 }
 
 ModulatedArrivals::ModulatedArrivals(std::function<double(sim::Time)> rate_fn, double rate_max,

@@ -1,9 +1,14 @@
 // Tests for the network substrate: protocol profiles, routing, queuing,
-// partitions.
+// partitions, the route cache.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <string>
+#include <vector>
 
 #include "df3/net/network.hpp"
 #include "df3/net/protocol.hpp"
+#include "df3/util/rng.hpp"
 
 namespace net = df3::net;
 namespace u = df3::util;
@@ -222,4 +227,155 @@ TEST(Network, SegmentedVsSharedLanContention) {
   seg.send({e_src, e_dst, u::bytes(200.0), 0}, [&](double t) { edge_done2 = t; });
   sim2.run();
   EXPECT_LT(edge_done2, 0.001);
+}
+
+// ---------------------------------------------------------- route cache ---
+
+namespace {
+constexpr int kFabricNodes = 10;
+
+struct LinkSpec {
+  net::NodeId a, b;
+  net::LinkProfile profile;
+  bool up;
+};
+
+/// A seeded random fabric whose parallel paths change winner with payload
+/// size: single wifi or zigbee hops race multi-hop ethernet and fiber
+/// paths, and serialization time decides between them. `specs` mirrors
+/// every link and its up-state so a Twin can rebuild the fabric.
+struct RandomFabric {
+  Simulation sim;
+  net::Network netw{sim, "cached"};
+  u::RngStream rng;
+  std::vector<LinkSpec> specs;
+
+  explicit RandomFabric(std::uint64_t seed) : rng(seed, "route-cache") {
+    for (int i = 0; i < kFabricNodes; ++i) netw.add_node("n" + std::to_string(i));
+    for (int i = 0; i < 24; ++i) add_random_link();
+  }
+
+  net::NodeId random_node() {
+    return static_cast<net::NodeId>(rng.uniform_int(0, kFabricNodes - 1));
+  }
+
+  void add_random_link() {
+    const net::NodeId a = random_node();
+    net::NodeId b = random_node();
+    while (b == a) b = random_node();
+    const std::array kinds{net::ethernet_lan(), net::wifi(), net::zigbee(), net::fiber_wan()};
+    specs.push_back({a, b, kinds[static_cast<std::size_t>(rng.uniform_int(0, 3))], true});
+    netw.add_link(a, b, specs.back().profile);
+  }
+
+  std::size_t random_link() {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(specs.size()) - 1));
+  }
+
+  void set_up(std::size_t link, bool up) {
+    specs[link].up = up;
+    netw.set_link_up(link, up);
+  }
+};
+
+/// The same nodes, links and up-states as `specs`, with a cold route cache.
+struct Twin {
+  Simulation sim;
+  net::Network netw{sim, "twin"};
+
+  explicit Twin(const std::vector<LinkSpec>& specs) {
+    for (int i = 0; i < kFabricNodes; ++i) netw.add_node("n" + std::to_string(i));
+    for (std::size_t li = 0; li < specs.size(); ++li) {
+      netw.add_link(specs[li].a, specs[li].b, specs[li].profile);
+      netw.set_link_up(li, specs[li].up);
+    }
+  }
+};
+}  // namespace
+
+TEST(RouteCache, MatchesColdTwinUnderFlapsAndNewLinks) {
+  RandomFabric f(12);
+  const std::array sizes{u::bytes(1.0), u::bytes(64.0), u::bytes(1500.0), u::kibibytes(64.0),
+                         u::mebibytes(5.0)};
+  int size_flips = 0;  // routes that differ from the same pair's 1-byte route
+  for (int step = 0; step < 200; ++step) {
+    // Every step re-asks the same pairs, so routes cached before a flap or
+    // a new link are asked for again after it.
+    const Twin twin(f.specs);
+    for (net::NodeId src = 0; src < 3; ++src) {
+      for (net::NodeId dst = 0; dst < static_cast<net::NodeId>(kFabricNodes); ++dst) {
+        const auto smallest = twin.netw.route(src, dst, sizes[0]);
+        for (const u::Bytes size : sizes) {
+          const auto expect = twin.netw.route(src, dst, size);
+          if (expect != smallest) ++size_flips;
+          // The second ask of a key is always served from the cache.
+          for (int ask = 0; ask < 2; ++ask) {
+            ASSERT_EQ(f.netw.route(src, dst, size), expect)
+                << "step " << step << ", " << src << " -> " << dst << ", " << size.value() << " B";
+          }
+        }
+      }
+    }
+    const double r = f.rng.uniform01();
+    if (r < 0.5) {
+      const std::size_t li = f.random_link();
+      f.set_up(li, !f.specs[li].up);
+    } else if (r < 0.6) {
+      f.add_random_link();
+    }
+  }
+  EXPECT_GT(size_flips, 0);
+}
+
+TEST(RouteCache, SendAfterFlapDeliversOnTheNewRoute) {
+  RandomFabric f(34);
+  int rerouted = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    const net::NodeId src = f.random_node();
+    const net::NodeId dst = f.random_node();
+    const u::Bytes size = u::bytes(f.rng.uniform(1.0, 1e6));
+    const auto old_route = f.netw.route(src, dst, size);  // cached from here on
+    if (old_route.empty()) continue;
+    const std::size_t cut = old_route[static_cast<std::size_t>(
+        f.rng.uniform_int(0, static_cast<std::int64_t>(old_route.size()) - 1))];
+    f.set_up(cut, false);
+    const Twin twin(f.specs);
+    const auto expect = twin.netw.unloaded_delay(src, dst, size);
+    // The previous trial's run() left every link idle, so nothing queues.
+    const double sent_at = f.sim.now();
+    double delivered_at = -1.0;
+    bool dropped = false;
+    f.netw.send({src, dst, size, 0}, [&](double t) { delivered_at = t; }, [&] { dropped = true; });
+    f.sim.run();
+    if (expect) {
+      ++rerouted;
+      ASSERT_FALSE(dropped) << "trial " << trial;
+      EXPECT_NEAR(delivered_at - sent_at, expect->value(), 1e-9) << "trial " << trial;
+    } else {
+      EXPECT_TRUE(dropped) << "trial " << trial;
+    }
+    f.set_up(cut, true);
+  }
+  EXPECT_GT(rerouted, 0);
+}
+
+TEST(RouteCache, StaysWithinCapacityAndClearsOnTopologyChange) {
+  Chain c;
+  // Every payload size is its own key: only the capacity bounds the cache.
+  for (int i = 0; i < 100000; ++i) {
+    (void)c.netw.route(c.device, c.cloud, u::bytes(64.0 + i));
+    ASSERT_LE(c.netw.route_cache_entries(), net::Network::kRouteCacheCapacity);
+  }
+  const std::size_t entries = c.netw.route_cache_entries();
+  EXPECT_GT(entries, 0u);
+  c.netw.set_link_up(c.l_lan, true);  // already up: no change, cache kept
+  EXPECT_EQ(c.netw.route_cache_entries(), entries);
+  c.netw.set_link_up(c.l_lan, false);
+  EXPECT_EQ(c.netw.route_cache_entries(), 0u);
+  EXPECT_TRUE(c.netw.route(c.device, c.cloud, u::bytes(64.0)).empty());
+  EXPECT_EQ(c.netw.route_cache_entries(), 1u);  // unreachable is cached too
+  c.netw.add_link(c.gateway, c.cloud, net::fiber_wan());
+  EXPECT_EQ(c.netw.route_cache_entries(), 0u);
+  EXPECT_EQ(c.netw.route(c.device, c.cloud, u::bytes(64.0)).size(), 2u);
 }

@@ -33,6 +33,21 @@ TEST(FixedIntervalArrivals, PhaseOffsetAndValidation) {
   EXPECT_THROW(wl::FixedIntervalArrivals(1.0, -1.0), std::invalid_argument);
 }
 
+TEST(FixedIntervalArrivals, FractionalPhaseNeverRepeatsAnInstant) {
+  u::RngStream rng(1, "unused");
+  // (64.1 - 4.1) / 60 rounds just below 1: 64.1 is a tick, the next is 124.1.
+  EXPECT_DOUBLE_EQ(wl::FixedIntervalArrivals(60.0, 4.1).next_after(64.1, rng), 124.1);
+  for (const double phase : {4.1, 4.6, 5.1, 5.6}) {
+    wl::FixedIntervalArrivals a(60.0, phase);
+    double t = 0.0;
+    for (int i = 0; i < 100000; ++i) {
+      const double next = a.next_after(t, rng);
+      ASSERT_GT(next, t) << "phase " << phase << ", step " << i;
+      t = next;
+    }
+  }
+}
+
 TEST(TelemetryFactory, ShapeAndCadenceThroughPlatform) {
   core::PlatformConfig cfg;
   cfg.seed = 2;

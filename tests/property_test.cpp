@@ -19,6 +19,14 @@ namespace wl = df3::workload;
 namespace u = df3::util;
 using df3::sim::Simulation;
 
+// gtest prints a parameter without a printer as a byte dump, and the spec
+// structs hold heap pointers, so the discovered test names would change with
+// every build. Print the catalogue name instead.
+namespace df3::hw {
+void PrintTo(const CpuSpec& s, std::ostream* os) { *os << s.model; }
+void PrintTo(const ServerSpec& s, std::ostream* os) { *os << s.family; }
+}  // namespace df3::hw
+
 // ------------------------------------------------------ room invariants ---
 
 struct RoomCase {
