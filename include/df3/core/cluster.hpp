@@ -295,7 +295,7 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   /// made during the tick's control phase observes every peer as it stood
   /// at the start of the conservative window — independent of how far
   /// other control lanes (or the fused serial sweep) have advanced. The
-  /// platform arms every cluster before the control phase and disarms
+  /// platform arms every cluster before the tick's physics and disarms
   /// after the boundary drain; event-time pumps (arrivals, completions)
   /// always see live state.
   void arm_lane_snapshot() {

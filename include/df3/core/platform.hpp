@@ -95,31 +95,23 @@ struct PlatformConfig {
   /// Simulation start time (seconds since Jan 1); use
   /// thermal::start_of_month to start mid-season.
   sim::Time start_time = 0.0;
-  /// Worker threads for the parallel physics phase of the tick: 0 = the
-  /// DF3_PHYSICS_THREADS environment override when set, else one per
-  /// hardware thread; 1 = fully serial. The effective count is additionally
-  /// clamped to the shard count so tiny fleets never park idle workers. The
-  /// phase split keeps results bit-for-bit identical for every value (see
-  /// DESIGN.md, "Fleet-physics kernel").
-  std::size_t physics_threads = 0;
-  /// Worker threads for the control phase of the tick — the parallel
-  /// control lanes (DESIGN.md §12). Each district shard is a lane whose
-  /// building-local control decisions (thermostat math, DVFS regulation,
-  /// inlet feedback, quiet-proof re-derivation) advance independently
-  /// within the conservative horizon `now + Network::min_peer_latency()`;
-  /// cross-lane effects (ledger reduction, event scheduling, peer pumps)
-  /// drain serially in building-major order at the lane boundary. 0 = the
-  /// DF3_CONTROL_THREADS environment override when set, else one per
-  /// hardware thread; 1 = the serial sweep. Clamped to the lane (shard)
-  /// count; falls back to the serial sweep when the lookahead is zero
-  /// (some up link has zero base latency). Bit-for-bit neutral at every
+  /// Worker threads for the tick (DESIGN.md §12): 0 = one per hardware
+  /// thread, 1 = the fused serial walk. The effective count is clamped to
+  /// the shard count so tiny fleets never park idle workers. Above 1, each
+  /// district shard runs its buildings' physics and building-local control
+  /// math (thermostat, DVFS regulation, inlet feedback, quiet proof) on the
+  /// pool — licensed by the conservative horizon
+  /// `now + Network::min_peer_latency()` — and cross-building effects
+  /// (ledger reduction, event scheduling, peer pumps) drain serially in
+  /// building-major order. A zero lookahead (some up link with zero base
+  /// latency) falls back to the serial walk. Bit-for-bit neutral at every
   /// value.
-  std::size_t control_threads = 0;
+  std::size_t threads = 0;
   /// Target rooms per physics shard (district). Buildings are packed into
   /// shards in insertion order until a shard reaches this many rooms, so
   /// the room -> shard map is stable for a given build order; building-major
-  /// sweep order is preserved inside each shard and the serial control
-  /// phase replays the global order, keeping every digest bit identical for
+  /// sweep order is preserved inside each shard and the serial drain
+  /// replays the global order, keeping every digest bit identical for
   /// any value. Smaller shards = more parallel slack, more scheduling
   /// overhead.
   std::size_t shard_rooms = 4096;
@@ -281,10 +273,10 @@ class Df3Platform {
   /// provably skipped at a bitwise fixed point by gated districts).
   [[nodiscard]] std::uint64_t substeps_run() const { return substeps_run_; }
   [[nodiscard]] std::uint64_t substeps_skipped() const { return substeps_skipped_; }
-  /// Parallel-control-plane accounting (DESIGN.md §12): ticks whose control
-  /// phase fanned out over lanes, and ticks where a zero conservative
-  /// lookahead (some up link with zero base latency) forced the serial
-  /// sweep despite an effective control_threads > 1.
+  /// Execution-shape accounting (DESIGN.md §12): ticks that ran physics and
+  /// lane math on the pool, one lane per shard, and ticks where a zero
+  /// conservative lookahead (some up link with zero base latency) forced
+  /// the serial walk despite an effective `threads` > 1.
   [[nodiscard]] std::uint64_t lane_parallel_ticks() const { return lane_parallel_ticks_; }
   [[nodiscard]] std::uint64_t lane_fallback_ticks() const { return lane_fallback_ticks_; }
 
@@ -379,7 +371,7 @@ class Df3Platform {
     util::Watts rating{0.0};        ///< cfg.server.rated_power(), frozen
     util::Watts last_demand{0.0};
     util::Joules energy_mark{0.0};
-    // Physics-phase scratch, consumed by the serial control phase.
+    // Physics-phase scratch, consumed by the serial drain.
     double scratch_delta_j = 0.0;
     double scratch_useful_j = 0.0;
     double scratch_draw_lps = 0.0;
@@ -430,9 +422,6 @@ class Df3Platform {
   /// Returns the 2R2C substep accounting for the building's rooms.
   fleet::Substeps2R2C physics_building(std::size_t b, sim::Time t, util::Celsius t_out,
                                        util::Celsius seasonal, double hour);
-  /// Physics for every building of one shard, in building-major order.
-  void physics_shard(std::size_t s, sim::Time t, util::Celsius t_out, util::Celsius seasonal,
-                     double hour);
   /// Lane stage of the control phase for one building (DESIGN.md §12):
   /// every control decision that touches only building-owned state —
   /// thermostat demand math, regulate(), inlet feedback, last-demand
@@ -450,8 +439,6 @@ class Df3Platform {
   void control_building_reduce(std::size_t b, metrics::EnergyLedger::Accumulator& energy,
                                double& city_demand_w, double& city_cores, double& temp_sum,
                                std::size_t& room_count);
-  [[nodiscard]] std::size_t physics_thread_count() const;
-  [[nodiscard]] std::size_t control_thread_count() const;
   [[nodiscard]] Cluster* route_cloud_target();
   /// Resolve building `b`'s grid_region name against the installed plane
   /// and bind its cluster to the per-tick sample slot.
@@ -488,7 +475,7 @@ class Df3Platform {
   /// routing reads. Written by the control phase, building-major.
   std::vector<double> bld_demand_w_;
   /// Shard (district) map over the fleet; rebuilt lazily after
-  /// add_building. Parallel physics fans out one work item per shard.
+  /// add_building. The parallel tick fans out one work item per shard.
   std::vector<Shard> shards_;
   bool shards_dirty_ = true;
   bool peers_dirty_ = false;
@@ -516,11 +503,6 @@ class Df3Platform {
   std::uint64_t substeps_run_ = 0;
   std::uint64_t substeps_skipped_ = 0;
   std::size_t tick_gated_districts_ = 0;
-  /// Per-shard host-clock span scratch (workers record, the serial phase
-  /// emits) + interned per-shard obs track names.
-  std::vector<double> shard_span_begin_s_;
-  std::vector<double> shard_span_end_s_;
-  std::vector<std::string> shard_track_name_;
   /// Per-lane host-clock span scratch + interned lane obs track names, and
   /// the per-lane gated-replay finding buffers (appended by lanes under
   /// kFull audit, reported serially after the drain in lane order — which
@@ -531,11 +513,7 @@ class Df3Platform {
   std::vector<std::vector<std::string>> lane_findings_;
   std::uint64_t lane_parallel_ticks_ = 0;
   std::uint64_t lane_fallback_ticks_ = 0;
-  std::unique_ptr<util::ThreadPool> physics_pool_;  ///< lazily created; shared with control lanes
-  /// Resolved physics_threads (0 = not yet queried); hardware_concurrency
-  /// is a per-call sysconf lookup, far too slow for the tick path.
-  mutable std::size_t physics_threads_resolved_ = 0;
-  mutable std::size_t control_threads_resolved_ = 0;
+  std::unique_ptr<util::ThreadPool> pool_;  ///< lazily created by the first parallel tick
   /// Cloud-routing decision policy; df-first unless overridden.
   std::unique_ptr<policy::RoutingPolicy> routing_;
   /// Per-pick scratch for routing policies that need cluster info.

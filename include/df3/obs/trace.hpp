@@ -74,10 +74,9 @@ enum class Phase : std::uint8_t {
   kRejected,           ///< terminal outcome (instant)
   kDropped,            ///< terminal outcome (instant)
   // Platform tick scopes (host clock).
-  kPhysicsPhase,       ///< parallel fleet-physics phase of one tick
-  kShardPhysics,       ///< one shard's slice of the physics phase (own track)
-  kControlPhase,       ///< reduction + control phase of one tick
-  kLaneControl,        ///< one lane's slice of the parallel control phase (own track)
+  kPhysicsPhase,       ///< one tick's fused serial walk, or its parallel fan-out
+  kControlPhase,       ///< serial boundary drain of a parallel tick
+  kLaneControl,        ///< one lane's physics + control math (own track)
   kAuditSweep,         ///< structural invariant sweep (kFull audit only)
   // Fault injection (simulated clock).
   kLinkOutage,         ///< link down -> restored (span), id = link index
@@ -107,7 +106,6 @@ enum class Phase : std::uint8_t {
     case Phase::kRejected: return "rejected";
     case Phase::kDropped: return "dropped";
     case Phase::kPhysicsPhase: return "physics-phase";
-    case Phase::kShardPhysics: return "shard-physics";
     case Phase::kControlPhase: return "control-phase";
     case Phase::kLaneControl: return "lane-control";
     case Phase::kAuditSweep: return "audit-sweep";
@@ -127,7 +125,6 @@ enum class Phase : std::uint8_t {
   switch (p) {
     case Phase::kNetHop: return "net";
     case Phase::kPhysicsPhase:
-    case Phase::kShardPhysics:
     case Phase::kControlPhase:
     case Phase::kLaneControl:
     case Phase::kAuditSweep: return "tick";

@@ -26,7 +26,7 @@
 ///
 /// Determinism contract: a policy's `pick` must depend only on the view it
 /// is handed and on its own state — no wall clock, no global RNG — so runs
-/// stay bit-for-bit reproducible at any physics thread count.
+/// stay bit-for-bit reproducible at any `threads` count.
 
 #include <cstddef>
 #include <cstdint>

@@ -2,10 +2,13 @@
 /// \file thread_pool.hpp
 /// \brief Small fixed-size worker pool for embarrassingly parallel sweeps.
 ///
-/// The simulation engine itself is single-threaded and deterministic; the
-/// pool parallelizes *across* independent simulations — parameter sweeps in
-/// the bench harness and Monte-Carlo replications. Each task runs its own
-/// `Simulation`, so no shared mutable state crosses threads.
+/// The event engine itself is single-threaded and deterministic. The pool
+/// serves two kinds of work: `Df3Platform::tick` fans each district shard's
+/// physics and building-local control math out with `for_each_index` every
+/// tick (work items own disjoint building state; cross-building effects
+/// drain serially afterwards, so results are bit-identical at any width).
+/// `submit` and `parallel_map` run independent tasks — parameter sweeps or
+/// Monte-Carlo replications, each owning its own `Simulation`.
 
 #include <algorithm>
 #include <atomic>

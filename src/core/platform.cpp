@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -25,6 +24,11 @@ Df3Platform::Df3Platform(PlatformConfig config)
       weather_(config_.climate, config_.seed ^ 0x5ca1ab1eULL),
       auditor_(config_.audit) {
   if (config_.tick_s <= 0.0) throw std::invalid_argument("Df3Platform: tick must be positive");
+  // 0 = one thread per hardware thread, resolved once: hardware_concurrency()
+  // is a sysconf query, far too slow for the tick path.
+  if (config_.threads == 0) {
+    config_.threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  }
 #ifndef DF3_OBS_DISABLED
   if (config_.obs.level != obs::TraceLevel::kOff) {
     obs_ = std::make_unique<obs::Observability>(config_.obs);
@@ -290,13 +294,6 @@ void Df3Platform::ensure_shards() {
   const std::size_t ns = shards_.size();
   shard_substeps_run_.assign(ns, 0);
   shard_substeps_skipped_.assign(ns, 0);
-  shard_span_begin_s_.assign(ns, 0.0);
-  shard_span_end_s_.assign(ns, 0.0);
-  shard_track_name_.clear();
-  shard_track_name_.reserve(ns);
-  for (std::size_t s = 0; s < ns; ++s) {
-    shard_track_name_.push_back("shard-" + std::to_string(s));
-  }
   // Control-lane scratch: one lane per shard (DESIGN.md §12).
   bld_sync_deferred_.assign(nb, 0);
   lane_span_begin_s_.assign(ns, 0.0);
@@ -676,64 +673,6 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
   return sub;
 }
 
-void Df3Platform::physics_shard(std::size_t s, sim::Time t, util::Celsius t_out,
-                                util::Celsius seasonal, double hour) {
-  const Shard& sh = shards_[s];
-  std::uint64_t run = 0;
-  std::uint64_t skipped = 0;
-  for (std::size_t b = sh.bld_begin; b < sh.bld_end; ++b) {
-    const fleet::Substeps2R2C sub = physics_building(b, t, t_out, seasonal, hour);
-    run += sub.full_steps_run;
-    skipped += sub.full_steps_skipped;
-  }
-  shard_substeps_run_[s] = run;
-  shard_substeps_skipped_[s] = skipped;
-}
-
-std::size_t Df3Platform::physics_thread_count() const {
-  // hardware_concurrency() is a sysconf query (~microseconds) — resolve it
-  // once and reuse; the machine's core count does not change mid-run.
-  if (physics_threads_resolved_ == 0) {
-    std::size_t n = config_.physics_threads;
-    if (n == 0) {
-      // DF3_PHYSICS_THREADS overrides auto-detection (CI and bench sweeps
-      // pin the parallel width without recompiling scenarios); an explicit
-      // config value still wins over the environment.
-      if (const char* env = std::getenv("DF3_PHYSICS_THREADS")) {
-        char* parse_end = nullptr;
-        const unsigned long v = std::strtoul(env, &parse_end, 10);
-        if (parse_end != env && *parse_end == '\0' && v > 0) {
-          n = static_cast<std::size_t>(v);
-        }
-      }
-    }
-    if (n == 0) n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    physics_threads_resolved_ = n;
-  }
-  return physics_threads_resolved_;
-}
-
-std::size_t Df3Platform::control_thread_count() const {
-  // Mirrors physics_thread_count(): explicit config wins, then the
-  // DF3_CONTROL_THREADS environment override, then hardware concurrency;
-  // resolved once (hardware_concurrency is a sysconf query).
-  if (control_threads_resolved_ == 0) {
-    std::size_t n = config_.control_threads;
-    if (n == 0) {
-      if (const char* env = std::getenv("DF3_CONTROL_THREADS")) {
-        char* parse_end = nullptr;
-        const unsigned long v = std::strtoul(env, &parse_end, 10);
-        if (parse_end != env && *parse_end == '\0' && v > 0) {
-          n = static_cast<std::size_t>(v);
-        }
-      }
-    }
-    if (n == 0) n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    control_threads_resolved_ = n;
-  }
-  return control_threads_resolved_;
-}
-
 void Df3Platform::control_building_math(std::size_t b, double t_out_c,
                                         std::vector<std::string>& findings) {
   Building& bd = *buildings_[b];
@@ -917,43 +856,37 @@ void Df3Platform::tick(sim::Time t) {
     }
   }
 
-  // Reduction + control state. The control phase replays the exact
-  // accumulation order of the old interleaved loop (ledger adds and city
-  // aggregates are floating-point order-sensitive) whatever the lane
-  // count; the ledger accumulator keeps the four energy slots in registers
-  // for the whole tick with the identical per-room add sequence.
+  // Reduction state. The drain replays the exact accumulation order of
+  // the fused serial walk (ledger adds and city aggregates are
+  // floating-point order-sensitive) whatever the thread count; the ledger
+  // accumulator keeps the four energy slots in registers for the whole
+  // tick with the identical per-room add sequence.
   double city_demand_w = 0.0;
   double city_cores = 0.0;
   double temp_sum = 0.0;
   std::size_t room_count = 0;
   metrics::EnergyLedger::Accumulator energy(df_energy_);
 
-  // --- Phase 1: fleet physics. Every building evolves only state it owns
-  // (its fleet slice, servers, tank, comfort collectors), so the sweep can
-  // fan out across threads; nothing here touches the event calendar, the
-  // ledger, or another building. Bit-for-bit identical for any thread
-  // count and scheduling order.
-  //
-  // --- Phase 2: control, in two stages (DESIGN.md §12). The *lane* stage
-  // (control_building_math) makes every building-local control decision —
-  // thermostat, regulate(), inlet feedback, quiet proof — and may fan out
-  // one lane per district shard: within the conservative horizon
-  // `now + Network::min_peer_latency()` no cross-cluster influence can
-  // reach a lane, so lanes advance this tick instant independently. The
-  // *boundary drain* (control_building_reduce) then replays everything
-  // cross-cutting — ledger reduction, event re-arms, queue pumps, peer
-  // hand-offs — serially in building-major order, the deterministic merge
-  // of every lane's outbound effects.
-  //
-  // In the fully serial case all stages fuse per building: physics(b) and
-  // math(b) only touch building-b state, the drain touches shared state in
-  // building order either way, and peer views are pinned by the
-  // pre-control lane snapshot — so the interleaving
-  //   physics(0), math(0), reduce(0), physics(1), ...
-  // performs the identical operation sequence on every accumulator and on
-  // the event calendar as the staged
-  //   physics(0..n), math(0..n), reduce(0..n)
-  // — same bits, one pass over each server's cache lines instead of three.
+  // Each building passes through three stages (DESIGN.md §12):
+  //   physics(b)  server/room/tank integration (physics_building)
+  //   math(b)     building-local control decisions — thermostat,
+  //               regulate(), inlet feedback, quiet proof
+  //               (control_building_math)
+  //   reduce(b)   the boundary drain: ledger and city aggregates, event
+  //               re-arms, queue pumps, peer hand-offs
+  //               (control_building_reduce)
+  // physics(b) and math(b) touch only building-b state, and peer views are
+  // pinned by the pre-control lane snapshot below; within the conservative
+  // horizon `now + Network::min_peer_latency()` no cross-cluster influence
+  // can reach another building. So both execution shapes perform the
+  // identical operation sequence on every shared accumulator and on the
+  // event calendar — same bits:
+  //   serial    physics(0), math(0), reduce(0), physics(1), ...
+  //             (one pass over each server's cache lines)
+  //   parallel  one lane per district shard on the pool runs physics(b),
+  //             math(b) for the shard's buildings; then reduce(0..n)
+  //             serially in building-major order, the deterministic merge
+  //             of every lane's outbound effects.
   // Tick-phase scopes run on the *host* clock: every sub-phase of a tick
   // happens at one simulated instant, so only wall time gives the spans
   // extent. Trace content for these spans is machine-dependent by nature;
@@ -973,18 +906,14 @@ void Df3Platform::tick(sim::Time t) {
   const auto close_phase = [](obs::Phase) {};
 #endif
 
-  // The effective thread counts clamp to the shard/lane count: a fleet
-  // with fewer districts than cores must not wake workers that would find
-  // no work to claim.
-  const std::size_t threads = std::min(physics_thread_count(), std::max<std::size_t>(1, ns));
-  // Conservative-lookahead gate for the control lanes: parallel lane
-  // advancement is licensed by every cross-cluster path carrying at least
-  // min_peer_latency() of delay. A zero-latency link collapses the horizon
-  // to the tick instant itself, so the control phase falls back to the
-  // serial sweep instead of risking a same-instant cross-lane delivery.
-  std::size_t ctrl = std::min(control_thread_count(), std::max<std::size_t>(1, ns));
-  if (ctrl > 1 && !(network_->min_peer_latency().value() > 0.0)) {
-    ctrl = 1;
+  // The effective thread count clamps to the shard count: a fleet with
+  // fewer districts than cores must not wake workers that would find no
+  // work to claim. A zero-latency link collapses the conservative horizon
+  // to the tick instant itself, so the tick falls back to the serial walk
+  // instead of risking a same-instant cross-lane delivery.
+  std::size_t threads = std::min(config_.threads, std::max<std::size_t>(1, ns));
+  if (threads > 1 && !(network_->min_peer_latency().value() > 0.0)) {
+    threads = 1;
     ++lane_fallback_ticks_;
   }
 
@@ -1004,93 +933,51 @@ void Df3Platform::tick(sim::Time t) {
     for (const auto& b : buildings_) b->cluster->arm_lane_snapshot();
   }
 
-  if (threads > 1) {
-    const std::size_t helpers = threads - 1;
-    if (!physics_pool_ || physics_pool_->size() < helpers) {
-      physics_pool_ = std::make_unique<util::ThreadPool>(helpers);
+  // One lane: physics and control math for every building of shard s in
+  // building-major order; the serial walk fuses the drain in as well.
+  const auto run_lane = [&](std::size_t s, bool fused_drain) {
+    const Shard& sh = shards_[s];
+    std::uint64_t run = 0;
+    std::uint64_t skipped = 0;
+    for (std::size_t b = sh.bld_begin; b < sh.bld_end; ++b) {
+      const fleet::Substeps2R2C sub = physics_building(b, t, t_out, seasonal, hour);
+      run += sub.full_steps_run;
+      skipped += sub.full_steps_skipped;
+      control_building_math(b, t_out.value(), lane_findings_[s]);
+      if (fused_drain) {
+        control_building_reduce(b, energy, city_demand_w, city_cores, temp_sum, room_count);
+      }
     }
-    // One work item per shard. Workers only time-stamp their slices (the
-    // trace ring is single-writer); the serial section emits the spans.
-    physics_pool_->for_each_index(ns, [&](std::size_t s) {
-      if (phase_scopes) shard_span_begin_s_[s] = sink->trace().host_now_s();
-      physics_shard(s, t, t_out, seasonal, hour);
-      if (phase_scopes) shard_span_end_s_[s] = sink->trace().host_now_s();
+    shard_substeps_run_[s] = run;
+    shard_substeps_skipped_[s] = skipped;
+  };
+
+  if (threads == 1) {
+    // The whole fused sweep is reported as one physics-phase span.
+    for (std::size_t s = 0; s < ns; ++s) run_lane(s, /*fused_drain=*/true);
+    if (phase_scopes) close_phase(obs::Phase::kPhysicsPhase);
+  } else {
+    ++lane_parallel_ticks_;
+    const std::size_t helpers = threads - 1;
+    if (!pool_ || pool_->size() < helpers) pool_ = std::make_unique<util::ThreadPool>(helpers);
+    // Lane workers only time-stamp their spans (the trace ring is
+    // single-writer); the serial section emits them on per-lane tracks.
+    pool_->for_each_index(ns, [&](std::size_t s) {
+      if (phase_scopes) lane_span_begin_s_[s] = sink->trace().host_now_s();
+      run_lane(s, /*fused_drain=*/false);
+      if (phase_scopes) lane_span_end_s_[s] = sink->trace().host_now_s();
     });
     if (phase_scopes) {
-      for (std::size_t s = 0; s < ns; ++s) {
-        sink->host_span(&shard_track_name_[s], shard_track_name_[s],
-                        obs::Phase::kShardPhysics, shard_span_begin_s_[s],
-                        shard_span_end_s_[s]);
-      }
       close_phase(obs::Phase::kPhysicsPhase);
-    }
-  } else if (ctrl > 1) {
-    // Serial physics ahead of parallel control lanes (the fused serial
-    // walk would interleave control into the physics pass).
-    for (std::size_t s = 0; s < ns; ++s) physics_shard(s, t, t_out, seasonal, hour);
-    if (phase_scopes) close_phase(obs::Phase::kPhysicsPhase);
-  }
-
-  if (threads > 1 || ctrl > 1) {
-    if (ctrl > 1) {
-      ++lane_parallel_ticks_;
-      const std::size_t helpers = ctrl - 1;
-      if (!physics_pool_ || physics_pool_->size() < helpers) {
-        physics_pool_ = std::make_unique<util::ThreadPool>(helpers);
-      }
-      // Lane stage: one control lane per district shard on the shared
-      // pool. Lane workers only time-stamp their spans; the serial
-      // section emits them on per-lane tracks.
-      physics_pool_->for_each_index(ns, [&](std::size_t s) {
-        if (phase_scopes) lane_span_begin_s_[s] = sink->trace().host_now_s();
-        const Shard& sh = shards_[s];
-        for (std::size_t b = sh.bld_begin; b < sh.bld_end; ++b) {
-          control_building_math(b, t_out.value(), lane_findings_[s]);
-        }
-        if (phase_scopes) lane_span_end_s_[s] = sink->trace().host_now_s();
-      });
-      if (phase_scopes) {
-        for (std::size_t s = 0; s < ns; ++s) {
-          sink->host_span(&lane_track_name_[s], lane_track_name_[s],
-                          obs::Phase::kLaneControl, lane_span_begin_s_[s],
-                          lane_span_end_s_[s]);
-        }
-      }
-      // Boundary drain, building-major.
-      for (std::size_t b = 0; b < nb; ++b) {
-        control_building_reduce(b, energy, city_demand_w, city_cores, temp_sum, room_count);
-      }
-    } else {
-      // Serial control after parallel physics: fuse the two control
-      // stages per building (one pass over each building's cache lines).
       for (std::size_t s = 0; s < ns; ++s) {
-        const Shard& sh = shards_[s];
-        for (std::size_t b = sh.bld_begin; b < sh.bld_end; ++b) {
-          control_building_math(b, t_out.value(), lane_findings_[s]);
-          control_building_reduce(b, energy, city_demand_w, city_cores, temp_sum, room_count);
-        }
+        sink->host_span(&lane_track_name_[s], lane_track_name_[s], obs::Phase::kLaneControl,
+                        lane_span_begin_s_[s], lane_span_end_s_[s]);
       }
+    }
+    for (std::size_t b = 0; b < nb; ++b) {
+      control_building_reduce(b, energy, city_demand_w, city_cores, temp_sum, room_count);
     }
     if (phase_scopes) close_phase(obs::Phase::kControlPhase);
-  } else {
-    // Fully serial mode fuses physics + both control stages per building
-    // (one pass over each server's cache lines); the whole sweep is
-    // reported as one physics-phase span.
-    for (std::size_t s = 0; s < ns; ++s) {
-      const Shard& sh = shards_[s];
-      std::uint64_t run = 0;
-      std::uint64_t skipped = 0;
-      for (std::size_t b = sh.bld_begin; b < sh.bld_end; ++b) {
-        const fleet::Substeps2R2C sub = physics_building(b, t, t_out, seasonal, hour);
-        run += sub.full_steps_run;
-        skipped += sub.full_steps_skipped;
-        control_building_math(b, t_out.value(), lane_findings_[s]);
-        control_building_reduce(b, energy, city_demand_w, city_cores, temp_sum, room_count);
-      }
-      shard_substeps_run_[s] = run;
-      shard_substeps_skipped_[s] = skipped;
-    }
-    if (phase_scopes) close_phase(obs::Phase::kPhysicsPhase);
   }
 
   // Gated-replay findings (buffered per lane under kFull audit) report in

@@ -285,7 +285,7 @@ std::unique_ptr<core::Df3Platform> two_region_city(std::uint64_t seed, const std
   core::PlatformConfig cfg;
   cfg.seed = seed;
   cfg.tick_s = 60.0;
-  cfg.physics_threads = 1;
+  cfg.threads = 1;
   cfg.regulator.gating = core::GatingPolicy::kKeepWarm;
   cfg.cluster.edge_peak_ladder = std::move(ladder);
   auto city = std::make_unique<core::Df3Platform>(cfg);
@@ -550,7 +550,7 @@ void run_shed_soak(std::uint64_t seed) {
   cfg.seed = seed;
   cfg.audit = metrics::AuditLevel::kFull;
   cfg.tick_s = 60.0;
-  cfg.physics_threads = 1;
+  cfg.threads = 1;
   cfg.with_datacenter = true;
   cfg.regulator.gating = core::GatingPolicy::kKeepWarm;
   cfg.cluster.edge_peak_ladder = {"grid-shed", "preempt", "horizontal", "delay"};

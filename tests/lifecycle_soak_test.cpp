@@ -93,6 +93,7 @@ struct SoakTotals {
   std::uint64_t completed = 0;
   std::uint64_t dropped = 0;
   std::uint64_t deadline_missed = 0;
+  std::uint64_t lane_parallel_ticks = 0;
 };
 
 std::string join(const std::vector<std::string>& lines) {
@@ -101,12 +102,17 @@ std::string join(const std::vector<std::string>& lines) {
   return out;
 }
 
-void run_soak(std::uint64_t seed, const ChurnProfile& profile, SoakTotals& agg) {
+void run_soak(std::uint64_t seed, const ChurnProfile& profile, SoakTotals& agg,
+              std::size_t threads) {
   core::PlatformConfig cfg;
   cfg.seed = seed;
   cfg.audit = metrics::AuditLevel::kFull;
   cfg.tick_s = 60.0;
-  cfg.physics_threads = 1;
+  // One shard per building: threads > 1 runs each building's physics and
+  // control math on its own lane under the churn (the shard map and the
+  // thread count are both bit-neutral).
+  cfg.threads = threads;
+  cfg.shard_rooms = 1;
   cfg.with_datacenter = true;
   cfg.cluster.edge_peak_ladder = {"preempt", "horizontal",
                                   "vertical", "delay"};
@@ -203,6 +209,7 @@ void run_soak(std::uint64_t seed, const ChurnProfile& profile, SoakTotals& agg) 
   agg.completed += auditor.completed();
   agg.dropped += auditor.dropped();
   agg.deadline_missed += auditor.deadline_missed();
+  agg.lane_parallel_ticks += city.lane_parallel_ticks();
 }
 
 }  // namespace
@@ -212,12 +219,12 @@ TEST(LifecycleSoak, ConservationHoldsUnderFaultChurn) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     for (const auto& profile : kProfiles) {
       SCOPED_TRACE("seed " + std::to_string(seed) + ", profile " + profile.name);
-      run_soak(seed, profile, agg);
+      run_soak(seed, profile, agg, /*threads=*/2);
     }
   }
   // The soak only proves conservation if the hard paths actually ran:
   // every ladder rung, both injectors, and lossy outcomes must all have
-  // fired somewhere across the 16 runs.
+  // fired somewhere across the 16 runs, on the parallel tick shape.
   EXPECT_GT(agg.preemptions, 0u);
   EXPECT_GT(agg.horizontal, 0u);
   EXPECT_GT(agg.vertical, 0u);
@@ -228,19 +235,25 @@ TEST(LifecycleSoak, ConservationHoldsUnderFaultChurn) {
   EXPECT_GT(agg.completed, 0u);
   EXPECT_GT(agg.dropped, 0u);
   EXPECT_GT(agg.deadline_missed, 0u);
+  EXPECT_GT(agg.lane_parallel_ticks, 0u);
 }
 
 TEST(LifecycleSoak, SameSeedSameOutcome) {
-  // Determinism of the whole fault-injected stack: two identical runs must
-  // produce identical auditor counters (injector schedules included).
-  SoakTotals a, b;
-  run_soak(42, kProfiles[0], a);
-  run_soak(42, kProfiles[0], b);
-  EXPECT_EQ(a.submitted, b.submitted);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.deadline_missed, b.deadline_missed);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.flaps, b.flaps);
-  EXPECT_EQ(a.outages, b.outages);
+  // Determinism of the whole fault-injected stack: identical runs must
+  // produce identical auditor counters (injector schedules included), in
+  // the serial walk and at any lane count.
+  SoakTotals a;
+  run_soak(42, kProfiles[0], a, 1);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SoakTotals b;
+    run_soak(42, kProfiles[0], b, threads);
+    EXPECT_EQ(a.submitted, b.submitted);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.dropped, b.dropped);
+    EXPECT_EQ(a.deadline_missed, b.deadline_missed);
+    EXPECT_EQ(a.preemptions, b.preemptions);
+    EXPECT_EQ(a.flaps, b.flaps);
+    EXPECT_EQ(a.outages, b.outages);
+  }
 }

@@ -7,10 +7,10 @@
 ///     pre-refactor implementation (commit d2cd04c) over a simulated week
 ///     of every bundled scenario; any float reassociation in the kernel
 ///     shows up here as a hash mismatch.
-///  2. The parallel physics phase is schedule-independent: 1, 2 and 8
-///     physics threads produce identical telemetry and end state, because
-///     each building's physics touches only building-owned state and the
-///     order-sensitive reductions replay serially.
+///  2. The parallel tick is schedule-independent: 1, 2 and 8 threads
+///     produce identical telemetry and end state, because each building's
+///     physics and control math touch only building-owned state and the
+///     order-sensitive drain replays serially in building order.
 
 #include <cstdint>
 #include <sstream>
@@ -114,9 +114,15 @@ void populate_summer_city(core::Df3Platform& city) {
 }
 
 template <class Populate>
-Digest run_scenario(core::PlatformConfig pc, Populate populate, std::size_t physics_threads,
+Digest run_scenario(core::PlatformConfig pc, Populate populate, std::size_t threads,
                     obs::TraceLevel obs_level = obs::TraceLevel::kOff) {
-  pc.physics_threads = physics_threads;
+  pc.threads = threads;
+  // The default shard map puts each multi-building city in one shard,
+  // which clamps the pool to the serial walk. Parallel runs split the
+  // fleet into four-room shards (one lane per building) so threads > 1
+  // really takes the parallel shape; the shard map is itself bit-neutral
+  // (platform_shard_test).
+  if (threads > 1) pc.shard_rooms = 4;
   pc.obs.level = obs_level;
   core::Df3Platform city(pc);
   populate(city);
@@ -154,7 +160,7 @@ template <class Populate>
 void expect_golden_across_threads(const char* name, core::PlatformConfig (*config)(),
                                   Populate populate, Digest golden) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    SCOPED_TRACE(std::string(name) + " physics_threads=" + std::to_string(threads));
+    SCOPED_TRACE(std::string(name) + " threads=" + std::to_string(threads));
     const Digest d = run_scenario(config(), populate, threads);
     EXPECT_EQ(d.csv_hash, golden.csv_hash);
     EXPECT_EQ(d.raw_hash, golden.raw_hash);
@@ -183,7 +189,7 @@ TEST(PlatformDeterminism, ObservabilityLevelsPreserveGoldensAtAnyThreadCount) {
   for (const obs::TraceLevel level : {obs::TraceLevel::kCounters, obs::TraceLevel::kFull}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       SCOPED_TRACE(std::string("winter_city obs=") + obs::trace_level_name(level) +
-                   " physics_threads=" + std::to_string(threads));
+                   " threads=" + std::to_string(threads));
       const Digest d = run_scenario(winter_city_config(), populate_winter_city, threads, level);
       EXPECT_EQ(d.csv_hash, kWinterGolden.csv_hash);
       EXPECT_EQ(d.raw_hash, kWinterGolden.raw_hash);
@@ -198,7 +204,7 @@ TEST(PlatformDeterminism, ObservabilityLevelsPreserveGoldensAtAnyThreadCount) {
   }
 }
 
-// More physics threads than buildings must degrade gracefully (the pool
+// More threads than buildings must degrade gracefully (the pool
 // simply has idle lanes) and still match.
 TEST(PlatformDeterminism, ThreadsExceedingBuildingsStillMatch) {
   const Digest d = run_scenario(boiler_plant_config(), populate_boiler_plant, 8);

@@ -4,7 +4,7 @@
 /// The sharded fleet kernel (DESIGN.md section 8) promises two bit-for-bit
 /// invariants on top of the golden pins in platform_determinism_test:
 ///  1. The shard map is a pure performance knob: any shard_rooms value, any
-///     physics thread count, and gating on or off produce identical
+///     `threads` count, and gating on or off produce identical
 ///     telemetry and end state, even with buildings of mixed room counts
 ///     and mixed 1R1C/2R2C fidelity straddling every shard boundary.
 ///  2. The activity gate actually fires off-season (the bench's gated
@@ -13,7 +13,6 @@
 ///     the skipped regulate() calls really were no-ops.
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <sstream>
 #include <stdexcept>
@@ -114,7 +113,7 @@ RunResult run_mixed_city(int month, core::GatingPolicy policy, std::size_t shard
                          bool gating, std::size_t threads, double days = 7.0,
                          const std::function<void(core::Df3Platform&, double)>& extra = {}) {
   core::PlatformConfig pc = mixed_city_config(month, policy, shard_rooms, gating);
-  pc.physics_threads = threads;
+  pc.threads = threads;
   core::Df3Platform city(pc);
   populate_mixed_city(city);
   if (extra) {
@@ -172,9 +171,13 @@ TEST(ShardDeterminism, WinterDigestInvariantAcrossShardSizes) {
   const RunResult ref = run_mixed_city(0, core::GatingPolicy::kKeepWarm, 4096, true, 1);
   EXPECT_EQ(ref.gated_ticks, 0u);
   for (const std::size_t shard_rooms : {std::size_t{12}, std::size_t{1}}) {
-    SCOPED_TRACE("shard_rooms=" + std::to_string(shard_rooms));
-    const RunResult r = run_mixed_city(0, core::GatingPolicy::kKeepWarm, shard_rooms, true, 8);
-    EXPECT_TRUE(r.digest == ref.digest);
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+      SCOPED_TRACE("shard_rooms=" + std::to_string(shard_rooms) +
+                   " threads=" + std::to_string(threads));
+      const RunResult r =
+          run_mixed_city(0, core::GatingPolicy::kKeepWarm, shard_rooms, true, threads);
+      EXPECT_TRUE(r.digest == ref.digest);
+    }
   }
 }
 
@@ -212,7 +215,7 @@ TEST(ActivityGating, SteadyState2R2CSkipsSubstepsBitForBit) {
     pc.regulator.gating = core::GatingPolicy::kAggressive;
     pc.activity_gating = gating;
     pc.audit = metrics::AuditLevel::kFull;
-    pc.physics_threads = 1;
+    pc.threads = 1;
     core::Df3Platform city(pc);
     core::BuildingConfig b;
     b.name = "hf";
@@ -265,15 +268,6 @@ TEST(ActivityGating, FaultInjectionInvalidatesGateButPreservesBits) {
   EXPECT_EQ(on.violations, 0u);
   // Churn un-gates only building 0's district; the rest still coast.
   EXPECT_GT(on.gated_ticks, 0u);
-}
-
-TEST(ActivityGating, PhysicsThreadsEnvOverridePreservesBits) {
-  const RunResult ref = run_mixed_city(6, core::GatingPolicy::kKeepWarm, 12, true, 1, 2.0);
-  ::setenv("DF3_PHYSICS_THREADS", "8", 1);
-  const RunResult r = run_mixed_city(6, core::GatingPolicy::kKeepWarm, 12, true,
-                                     /*threads=*/0, 2.0);
-  ::unsetenv("DF3_PHYSICS_THREADS");
-  EXPECT_TRUE(r.digest == ref.digest);
 }
 
 }  // namespace

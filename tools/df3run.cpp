@@ -285,8 +285,7 @@ int run(const std::string& config_path, const Options& opts) {
   const double cloud_render_interval_s = cfg.get_double("cloud_render_interval_s", 0.0);
   const double cloud_risk_interval_s = cfg.get_double("cloud_risk_interval_s", 1800.0);
   const double days = cfg.get_double("days", 7.0);
-  const long physics_threads = cfg.get_int("physics_threads", 0);
-  const long control_threads = cfg.get_int("control_threads", 0);
+  const long threads = cfg.get_int("threads", 0);
   const long shard_rooms = cfg.get_int("shard_rooms", 4096);
   const bool activity_gating = cfg.get_bool("activity_gating", true);
   const long federation_degree = cfg.get_int("federation_degree", 0);
@@ -298,8 +297,7 @@ int run(const std::string& config_path, const Options& opts) {
   cfg.check_exhausted();
   if (trace_capacity < 0) throw std::invalid_argument("trace_capacity must be >= 0");
   if (slo_window_s <= 0.0) throw std::invalid_argument("slo_window_s must be > 0");
-  if (physics_threads < 0) throw std::invalid_argument("physics_threads must be >= 0");
-  if (control_threads < 0) throw std::invalid_argument("control_threads must be >= 0");
+  if (threads < 0) throw std::invalid_argument("threads must be >= 0");
   if (shard_rooms <= 0) throw std::invalid_argument("shard_rooms must be > 0");
   if (federation_degree < 0) throw std::invalid_argument("federation_degree must be >= 0");
 
@@ -326,8 +324,7 @@ int run(const std::string& config_path, const Options& opts) {
   // and gating are bit-for-bit neutral; federation_degree keeps the
   // full-mesh default bit-identical, while a nonzero ring degree is a real
   // topology choice that changes peer hand-offs.
-  pc.physics_threads = static_cast<std::size_t>(physics_threads);
-  pc.control_threads = static_cast<std::size_t>(control_threads);
+  pc.threads = static_cast<std::size_t>(threads);
   pc.shard_rooms = static_cast<std::size_t>(shard_rooms);
   pc.activity_gating = activity_gating;
   pc.federation_degree = static_cast<std::size_t>(federation_degree);
