@@ -1,7 +1,8 @@
 #pragma once
 /// \file metrics.hpp
-/// \brief Central registry of named counters / gauges / log-bucketed
-///        histograms with periodic snapshots into time series.
+/// \brief Central registry of named counters / gauges / histograms
+///        (util::PercentileSampler sketches) with periodic snapshots into
+///        time series.
 ///
 /// The registry is the low-frequency half of the obs layer: instruments are
 /// registered once (by the platform, regulator, ledger, and ladder feeds at
@@ -15,12 +16,13 @@
 /// snapshots happen at simulated-time tick boundaries.
 
 #include <cassert>
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "df3/util/stats.hpp"
 
 namespace df3::obs {
 
@@ -55,96 +57,6 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Log-bucketed histogram: bucket i holds samples in
-/// [base * growth^i, base * growth^(i+1)), with one underflow bucket below
-/// `base`. Covers ~9 decades at the default 2x growth in 32 buckets, which
-/// is plenty for response times spanning milliseconds to hours.
-class LogHistogram {
- public:
-  static constexpr std::size_t kBuckets = 32;
-
-  explicit LogHistogram(double base = 1e-3, double growth = 2.0)
-      : base_(base), inv_log_growth_(1.0 / std::log(growth)) {
-    counts_.assign(kBuckets + 1, 0);  // [0] = underflow
-  }
-
-  void observe(double v) {
-    ++n_;
-    sum_ += v;
-    if (n_ == 1 || v < min_) min_ = v;
-    if (n_ == 1 || v > max_) max_ = v;
-    ++counts_[bucket_index(v)];
-  }
-
-  /// Index into counts(): 0 is the underflow bucket, i>0 covers
-  /// [lower_bound(i), lower_bound(i+1)).
-  [[nodiscard]] std::size_t bucket_index(double v) const {
-    if (!(v >= base_)) return 0;
-    const double idx = std::log(v / base_) * inv_log_growth_;
-    const auto i = static_cast<std::size_t>(idx);
-    return (i >= kBuckets - 1) ? kBuckets : i + 1;
-  }
-
-  /// Inclusive lower bound of bucket i (i >= 1); bucket 0 is (-inf, base).
-  [[nodiscard]] double lower_bound(std::size_t i) const {
-    return (i == 0) ? 0.0 : base_ * std::exp(static_cast<double>(i - 1) / inv_log_growth_);
-  }
-
-  /// Approximate quantile from bucket boundaries (upper-bound biased): the
-  /// value returned is the upper edge of the bucket containing the q-th
-  /// sample, so the true quantile is <= the estimate within one bucket.
-  [[nodiscard]] double quantile(double q) const {
-    if (n_ == 0) return 0.0;
-    const auto target = static_cast<std::uint64_t>(q * static_cast<double>(n_ - 1)) + 1;
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      seen += counts_[i];
-      if (seen >= target) {
-        const double hi = (i >= kBuckets) ? max_ : lower_bound(i + 1);
-        return (hi > max_) ? max_ : hi;
-      }
-    }
-    return max_;
-  }
-
-  /// Fold another histogram with the same bucket layout into this one.
-  /// Used by the rolling-window SLO monitor to merge sub-window buckets, so
-  /// windowed percentiles share the exact `quantile()` implementation.
-  void merge(const LogHistogram& other) {
-    assert(counts_.size() == other.counts_.size());
-    if (other.n_ == 0) return;
-    if (n_ == 0 || other.min_ < min_) min_ = other.min_;
-    if (n_ == 0 || other.max_ > max_) max_ = other.max_;
-    n_ += other.n_;
-    sum_ += other.sum_;
-    for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  }
-
-  void reset() {
-    n_ = 0;
-    sum_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-    counts_.assign(counts_.size(), 0);
-  }
-
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-  [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
-  [[nodiscard]] const std::vector<std::uint64_t>& counts() const { return counts_; }
-
- private:
-  double base_;
-  double inv_log_growth_;
-  std::uint64_t n_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  std::vector<std::uint64_t> counts_;
-};
-
 /// Handle to a registered instrument. Opaque index into the registry.
 struct MetricId {
   std::uint32_t index = UINT32_MAX;
@@ -167,11 +79,13 @@ class MetricRegistry {
  public:
   MetricId counter(std::string_view name);
   MetricId gauge(std::string_view name);
-  MetricId histogram(std::string_view name, double base = 1e-3, double growth = 2.0);
+  MetricId histogram(std::string_view name);
 
   Counter& at_counter(MetricId id) { return counters_[slot(id, MetricKind::kCounter)]; }
   Gauge& at_gauge(MetricId id) { return gauges_[slot(id, MetricKind::kGauge)]; }
-  LogHistogram& at_histogram(MetricId id) { return histograms_[slot(id, MetricKind::kHistogram)]; }
+  util::PercentileSampler& at_histogram(MetricId id) {
+    return histograms_[slot(id, MetricKind::kHistogram)];
+  }
 
   /// Append one row per instrument at simulated time `t_s`.
   void snapshot(double t_s);
@@ -199,7 +113,7 @@ class MetricRegistry {
   std::unordered_map<std::string, std::uint32_t> by_name_;
   std::vector<Counter> counters_;
   std::vector<Gauge> gauges_;
-  std::vector<LogHistogram> histograms_;
+  std::vector<util::PercentileSampler> histograms_;
   std::size_t snapshots_ = 0;
 };
 

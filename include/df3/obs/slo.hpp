@@ -8,9 +8,9 @@
 /// none since has a terrible lifetime ratio but a clean window. The window
 /// is a ring of sub-buckets (default 60 buckets over 3600 s): recording
 /// lazily reuses the bucket for the current epoch, reports merge the buckets
-/// still inside the window. Percentiles come from merged `LogHistogram`s, so
-/// the SLO plane, `df3trace`, and the metric registry all share the single
-/// `LogHistogram::quantile()` implementation.
+/// still inside the window. Percentiles come from merged
+/// `util::PercentileSampler` sketches (1 % relative error), the one quantile
+/// type shared with `FlowMetrics`, the metric registry and `df3trace`.
 ///
 /// Reports are *staleness-bounded*: a flow that has seen no terminal within
 /// the staleness bound reports `stale = true`, so a gauge consumer can
@@ -24,7 +24,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "df3/obs/metrics.hpp"
+#include "df3/util/stats.hpp"
 
 namespace df3::obs {
 
@@ -75,7 +75,7 @@ class SloMonitor {
     std::uint64_t total = 0;
     std::uint64_t missed = 0;
     std::uint64_t failed = 0;
-    LogHistogram resp;
+    util::PercentileSampler resp;
   };
   struct PerFlow {
     std::vector<Bucket> ring;

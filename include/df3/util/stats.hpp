@@ -1,6 +1,6 @@
 #pragma once
 /// \file stats.hpp
-/// \brief Streaming summary statistics, percentile collection, and
+/// \brief Streaming summary statistics, a bounded quantile sketch, and
 ///        time-weighted accumulators used by metric collectors.
 
 #include <algorithm>
@@ -52,18 +52,31 @@ class StreamingStats {
   double max_ = 0.0;
 };
 
-/// Exact-percentile sample collector. Stores every observation (simulation
-/// scale keeps this cheap) and sorts lazily on query. Also exposes the
-/// StreamingStats summary of the same data.
+/// Bounded-memory quantile sketch with 1 % relative error (DDSketch,
+/// Masson et al., VLDB 2019). A positive sample x lands in bucket
+/// key = ceil(ln x / ln gamma), gamma = (1 + alpha) / (1 - alpha); samples
+/// below 1e-9 share one zero bucket. Counts live in a dense vector spanning
+/// the observed key range, so memory grows with the log-range of the data,
+/// never with the sample count, and two sketches merge by adding counts (a
+/// merged sketch answers bit-identically to one fed everything). The
+/// StreamingStats summary of the same data rides along, so min/max/mean and
+/// percentile(0)/percentile(100) stay exact.
+///
+/// This is the one quantile type of the codebase: FlowMetrics, the metric
+/// registry histograms, the SLO window, and df3trace all use it.
 class PercentileSampler {
  public:
+  static constexpr double kRelativeError = 0.01;
+
+  /// Throws std::invalid_argument for negative, NaN or infinite samples.
   void add(double x);
 
-  [[nodiscard]] std::size_t count() const { return samples_.size(); }
-  [[nodiscard]] bool empty() const { return samples_.empty(); }
+  [[nodiscard]] std::size_t count() const { return summary_.count(); }
+  [[nodiscard]] bool empty() const { return summary_.count() == 0; }
 
-  /// Percentile by linear interpolation between closest ranks.
-  /// `p` in [0, 100]. Returns 0 when empty.
+  /// Estimate of the sample at rank p/100 * (count - 1), within
+  /// kRelativeError of it and clamped to [min, max]; p = 0 and p = 100 are
+  /// the exact extrema. `p` in [0, 100]. Returns 0 when empty.
   [[nodiscard]] double percentile(double p) const;
   [[nodiscard]] double median() const { return percentile(50.0); }
   [[nodiscard]] double p99() const { return percentile(99.0); }
@@ -73,13 +86,22 @@ class PercentileSampler {
   [[nodiscard]] double max() const { return summary_.max(); }
   [[nodiscard]] double min() const { return summary_.min(); }
 
+  /// Dense positive buckets currently held (the zero bucket excluded): at
+  /// most ceil(ln(max/min) / ln gamma) + 1 for positive data.
+  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
+
   void merge(const PercentileSampler& other);
+  /// Forget every sample; keeps the bucket storage for reuse.
   void clear();
 
  private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
+  /// Grow the dense range so that it covers keys [lo, hi].
+  void cover(std::int32_t lo, std::int32_t hi);
+
   StreamingStats summary_;
+  std::uint64_t zero_count_ = 0;
+  std::int32_t min_key_ = 0;           ///< key of counts_[0]
+  std::vector<std::uint64_t> counts_;  ///< counts_[i] holds key min_key_ + i
 };
 
 /// Time-weighted mean of a piecewise-constant signal, e.g. "average number

@@ -555,7 +555,7 @@ void Df3Platform::record_completion(const workload::CompletionRecord& rec) {
   flow_metrics_.record(rec);
   DF3_OBS_IF(o) {
     if (rec.outcome == workload::Outcome::kCompleted) {
-      o->registry().at_histogram(feed_.response_s).observe(rec.response_time());
+      o->registry().at_histogram(feed_.response_s).add(rec.response_time());
     }
     // Per-flow SLO plane: every terminal feeds the rolling window, so the
     // deadline-miss ratio and response quantiles are queryable live.

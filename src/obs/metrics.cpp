@@ -8,15 +8,8 @@ MetricId MetricRegistry::counter(std::string_view name) {
 
 MetricId MetricRegistry::gauge(std::string_view name) { return intern(name, MetricKind::kGauge); }
 
-MetricId MetricRegistry::histogram(std::string_view name, double base, double growth) {
-  const auto it = by_name_.find(std::string(name));
-  if (it != by_name_.end()) {
-    assert(instruments_[it->second].kind == MetricKind::kHistogram);
-    return MetricId{it->second};
-  }
-  const auto id = intern(name, MetricKind::kHistogram);
-  histograms_[instruments_[id.index].slot] = LogHistogram(base, growth);
-  return id;
+MetricId MetricRegistry::histogram(std::string_view name) {
+  return intern(name, MetricKind::kHistogram);
 }
 
 MetricId MetricRegistry::intern(std::string_view name, MetricKind kind) {
@@ -63,8 +56,8 @@ void MetricRegistry::snapshot(double t_s) {
         const auto& h = histograms_[inst.slot];
         s.value = h.mean();
         s.count = h.count();
-        s.p50 = h.quantile(0.50);
-        s.p99 = h.quantile(0.99);
+        s.p50 = h.median();
+        s.p99 = h.p99();
         break;
       }
     }

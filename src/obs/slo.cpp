@@ -21,14 +21,14 @@ void SloMonitor::record(std::uint32_t flow, SloOutcome outcome, double response_
     b.total = 0;
     b.missed = 0;
     b.failed = 0;
-    b.resp.reset();
+    b.resp.clear();
   }
   ++b.total;
   switch (outcome) {
-    case SloOutcome::kOk: b.resp.observe(response_s); break;
+    case SloOutcome::kOk: b.resp.add(response_s); break;
     case SloOutcome::kMissed:
       ++b.missed;
-      b.resp.observe(response_s);
+      b.resp.add(response_s);
       break;
     case SloOutcome::kFailed: ++b.failed; break;
   }
@@ -51,7 +51,7 @@ SloMonitor::FlowReport SloMonitor::report(std::uint32_t flow, double now_s,
   // `buckets_` epochs has been lapped or expired.
   const std::uint64_t cur = epoch_of(now_s);
   const std::uint64_t oldest = cur >= buckets_ - 1 ? cur - (buckets_ - 1) : 0;
-  LogHistogram merged;
+  util::PercentileSampler merged;
   for (const Bucket& b : f.ring) {
     if (b.epoch == UINT64_MAX || b.epoch < oldest || b.epoch > cur) continue;
     r.total += b.total;
@@ -63,8 +63,8 @@ SloMonitor::FlowReport SloMonitor::report(std::uint32_t flow, double now_s,
     r.miss_ratio = static_cast<double>(r.missed) / static_cast<double>(r.total);
     r.fail_ratio = static_cast<double>(r.failed) / static_cast<double>(r.total);
   }
-  r.p50_s = merged.quantile(0.5);
-  r.p99_s = merged.quantile(0.99);
+  r.p50_s = merged.median();
+  r.p99_s = merged.p99();
   r.max_s = merged.max();
   return r;
 }

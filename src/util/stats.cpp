@@ -6,7 +6,6 @@
 
 namespace df3::util {
 
-
 double StreamingStats::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
@@ -32,39 +31,86 @@ void StreamingStats::merge(const StreamingStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
+namespace {
+
+constexpr double kGamma =
+    (1.0 + PercentileSampler::kRelativeError) / (1.0 - PercentileSampler::kRelativeError);
+const double kLnGamma = std::log(kGamma);
+/// Samples below this share the zero bucket (answered as 0, then clamped).
+constexpr double kZeroThreshold = 1e-9;
+
+std::int32_t key_of(double x) {
+  return static_cast<std::int32_t>(std::ceil(std::log(x) / kLnGamma));
+}
+
+/// Bucket `key` covers (gamma^(key-1), gamma^key]; this point is within
+/// kRelativeError of every value in it.
+double value_of(std::int32_t key) {
+  return 2.0 * std::exp(static_cast<double>(key) * kLnGamma) / (kGamma + 1.0);
+}
+
+}  // namespace
+
 void PercentileSampler::add(double x) {
-  samples_.push_back(x);
-  sorted_ = false;
+  if (!(x >= 0.0) || !std::isfinite(x)) {
+    throw std::invalid_argument("PercentileSampler: sample must be finite and >= 0");
+  }
   summary_.add(x);
+  if (x < kZeroThreshold) {
+    ++zero_count_;
+    return;
+  }
+  const std::int32_t key = key_of(x);
+  cover(key, key);
+  ++counts_[static_cast<std::size_t>(key - min_key_)];
+}
+
+void PercentileSampler::cover(std::int32_t lo, std::int32_t hi) {
+  if (counts_.empty()) {
+    min_key_ = lo;
+    counts_.assign(static_cast<std::size_t>(hi - lo) + 1, 0);
+    return;
+  }
+  if (lo < min_key_) {
+    counts_.insert(counts_.begin(), static_cast<std::size_t>(min_key_ - lo), 0);
+    min_key_ = lo;
+  }
+  const auto need = static_cast<std::size_t>(hi - min_key_) + 1;
+  if (need > counts_.size()) counts_.resize(need, 0);
 }
 
 double PercentileSampler::percentile(double p) const {
-  if (samples_.empty()) return 0.0;
-  if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile: p outside [0,100]");
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
+  if (empty()) return 0.0;
+  if (!(p >= 0.0 && p <= 100.0)) throw std::invalid_argument("percentile: p outside [0,100]");
+  if (p == 0.0) return min();
+  if (p == 100.0) return max();
+  // The order statistic at 0-based index floor(p/100 * (n-1)) answers.
+  const auto target =
+      static_cast<std::uint64_t>((p / 100.0) * static_cast<double>(count() - 1));
+  double estimate = 0.0;  // the zero bucket's value
+  std::uint64_t seen = zero_count_;
+  for (std::size_t i = 0; seen <= target && i < counts_.size(); ++i) {
+    seen += counts_[i];
+    if (seen > target) estimate = value_of(min_key_ + static_cast<std::int32_t>(i));
   }
-  if (samples_.size() == 1) return samples_.front();
-  const double rank = (p / 100.0) * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= samples_.size()) return samples_.back();
-  return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
+  return std::clamp(estimate, min(), max());
 }
 
 void PercentileSampler::merge(const PercentileSampler& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
-  sorted_ = false;
   summary_.merge(other.summary_);
+  zero_count_ += other.zero_count_;
+  if (other.counts_.empty()) return;
+  const auto n = other.counts_.size();
+  cover(other.min_key_, other.min_key_ + static_cast<std::int32_t>(n) - 1);
+  const auto offset = static_cast<std::size_t>(other.min_key_ - min_key_);
+  for (std::size_t i = 0; i < n; ++i) counts_[offset + i] += other.counts_[i];
 }
 
 void PercentileSampler::clear() {
-  samples_.clear();
-  sorted_ = true;
   summary_ = StreamingStats{};
+  zero_count_ = 0;
+  counts_.clear();
 }
-
 
 double TimeWeightedValue::mean_until(double t) const {
   if (!started_ || t <= first_t_) return started_ ? last_value_ : 0.0;

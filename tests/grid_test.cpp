@@ -245,21 +245,21 @@ TEST(GridPolicy, GridShedRungFiresOnlyInsideCurtailmentWindow) {
   auto rung = policy::Registry::global().make_rung("grid-shed");
   EXPECT_TRUE(rung->needs_grid());
   MockMechanism m;
-  core::Task* task = nullptr;  // the mock never dereferences it
-  policy::RungView view;      // grid_valid = false: unbound cluster
-  EXPECT_EQ(rung->apply(m, *task, view), policy::RungOutcome::kNoOp);
+  core::Task task;         // the mock never reads it
+  policy::RungView view;  // grid_valid = false: unbound cluster
+  EXPECT_EQ(rung->apply(m, task, view), policy::RungOutcome::kNoOp);
   view.grid_valid = true;  // bound, but no window open
-  EXPECT_EQ(rung->apply(m, *task, view), policy::RungOutcome::kNoOp);
+  EXPECT_EQ(rung->apply(m, task, view), policy::RungOutcome::kNoOp);
   EXPECT_EQ(m.horizontal + m.vertical, 0);
   // Window open: horizontal first, vertical as fallback.
   view.curtailment_active = true;
   m.horizontal_result = policy::RungOutcome::kResolved;
-  EXPECT_EQ(rung->apply(m, *task, view), policy::RungOutcome::kResolved);
+  EXPECT_EQ(rung->apply(m, task, view), policy::RungOutcome::kResolved);
   EXPECT_EQ(m.horizontal, 1);
   EXPECT_EQ(m.vertical, 0);
   m.horizontal_result = policy::RungOutcome::kNoOp;
   m.vertical_result = policy::RungOutcome::kResolved;
-  EXPECT_EQ(rung->apply(m, *task, view), policy::RungOutcome::kResolved);
+  EXPECT_EQ(rung->apply(m, task, view), policy::RungOutcome::kResolved);
   EXPECT_EQ(m.vertical, 1);
 }
 

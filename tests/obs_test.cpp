@@ -252,88 +252,7 @@ TEST(TraceRecorder, ClearKeepsTracksDropsRecords) {
   EXPECT_EQ(rec.track(&key, "t"), t);  // registration survives
 }
 
-// --- histogram / registry units --------------------------------------------
-
-TEST(LogHistogram, BucketsAndSummaryStats) {
-  obs::LogHistogram h;  // base 1e-3, growth 2
-  EXPECT_EQ(h.bucket_index(0.0005), 0u);  // below base -> underflow
-  EXPECT_EQ(h.bucket_index(0.001), 1u);
-  EXPECT_EQ(h.bucket_index(0.0021), 2u);
-  EXPECT_DOUBLE_EQ(h.lower_bound(1), 0.001);
-  EXPECT_NEAR(h.lower_bound(2), 0.002, 1e-12);
-  h.observe(0.0005);
-  h.observe(0.01);
-  h.observe(0.04);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.min(), 0.0005);
-  EXPECT_DOUBLE_EQ(h.max(), 0.04);
-  EXPECT_NEAR(h.mean(), (0.0005 + 0.01 + 0.04) / 3.0, 1e-12);
-}
-
-TEST(LogHistogram, QuantileIsUpperBoundBiasedWithinOneBucket) {
-  obs::LogHistogram h;
-  for (int i = 0; i < 100; ++i) h.observe(0.01);
-  // All mass in one bucket: any quantile lands in it, answer clipped to max.
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.01);
-  EXPECT_DOUBLE_EQ(h.quantile(0.99), 0.01);
-  h.observe(10.0);
-  // The tail sample raises max, so mid quantiles now report the upper edge
-  // of their bucket (0.001 * 2^4) instead of clipping to the old max...
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.016);
-  // ...and the extreme quantile lands in the tail bucket, clipped to max.
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 10.0);
-}
-
-TEST(LogHistogram, EmptyQuantileIsZero) {
-  obs::LogHistogram h;
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(LogHistogram, QuantilePinsKnownDistributions) {
-  // 100 samples, one per bucket boundary region: sample i = base * 2^i + eps
-  // puts exactly 10 samples in each of buckets 1..10. With the upper-edge
-  // convention, quantile(q) is the upper bound of the bucket holding the
-  // ceil(q * (n-1)) + 1-th sample.
-  obs::LogHistogram h;  // base 1e-3, growth 2
-  for (int b = 0; b < 10; ++b) {
-    for (int i = 0; i < 10; ++i) h.observe(1e-3 * std::pow(2.0, b) * 1.5);
-  }
-  EXPECT_EQ(h.count(), 100u);
-  // p50: 50th/51st samples sit in bucket 5 (values 1.6e-2 * 1.5): upper edge
-  // 1e-3 * 2^5 = 0.032.
-  EXPECT_DOUBLE_EQ(h.quantile(0.50), 1e-3 * 32.0);
-  // p99: the 100th sample is in the last filled bucket; upper edge capped at
-  // max = 1e-3 * 2^9 * 1.5.
-  EXPECT_DOUBLE_EQ(h.quantile(0.99), 1e-3 * 512.0 * 1.5);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 1e-3 * 2.0);  // first sample's bucket edge
-}
-
-TEST(LogHistogram, MergeOfPartsEqualsWhole) {
-  // The SLO window merges per-bucket sub-histograms; quantiles over the
-  // merge must equal quantiles over one histogram fed everything.
-  obs::LogHistogram whole, a, b;
-  for (int i = 1; i <= 200; ++i) {
-    const double v = 1e-3 * static_cast<double>(i);
-    whole.observe(v);
-    (i % 2 == 0 ? a : b).observe(v);
-  }
-  obs::LogHistogram merged;
-  merged.merge(a);
-  merged.merge(b);
-  EXPECT_EQ(merged.count(), whole.count());
-  EXPECT_DOUBLE_EQ(merged.sum(), whole.sum());
-  EXPECT_DOUBLE_EQ(merged.min(), whole.min());
-  EXPECT_DOUBLE_EQ(merged.max(), whole.max());
-  for (const double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(merged.quantile(q), whole.quantile(q)) << "q=" << q;
-  }
-  merged.reset();
-  EXPECT_EQ(merged.count(), 0u);
-  EXPECT_DOUBLE_EQ(merged.quantile(0.5), 0.0);
-}
-
-// --- SLO monitor units ------------------------------------------------------
+// --- SLO monitor / registry units -------------------------------------------
 
 TEST(SloMonitor, WindowedRatiosAndQuantiles) {
   obs::SloMonitor slo(/*window_s=*/600.0, /*buckets=*/6);
@@ -350,9 +269,10 @@ TEST(SloMonitor, WindowedRatiosAndQuantiles) {
   EXPECT_DOUBLE_EQ(rep.miss_ratio, 2.0 / 12.0);
   EXPECT_DOUBLE_EQ(rep.fail_ratio, 2.0 / 12.0);
   EXPECT_FALSE(rep.stale);
-  // Failures carry no latency: the histogram holds 8 ok + 2 missed samples,
-  // so p50 is the 0.01 bucket's upper edge and max is the missed 2 s.
-  EXPECT_DOUBLE_EQ(rep.p50_s, 0.016);
+  // Failures carry no latency: the sketch holds 8 ok + 2 missed samples,
+  // so p50 is the 10 ms mode within the sketch's relative error and max is
+  // the missed 2 s.
+  EXPECT_NEAR(rep.p50_s, 0.010, 0.010 * df3::util::PercentileSampler::kRelativeError);
   EXPECT_DOUBLE_EQ(rep.max_s, 2.0);
 }
 
@@ -396,7 +316,7 @@ TEST(MetricRegistry, InternsByNameAndSnapshotsSeries) {
 
   reg.at_counter(c).add(5);
   reg.at_gauge(g).set(19.5);
-  reg.at_histogram(hist).observe(0.25);
+  reg.at_histogram(hist).add(0.25);
   reg.snapshot(60.0);
   reg.at_counter(c).add(2);
   reg.snapshot(120.0);
@@ -491,7 +411,7 @@ TEST(MetricsExport, CsvAndJsonShapes) {
   const obs::MetricId c = reg.counter("requests/total");
   const obs::MetricId hist = reg.histogram("latency_s");
   reg.at_counter(c).add(3);
-  reg.at_histogram(hist).observe(0.5);
+  reg.at_histogram(hist).add(0.5);
   reg.snapshot(60.0);
   reg.snapshot(120.0);
 

@@ -80,7 +80,12 @@ TEST(Platform, DirectEdgeFasterThanIndirect) {
   const auto& indirect = city.flow_metrics().by_flow(wl::Flow::kEdgeIndirect);
   ASSERT_GT(direct.completed, 100u);
   ASSERT_GT(indirect.completed, 100u);
-  EXPECT_LT(direct.response_s.median(), indirect.response_s.median());
+  // The staging-hop premium is well under the sketch's 1 % resolution at the
+  // median, so strict ordering is asserted on the exact min and mean; the
+  // sketch preserves order, so the medians cannot invert.
+  EXPECT_LT(direct.response_s.min(), indirect.response_s.min());
+  EXPECT_LT(direct.response_s.mean(), indirect.response_s.mean());
+  EXPECT_LE(direct.response_s.median(), indirect.response_s.median());
 }
 
 TEST(Platform, CloudFlowCompletesAndPueNearDataFurnaceClaim) {

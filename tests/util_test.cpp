@@ -1,9 +1,13 @@
-// Unit and property tests for df3::util — units, RNG, statistics, tables.
+// Unit and property tests for df3::util — units, RNG, statistics (incl. the
+// quantile sketch's FlowMetrics memory bound), tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
+#include "df3/metrics/collectors.hpp"
 #include "df3/util/rng.hpp"
 #include "df3/util/stats.hpp"
 #include "df3/util/table.hpp"
@@ -228,15 +232,16 @@ TEST(StreamingStats, MergeWithEmptyPreservesSignedExtrema) {
 }
 
 TEST(PercentileSampler, MergeWithEmptyPreservesSignedExtrema) {
-  u::PercentileSampler neg, empty;
-  neg.add(-4.0);
-  neg.add(-1.0);
-  neg.merge(empty);
-  EXPECT_DOUBLE_EQ(neg.percentile(0.0), -4.0);
-  EXPECT_DOUBLE_EQ(neg.percentile(100.0), -1.0);
-  empty.merge(neg);
-  EXPECT_DOUBLE_EQ(empty.percentile(0.0), -4.0);
-  EXPECT_DOUBLE_EQ(empty.percentile(100.0), -1.0);
+  // The empty side's zeroed min/max slots must not leak into the merge.
+  u::PercentileSampler some, empty;
+  some.add(4.0);
+  some.add(7.0);
+  some.merge(empty);
+  EXPECT_DOUBLE_EQ(some.percentile(0.0), 4.0);
+  EXPECT_DOUBLE_EQ(some.percentile(100.0), 7.0);
+  empty.merge(some);
+  EXPECT_DOUBLE_EQ(empty.percentile(0.0), 4.0);
+  EXPECT_DOUBLE_EQ(empty.percentile(100.0), 7.0);
 
   u::PercentileSampler pos, empty2;
   pos.add(3.0);
@@ -245,13 +250,74 @@ TEST(PercentileSampler, MergeWithEmptyPreservesSignedExtrema) {
   EXPECT_DOUBLE_EQ(empty2.percentile(100.0), 3.0);
 }
 
+TEST(PercentileSampler, RejectsNegativeNanAndInfiniteSamples) {
+  u::PercentileSampler ps;
+  EXPECT_THROW(ps.add(-1.0), std::invalid_argument);
+  EXPECT_THROW(ps.add(std::nan("")), std::invalid_argument);
+  EXPECT_THROW(ps.add(HUGE_VAL), std::invalid_argument);
+  EXPECT_THROW(ps.add(-HUGE_VAL), std::invalid_argument);
+  EXPECT_TRUE(ps.empty());  // a rejected sample leaves no trace
+  ps.add(0.0);
+  EXPECT_EQ(ps.count(), 1u);
+}
+
+namespace {
+
+/// The sketch's contract: percentile(p) lies in [(1-a) x_lo, (1+a) x_hi],
+/// where x_lo/x_hi are the exact order statistics bracketing rank
+/// p/100 * (n-1). A 1e-12 relative slack absorbs ln/exp rounding at bucket
+/// edges. p = 0 and p = 100 are exact.
+void expect_within_alpha(const std::vector<double>& data, const char* label) {
+  u::PercentileSampler ps;
+  for (const double x : data) ps.add(x);
+  std::vector<double> sorted = data;
+  std::sort(sorted.begin(), sorted.end());
+  constexpr double a = u::PercentileSampler::kRelativeError;
+  constexpr double slack = 1e-12;
+  for (const double p : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+    const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+    const double lo = sorted[static_cast<std::size_t>(std::floor(rank))];
+    const double hi = sorted[static_cast<std::size_t>(std::ceil(rank))];
+    const double est = ps.percentile(p);
+    EXPECT_GE(est, (1.0 - a) * lo * (1.0 - slack)) << label << " p=" << p;
+    EXPECT_LE(est, (1.0 + a) * hi * (1.0 + slack)) << label << " p=" << p;
+  }
+  EXPECT_EQ(ps.percentile(0.0), sorted.front()) << label;
+  EXPECT_EQ(ps.percentile(100.0), sorted.back()) << label;
+}
+
+}  // namespace
+
+TEST(PercentileSampler, WithinRelativeErrorOfExactOrderStatistics) {
+  u::RngStream rng(2016, "sketch-accuracy");
+  std::vector<double> uniform, lognormal, bimodal, with_zeros;
+  for (int i = 0; i < 10000; ++i) {
+    uniform.push_back(rng.uniform(0.0, 100.0));
+    lognormal.push_back(rng.lognormal(-3.0, 1.5));
+    // Edge-like 1 ms mode plus a 10 s cloud-like mode, 9:1.
+    bimodal.push_back(i % 10 == 9 ? rng.uniform(9.0, 11.0) : rng.uniform(0.9e-3, 1.1e-3));
+    with_zeros.push_back(i % 4 == 0 ? 0.0 : rng.exponential(2.0));
+  }
+  expect_within_alpha(uniform, "uniform");
+  expect_within_alpha(lognormal, "lognormal");
+  expect_within_alpha(bimodal, "bimodal");
+  expect_within_alpha(with_zeros, "zeros+exponential");
+  expect_within_alpha(std::vector<double>(1000, 0.25), "constant");
+  expect_within_alpha(std::vector<double>(1000, 0.0), "all-zero");
+  expect_within_alpha({42.0}, "single");
+}
+
 TEST(PercentileSampler, ExactQuantiles) {
   u::PercentileSampler ps;
   for (int i = 1; i <= 100; ++i) ps.add(static_cast<double>(i));
   EXPECT_DOUBLE_EQ(ps.percentile(0.0), 1.0);
   EXPECT_DOUBLE_EQ(ps.percentile(100.0), 100.0);
-  EXPECT_NEAR(ps.median(), 50.5, 1e-12);
-  EXPECT_NEAR(ps.p99(), 99.01, 1e-9);
+  // Median rank 49.5 is bracketed by 50 and 51; p99 rank 98.01 by 99 and 100.
+  constexpr double a = u::PercentileSampler::kRelativeError;
+  EXPECT_GE(ps.median(), (1.0 - a) * 50.0);
+  EXPECT_LE(ps.median(), (1.0 + a) * 51.0);
+  EXPECT_GE(ps.p99(), (1.0 - a) * 99.0);
+  EXPECT_LE(ps.p99(), 100.0);  // clamped to the exact max
 }
 
 TEST(PercentileSampler, EmptyAndSingle) {
@@ -270,12 +336,76 @@ TEST(PercentileSampler, RejectsOutOfRangeP) {
 }
 
 TEST(PercentileSampler, InterleavedAddAndQuery) {
+  constexpr double a = u::PercentileSampler::kRelativeError;
   u::PercentileSampler ps;
   ps.add(10.0);
   ps.add(20.0);
-  EXPECT_DOUBLE_EQ(ps.median(), 15.0);
-  ps.add(30.0);  // must re-sort after the query
-  EXPECT_DOUBLE_EQ(ps.median(), 20.0);
+  EXPECT_GE(ps.median(), (1.0 - a) * 10.0);  // rank 0.5: between 10 and 20
+  EXPECT_LE(ps.median(), (1.0 + a) * 20.0);
+  ps.add(30.0);  // a query must not freeze the sketch
+  EXPECT_NEAR(ps.median(), 20.0, a * 20.0);
+}
+
+TEST(PercentileSampler, MergeOfPartsEqualsWhole) {
+  // The SLO window merges per-bucket sketches; quantiles over the merge
+  // must be bit-identical to one sketch fed everything.
+  u::PercentileSampler whole, a, b;
+  for (int i = 1; i <= 200; ++i) {
+    const double v = 1e-3 * static_cast<double>(i);
+    whole.add(v);
+    (i % 2 == 0 ? a : b).add(v);
+  }
+  whole.add(0.0);
+  b.add(0.0);
+  u::PercentileSampler merged;
+  merged.merge(a);
+  merged.merge(b);
+  EXPECT_EQ(merged.count(), whole.count());
+  EXPECT_EQ(merged.bucket_count(), whole.bucket_count());
+  EXPECT_DOUBLE_EQ(merged.summary().sum(), whole.summary().sum());
+  EXPECT_EQ(merged.min(), whole.min());
+  EXPECT_EQ(merged.max(), whole.max());
+  for (const double p : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 100.0}) {
+    EXPECT_EQ(merged.percentile(p), whole.percentile(p)) << "p=" << p;
+  }
+  merged.clear();
+  EXPECT_EQ(merged.count(), 0u);
+  EXPECT_EQ(merged.bucket_count(), 0u);
+  EXPECT_DOUBLE_EQ(merged.percentile(50.0), 0.0);
+}
+
+TEST(PercentileSampler, FlowMetricsMemoryIsFlatInRequestCount) {
+  // 1e6 completions log-uniform over six decades (1 ms .. 1000 s), across
+  // three flows and four apps. Every slice's sketch stays within the
+  // bucket budget of the value range, however many samples it has seen.
+  const double lo = 1e-3;
+  const double hi = 1e3;
+  const double ln_gamma = std::log((1.0 + u::PercentileSampler::kRelativeError) /
+                                   (1.0 - u::PercentileSampler::kRelativeError));
+  const auto budget = static_cast<std::size_t>(std::ceil(std::log(hi / lo) / ln_gamma)) + 1;
+
+  df3::metrics::FlowMetrics fm;
+  df3::workload::CompletionRecord rec;
+  const df3::workload::Flow flows[] = {df3::workload::Flow::kCloud,
+                                       df3::workload::Flow::kEdgeDirect,
+                                       df3::workload::Flow::kEdgeIndirect};
+  const char* apps[] = {"render", "alarm", "risk", "ml"};
+  u::RngStream rng(2016, "sketch-memory");
+  auto expect_within_budget = [&](std::size_t n) {
+    EXPECT_EQ(fm.overall().completed, n);
+    EXPECT_LE(fm.overall().response_s.bucket_count(), budget);
+    for (const auto f : flows) EXPECT_LE(fm.by_flow(f).response_s.bucket_count(), budget);
+    for (const char* app : apps) EXPECT_LE(fm.by_app(app).response_s.bucket_count(), budget);
+  };
+  constexpr std::size_t kTotal = 1'000'000;
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    rec.request.flow = flows[i % 3];
+    rec.request.app = apps[i % 4];
+    rec.completed_at = lo * std::pow(hi / lo, rng.uniform01());
+    fm.record(rec);
+    if (i + 1 == kTotal / 100) expect_within_budget(i + 1);
+  }
+  expect_within_budget(kTotal);
 }
 
 TEST(TimeWeightedValue, StepFunctionMean) {

@@ -202,10 +202,11 @@ void print_json_report(core::Df3Platform& city, bool boiler, std::uint64_t grid_
       std::snprintf(buf, sizeof(buf),
                     "{\"flow\":\"%s\",\"window_s\":%.9g,\"total\":%llu,"
                     "\"miss_ratio\":%.6f,\"fail_ratio\":%.6f,\"p50_s\":%.9g,"
-                    "\"p99_s\":%.9g,\"stale\":%s}",
+                    "\"p99_s\":%.9g,\"max_s\":%.9g,\"stale\":%s}",
                     row.label, o->slo().window_s(),
                     static_cast<unsigned long long>(rep.total), rep.miss_ratio,
-                    rep.fail_ratio, rep.p50_s, rep.p99_s, rep.stale ? "true" : "false");
+                    rep.fail_ratio, rep.p50_s, rep.p99_s, rep.max_s,
+                    rep.stale ? "true" : "false");
       out += buf;
     }
   }

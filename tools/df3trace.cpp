@@ -21,9 +21,9 @@
 // Exit codes: 0 report written, 1 usage / IO / parse error, 2 the trace has
 // incomplete journey trees and --partial was not given.
 //
-// The per-flow / per-rung / per-peer percentiles share the exact
-// `obs::LogHistogram::quantile` implementation used by the in-process SLO
-// monitor, so offline and live numbers are bucket-for-bucket comparable.
+// The per-flow / per-rung / per-peer percentiles come from the same
+// `util::PercentileSampler` sketch (1 % relative error) the in-process SLO
+// monitor uses, so offline and live numbers are bucket-for-bucket comparable.
 
 #include <algorithm>
 #include <cstdint>
@@ -37,8 +37,8 @@
 #include <vector>
 
 #include "df3/obs/journey.hpp"
-#include "df3/obs/metrics.hpp"
 #include "df3/obs/trace.hpp"
+#include "df3/util/stats.hpp"
 #include "df3/util/table.hpp"
 
 namespace {
@@ -313,7 +313,7 @@ const char* flow_label(std::uint32_t flow_attr) {
 struct Agg {
   std::uint64_t journeys = 0;
   std::uint64_t completed = 0;
-  obs::LogHistogram e2e{1e-3, 2.0};
+  df3::util::PercentileSampler e2e;
   obs::JourneyBreakdown breakdown;  ///< summed over critical paths
 };
 
@@ -331,7 +331,12 @@ struct Report {
 void feed(Agg& a, const obs::JourneyTree& t) {
   ++a.journeys;
   if (t.terminal == obs::Phase::kCompleted) ++a.completed;
-  a.e2e.observe(t.t_end - t.t_begin);
+  if (!(t.t_end >= t.t_begin)) {
+    std::fprintf(stderr, "df3trace: malformed trace (journey %llu ends before it begins)\n",
+                 static_cast<unsigned long long>(t.id));
+    std::exit(1);
+  }
+  a.e2e.add(t.t_end - t.t_begin);
   a.breakdown.queue_s += t.breakdown.queue_s;
   a.breakdown.run_s += t.breakdown.run_s;
   a.breakdown.net_s += t.breakdown.net_s;
@@ -378,8 +383,8 @@ void append_json_agg(std::string& out, const Agg& a) {
                 "\"max_s\":%.9g,\"breakdown\":{\"queue_s\":%.9g,\"run_s\":%.9g,"
                 "\"net_s\":%.9g,\"offload_s\":%.9g,\"other_s\":%.9g}",
                 static_cast<unsigned long long>(a.journeys),
-                static_cast<unsigned long long>(a.completed), a.e2e.quantile(0.50),
-                a.e2e.quantile(0.99), a.e2e.max(), a.breakdown.queue_s, a.breakdown.run_s,
+                static_cast<unsigned long long>(a.completed), a.e2e.median(),
+                a.e2e.p99(), a.e2e.max(), a.breakdown.queue_s, a.breakdown.run_s,
                 a.breakdown.net_s, a.breakdown.offload_s, a.breakdown.other_s);
   out += buf;
 }
@@ -440,7 +445,7 @@ void add_agg_row(df3::util::Table& tbl, const std::string& label, const Agg& a) 
   const double total = a.breakdown.total();
   const double denom = total > 0.0 ? total : 1.0;
   tbl.add_row({label, static_cast<std::int64_t>(a.journeys),
-               a.e2e.quantile(0.50) * 1e3, a.e2e.quantile(0.99) * 1e3, a.e2e.max() * 1e3,
+               a.e2e.median() * 1e3, a.e2e.p99() * 1e3, a.e2e.max() * 1e3,
                100.0 * a.breakdown.queue_s / denom, 100.0 * a.breakdown.run_s / denom,
                100.0 * a.breakdown.net_s / denom, 100.0 * a.breakdown.offload_s / denom});
 }
