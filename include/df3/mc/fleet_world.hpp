@@ -35,6 +35,9 @@
 ///   tick          advance by one physics tick (thermal / regulator /
 ///                 gating interleavings)
 ///
+/// Once a branch has flapped, check() and finalize() also report every
+/// cached route that differs from a fresh search (coverage: route_checks).
+///
 /// Submissions and toggles advance no simulated time themselves, so a flap
 /// can be ordered *between* a submission and the ladder decision it
 /// triggers — exactly the hand-off-vs-partition and gate-vs-placement races
@@ -92,6 +95,9 @@ class FleetWorld final : public World {
  private:
   void build_actions();
   [[nodiscard]] workload::Request make_request(const char* app, double work_gc);
+  /// Appends Network::verify_route_cache()'s mismatches once the branch
+  /// has flapped, and counts the cached routes checked.
+  void check_routes(std::vector<std::string>& out);
 
   FleetWorldConfig config_;
   std::unique_ptr<core::Df3Platform> city_;
@@ -100,6 +106,7 @@ class FleetWorld final : public World {
   /// (label, thunk) in canonical order; filtered by config_.alphabet.
   std::vector<std::pair<std::string, std::function<void()>>> actions_;
   std::uint64_t next_id_ = 0;
+  std::uint64_t route_checks_ = 0;
 };
 
 }  // namespace df3::mc

@@ -6,7 +6,9 @@
 /// carrying a `LinkProfile`. A message from A to B follows the minimum-
 /// latency route for its size. Dijkstra over unloaded one-hop delay finds
 /// that route once per (src, dst, size); an exact route cache serves it
-/// after that until the topology changes. Per hop, a message experiences:
+/// after that. `add_link` clears the cache; a link flap makes stale only
+/// the cached routes it can change (DESIGN.md, "Route cache"). Per hop, a
+/// message experiences:
 ///
 ///   queuing   — each link direction is a FIFO server; a message waits until
 ///               the link is free (this is what makes the shared-vs-
@@ -72,7 +74,10 @@ class Network : public sim::Entity {
   [[nodiscard]] std::size_t node_count() const { return node_names_.size(); }
 
   /// Join two nodes with a bidirectional link; returns the link index.
-  std::size_t add_link(NodeId a, NodeId b, LinkProfile profile);
+  /// Throws std::invalid_argument, naming the field, when the profile's
+  /// bandwidth is not > 0, its duty cycle is outside (0, 1] or its base
+  /// latency is negative or not finite.
+  std::size_t add_link(NodeId a, NodeId b, const LinkProfile& profile);
 
   /// Enable/disable a link (network partition injection).
   void set_link_up(std::size_t link, bool up);
@@ -82,8 +87,9 @@ class Network : public sim::Entity {
 
   /// Minimum-delay route for a message of `size`; empty when unreachable.
   /// The route is the sequence of link indices traversed. Routes are cached
-  /// per (src, dst, size); add_link and set_link_up state changes clear the
-  /// cache, like the min_peer_latency() memo.
+  /// per (src, dst, size). add_link clears the cache; a set_link_up state
+  /// change makes stale only the cached routes it can change, and a stale
+  /// route is searched again on its next lookup.
   [[nodiscard]] std::vector<std::size_t> route(NodeId src, NodeId dst, util::Bytes size) const;
 
   /// Unloaded end-to-end delay along the current best route (no queuing).
@@ -116,17 +122,31 @@ class Network : public sim::Entity {
   /// empties when it fills, so payload sizes drawn from a continuous
   /// distribution cannot grow it without limit.
   static constexpr std::size_t kRouteCacheCapacity = 65536;
-  /// Number of routes currently cached.
-  [[nodiscard]] std::size_t route_cache_entries() const { return route_index_.size(); }
+  /// Number of routes currently cached, stale ones included.
+  [[nodiscard]] std::size_t route_cache_entries() const { return route_count_; }
+  /// Dijkstra searches run by route lookups so far (cache misses plus
+  /// stale entries searched again).
+  [[nodiscard]] std::uint64_t route_searches() const { return route_searches_; }
+  /// Re-derives every cached route that a lookup would serve with a search
+  /// that leaves the cache alone, and returns one line per route that
+  /// differs from it. Empty means the cache is exact.
+  [[nodiscard]] std::vector<std::string> verify_route_cache() const;
 
  private:
   struct Link {
     NodeId a, b;
-    LinkProfile profile;
+    std::uint32_t profile;  ///< index into profiles_
     bool up = true;
+    /// Flip epoch of the link's last up->down change (0: never).
+    std::uint64_t down_epoch = 0;
     /// Earliest time each direction is free (0: a->b, 1: b->a).
     std::array<sim::Time, 2> next_free{0.0, 0.0};
     std::array<LinkStats, 2> dir_stats{};
+  };
+  /// One direction of a link, seen from the node it leaves.
+  struct Arc {
+    NodeId to;
+    std::uint32_t link;
   };
 
   [[nodiscard]] static std::size_t direction(const Link& l, NodeId from) {
@@ -145,27 +165,72 @@ class Network : public sim::Entity {
   struct RouteKeyHash {
     std::size_t operator()(const RouteKey& k) const noexcept;
   };
-  /// A cached route: `length` hops starting at route_hops_[begin].
-  struct RouteSlice {
+  /// A cached route: `hops` link indices starting at route_store_[begin],
+  /// then the `watched` nodes whose up-flips can change it. `watch_all`
+  /// entries are staled by any up-flip instead (see route_fresh()).
+  struct RouteEntry {
     std::size_t begin;
-    std::size_t length;
+    std::uint32_t hops;
+    std::uint32_t watched;
+    bool watch_all;
+    /// Flip epoch at which the entry was last known fresh.
+    std::uint64_t epoch;
+  };
+  /// A slot of the route index, an open-addressing table with linear
+  /// probing, a power-of-two size and at most half its slots full. One flat
+  /// block instead of a heap node per route keeps long runs under flaps
+  /// from fragmenting the heap. Routes are only added or all cleared, so
+  /// there are no tombstones; a slot is empty while key.src == key.dst,
+  /// which no cached key has.
+  struct RouteSlot {
+    RouteKey key{0, 0, 0};
+    RouteEntry entry{};
+    [[nodiscard]] bool used() const { return key.src != key.dst; }
   };
 
   /// The route lookup behind route(), unloaded_delay() and send(). The span
-  /// points into route_hops_ and is valid until the next lookup or topology
+  /// points into route_store_ and is valid until the next lookup or topology
   /// change.
-  [[nodiscard]] std::span<const std::size_t> cached_route(NodeId src, NodeId dst,
-                                                          util::Bytes size) const;
-  /// Dijkstra from src until dst settles, into dist_ and via_link_.
+  [[nodiscard]] std::span<const std::uint32_t> cached_route(NodeId src, NodeId dst,
+                                                            util::Bytes size) const;
+  /// Dijkstra from src until dst settles, into dist_, via_link_ and
+  /// settled_, with one_hop_delay(size) of every profile in weight_.
   void search_route(NodeId src, NodeId dst, util::Bytes size) const;
-  /// Drops every memo derived from the set of up links.
-  void topology_changed();
+  /// Appends the hops of the last search's src -> dst path, in traversal
+  /// order; appends nothing when dst was unreachable.
+  void append_search_path(NodeId src, NodeId dst, std::vector<std::uint32_t>& out) const;
+  /// Searches src -> dst and appends the route and its watched nodes to
+  /// route_store_.
+  [[nodiscard]] RouteEntry store_route(NodeId src, NodeId dst, util::Bytes size) const;
+  /// The slot holding `key`, or the empty slot where it belongs.
+  [[nodiscard]] RouteSlot& route_slot(const RouteKey& key) const;
+  /// Doubles the route index and re-places every route.
+  void grow_routes() const;
+  /// Whether no flip since `e.epoch` can have changed the route to `dst`.
+  [[nodiscard]] bool route_fresh(const RouteEntry& e, NodeId dst) const;
+  /// Rebuilds the arc lists from links_ after add_node/add_link.
+  void build_arcs() const;
   void clear_routes() const;
+  /// Drops dead route_store_ slices.
+  void compact_routes() const;
 
   std::vector<std::string> node_names_;
   std::unordered_map<std::string, NodeId> by_name_;
   std::vector<Link> links_;
-  std::vector<std::vector<std::size_t>> adjacency_;  // node -> link indices
+  /// Distinct link profiles; links refer to them by index.
+  std::vector<LinkProfile> profiles_;
+  /// Flat arc lists: node u's arcs are arcs_[arc_begin_[u], arc_begin_[u+1])
+  /// in link insertion order. Built on the first search after a topology
+  /// change; empty while arcs_stale_.
+  mutable std::vector<Arc> arcs_;
+  mutable std::vector<std::uint32_t> arc_begin_;
+  mutable bool arcs_stale_ = true;
+  /// Link flips so far; the flip epoch that stamps links, nodes and routes.
+  std::uint64_t flip_epoch_ = 0;
+  /// Flip epoch of the last down->up change.
+  std::uint64_t last_up_epoch_ = 0;
+  /// Per node: flip epoch of the last down->up change of an incident link.
+  std::vector<std::uint64_t> node_up_epoch_;
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
   mutable LinkStats merged_stats_{};  // scratch for stats() aggregation
@@ -176,10 +241,15 @@ class Network : public sim::Entity {
   /// is only touched on the event-loop thread: control lanes run only the
   /// engine-free sync_workers() of control-quiescent clusters, which sends
   /// nothing (DESIGN.md §12). The TSan CI job runs the lane suites.
-  mutable std::unordered_map<RouteKey, RouteSlice, RouteKeyHash> route_index_;
-  mutable std::vector<std::size_t> route_hops_;  // the cached routes, back to back
+  mutable std::vector<RouteSlot> route_slots_;
+  mutable std::size_t route_count_ = 0;
+  mutable std::vector<std::uint32_t> route_store_;  // the entries' slices, back to back
+  mutable std::size_t dead_slices_ = 0;  // slices of entries searched again since
+  mutable std::uint64_t route_searches_ = 0;
+  mutable std::vector<double> weight_;  // per profile: one_hop_delay of the searched size
   mutable std::vector<double> dist_;
-  mutable std::vector<std::size_t> via_link_;
+  mutable std::vector<std::uint32_t> via_link_;
+  mutable std::vector<NodeId> settled_;  // in settle order
   mutable std::vector<std::pair<double, NodeId>> heap_;
 };
 

@@ -36,6 +36,8 @@ struct LinkProfile {
 
   /// End-to-end one-hop delay for a payload (serialization + latency).
   [[nodiscard]] util::Seconds one_hop_delay(util::Bytes size) const;
+
+  bool operator==(const LinkProfile&) const = default;
 };
 
 // --- catalogue -------------------------------------------------------------

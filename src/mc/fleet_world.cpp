@@ -50,6 +50,7 @@ void FleetWorld::reset() {
   flapper_.reset();
   city_.reset();
   next_id_ = 0;
+  route_checks_ = 0;
 
   core::PlatformConfig pc;
   pc.seed = config_.seed;
@@ -198,7 +199,20 @@ void FleetWorld::apply(const std::string& action) {
   throw std::invalid_argument("FleetWorld: unknown action '" + action + "'");
 }
 
-std::vector<std::string> FleetWorld::check() { return city_->audit_now(); }
+void FleetWorld::check_routes(std::vector<std::string>& out) {
+  // df3mc is the route cache's oracle: once a branch has flapped, every
+  // route the cache would serve must equal a fresh search.
+  if (flapper_->flaps() == 0) return;
+  const net::Network& n = city_->network();
+  route_checks_ += n.route_cache_entries();
+  for (auto& line : n.verify_route_cache()) out.push_back(std::move(line));
+}
+
+std::vector<std::string> FleetWorld::check() {
+  auto out = city_->audit_now();
+  check_routes(out);
+  return out;
+}
 
 std::vector<std::string> FleetWorld::finalize() {
   std::vector<std::string> out;
@@ -227,6 +241,7 @@ std::vector<std::string> FleetWorld::finalize() {
   // conservation verdict (stored violations + unresolved ids).
   (void)city_->audit_now();
   for (auto& v : city_->auditor().check_quiescent()) out.push_back(std::move(v));
+  check_routes(out);  // the heals above flipped links up
   for (std::size_t c = 0; c < config_.clusters; ++c) {
     const core::Cluster& cc = city_->cluster(c);
     if (cc.in_flight() != 0) {
@@ -351,6 +366,7 @@ std::vector<std::pair<std::string, std::uint64_t>> FleetWorld::coverage() {
   for (const auto& ch : churn_) outages += ch->outages();
   out.emplace_back("flaps", flapper_->flaps());
   out.emplace_back("outages", outages);
+  out.emplace_back("route_checks", route_checks_);
   return out;
 }
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstddef>
+#include <sstream>
 #include <stdexcept>
 
 #include "df3/obs/obs.hpp"
@@ -24,7 +26,8 @@ NodeId Network::add_node(const std::string& node_name) {
   const auto id = static_cast<NodeId>(node_names_.size());
   node_names_.push_back(node_name);
   by_name_.emplace(node_name, id);
-  adjacency_.emplace_back();
+  node_up_epoch_.push_back(0);
+  arcs_stale_ = true;
   return id;
 }
 
@@ -36,84 +39,220 @@ NodeId Network::node(const std::string& node_name) const {
 
 const std::string& Network::node_name(NodeId id) const { return node_names_.at(id); }
 
-std::size_t Network::add_link(NodeId a, NodeId b, LinkProfile profile) {
+std::size_t Network::add_link(NodeId a, NodeId b, const LinkProfile& profile) {
   if (a >= node_names_.size() || b >= node_names_.size()) {
     throw std::out_of_range("Network::add_link: unknown node");
   }
   if (a == b) throw std::invalid_argument("Network::add_link: self loop");
-  links_.push_back(Link{a, b, std::move(profile), true, {0.0, 0.0}, {}});
-  const std::size_t idx = links_.size() - 1;
-  adjacency_[a].push_back(idx);
-  adjacency_[b].push_back(idx);
-  topology_changed();
-  return idx;
+  // Searches weigh each distinct profile once, so a bad one is rejected
+  // here rather than by whichever search first scans it.
+  const auto bad = [&](const char* field) {
+    return std::invalid_argument("Network::add_link: profile '" + profile.name + "' has " + field);
+  };
+  if (!(profile.bandwidth.value() > 0.0)) throw bad("bandwidth <= 0");
+  if (!(profile.duty_cycle > 0.0 && profile.duty_cycle <= 1.0)) {
+    throw bad("duty_cycle outside (0, 1]");
+  }
+  const double latency = profile.base_latency.value();
+  if (!std::isfinite(latency) || latency < 0.0) {
+    throw bad("base_latency negative or not finite");
+  }
+  const auto known = std::find(profiles_.begin(), profiles_.end(), profile);
+  const auto p = static_cast<std::uint32_t>(known - profiles_.begin());
+  if (known == profiles_.end()) profiles_.push_back(profile);
+  links_.push_back(Link{a, b, p});
+  arcs_stale_ = true;
+  min_peer_latency_cache_ = -1.0;
+  clear_routes();
+  return links_.size() - 1;
 }
 
 void Network::set_link_up(std::size_t link, bool up) {
   Link& l = links_.at(link);
-  if (l.up != up) {
-    l.up = up;
-    topology_changed();
+  if (l.up == up) return;
+  l.up = up;
+  ++flip_epoch_;
+  if (up) {
+    node_up_epoch_[l.a] = node_up_epoch_[l.b] = last_up_epoch_ = flip_epoch_;
+  } else {
+    l.down_epoch = flip_epoch_;
   }
+  min_peer_latency_cache_ = -1.0;
 }
 bool Network::link_up(std::size_t link) const { return links_.at(link).up; }
 
-void Network::topology_changed() {
-  min_peer_latency_cache_ = -1.0;
-  clear_routes();
+void Network::build_arcs() const {
+  // Counting sort by source node; walking links in index order keeps each
+  // node's arcs in insertion order, which fixes Dijkstra's tie-breaks.
+  arc_begin_.assign(node_names_.size() + 1, 0);
+  for (const Link& l : links_) {
+    ++arc_begin_[l.a + 1];
+    ++arc_begin_[l.b + 1];
+  }
+  for (std::size_t u = 0; u < node_names_.size(); ++u) arc_begin_[u + 1] += arc_begin_[u];
+  arcs_.resize(2 * links_.size());
+  std::vector<std::uint32_t> next(arc_begin_.begin(), arc_begin_.end() - 1);
+  for (std::size_t li = 0; li < links_.size(); ++li) {
+    const Link& l = links_[li];
+    const auto link = static_cast<std::uint32_t>(li);
+    arcs_[next[l.a]++] = Arc{l.b, link};
+    arcs_[next[l.b]++] = Arc{l.a, link};
+  }
+  arcs_stale_ = false;
 }
 
 void Network::clear_routes() const {
-  route_index_.clear();
-  route_hops_.clear();
+  if (route_count_ != 0) std::fill(route_slots_.begin(), route_slots_.end(), RouteSlot{});
+  route_count_ = 0;
+  route_store_.clear();
+  dead_slices_ = 0;
+}
+
+Network::RouteSlot& Network::route_slot(const RouteKey& key) const {
+  const std::size_t mask = route_slots_.size() - 1;
+  for (std::size_t i = RouteKeyHash{}(key) & mask;; i = (i + 1) & mask) {
+    RouteSlot& slot = route_slots_[i];
+    if (!slot.used() || slot.key == key) return slot;
+  }
+}
+
+void Network::grow_routes() const {
+  std::vector<RouteSlot> old(std::max<std::size_t>(64, 2 * route_slots_.size()));
+  old.swap(route_slots_);
+  for (const RouteSlot& slot : old) {
+    if (slot.used()) route_slot(slot.key) = slot;
+  }
+}
+
+void Network::compact_routes() const {
+  // Slide the live slices down in store order, in place: the store keeps
+  // its capacity instead of reallocating on every compaction.
+  std::vector<RouteEntry*> live;
+  live.reserve(route_count_);
+  for (RouteSlot& slot : route_slots_) {
+    if (slot.used()) live.push_back(&slot.entry);
+  }
+  std::sort(live.begin(), live.end(),
+            [](const RouteEntry* x, const RouteEntry* y) { return x->begin < y->begin; });
+  std::size_t end = 0;
+  for (RouteEntry* e : live) {
+    const auto slice = route_store_.begin() + static_cast<std::ptrdiff_t>(e->begin);
+    if (e->begin != end) {
+      std::copy(slice, slice + e->hops + e->watched,
+                route_store_.begin() + static_cast<std::ptrdiff_t>(end));
+    }
+    e->begin = end;
+    end += e->hops + e->watched;
+  }
+  route_store_.resize(end);
+  dead_slices_ = 0;
 }
 
 util::Seconds Network::min_peer_latency() const {
   if (min_peer_latency_cache_ < 0.0) {
     double m = std::numeric_limits<double>::infinity();
     for (const Link& l : links_) {
-      if (l.up) m = std::min(m, l.profile.base_latency.value());
+      if (l.up) m = std::min(m, profiles_[l.profile].base_latency.value());
     }
     min_peer_latency_cache_ = m;
   }
   return util::Seconds{min_peer_latency_cache_};
 }
 
-std::span<const std::size_t> Network::cached_route(NodeId src, NodeId dst,
-                                                   util::Bytes size) const {
+bool Network::route_fresh(const RouteEntry& e, NodeId dst) const {
+  if (e.epoch == flip_epoch_) return true;
+  const std::uint32_t* const hops = route_store_.data() + e.begin;
+  for (std::uint32_t i = 0; i < e.hops; ++i) {
+    if (links_[hops[i]].down_epoch > e.epoch) return false;
+  }
+  if (last_up_epoch_ <= e.epoch) return true;
+  if (e.watch_all || node_up_epoch_[dst] > e.epoch) return false;
+  const std::uint32_t* const watched = hops + e.hops;
+  for (std::uint32_t i = 0; i < e.watched; ++i) {
+    if (node_up_epoch_[watched[i]] > e.epoch) return false;
+  }
+  return true;
+}
+
+std::span<const std::uint32_t> Network::cached_route(NodeId src, NodeId dst,
+                                                     util::Bytes size) const {
   if (src >= node_names_.size() || dst >= node_names_.size()) {
     throw std::out_of_range("Network::route: unknown node");
   }
   if (src == dst) return {};
   const RouteKey key{src, dst, std::bit_cast<std::uint64_t>(size.value())};
-  if (const auto it = route_index_.find(key); it != route_index_.end()) {
-    return {route_hops_.data() + it->second.begin, it->second.length};
-  }
-  search_route(src, dst, size);
-  if (route_index_.size() >= kRouteCacheCapacity) clear_routes();
-  // Walk the search tree back from dst, then flip the hops into traversal
-  // order. An unreachable dst is cached too, as an empty route.
-  const std::size_t begin = route_hops_.size();
-  if (dist_[dst] != std::numeric_limits<double>::infinity()) {
-    for (NodeId cur = dst; cur != src;) {
-      const std::size_t li = via_link_[cur];
-      route_hops_.push_back(li);
-      cur = (links_[li].a == cur) ? links_[li].b : links_[li].a;
+  if (route_slots_.empty()) grow_routes();
+  RouteSlot* slot = &route_slot(key);
+  if (!slot->used()) {
+    if (route_count_ >= kRouteCacheCapacity) {
+      clear_routes();
+    } else if (2 * (route_count_ + 1) > route_slots_.size()) {
+      grow_routes();
     }
-    std::reverse(route_hops_.begin() + static_cast<std::ptrdiff_t>(begin), route_hops_.end());
+    slot = &route_slot(key);
+    slot->key = key;
+    slot->entry = store_route(src, dst, size);
+    ++route_count_;
+  } else if (RouteEntry& e = slot->entry; e.epoch != flip_epoch_) {
+    if (route_fresh(e, dst)) {
+      // Checking in stages is the same as checking once: every flip since
+      // the search has now passed, so later lookups check only newer ones.
+      e.epoch = flip_epoch_;
+    } else {
+      e = store_route(src, dst, size);
+      if (++dead_slices_ > route_count_) compact_routes();
+    }
   }
-  const std::size_t length = route_hops_.size() - begin;
-  route_index_.emplace(key, RouteSlice{begin, length});
-  return {route_hops_.data() + begin, length};
+  return {route_store_.data() + slot->entry.begin, slot->entry.hops};
+}
+
+Network::RouteEntry Network::store_route(NodeId src, NodeId dst, util::Bytes size) const {
+  ++route_searches_;
+  search_route(src, dst, size);
+  RouteEntry e{route_store_.size(), 0, 0, false, flip_epoch_};
+  append_search_path(src, dst, route_store_);
+  e.hops = static_cast<std::uint32_t>(route_store_.size() - e.begin);
+  // Watched nodes (DESIGN.md, "Route cache"): a link L = (x, y) coming up
+  // can only give the route a cheaper or equal-cost rival if x or y is dst,
+  // or if the first newly-up link of the rival path leaves a node x this
+  // search settled with d_x + w_min + delta_dst <= D. Here w_min bounds any
+  // link's one-hop delay from below and delta_dst the last hop's.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double d_route = dist_[dst];
+  double w_min = inf;
+  for (const double w : weight_) w_min = std::min(w_min, w);
+  double delta_dst = inf;
+  for (std::uint32_t a = arc_begin_[dst]; a < arc_begin_[dst + 1]; ++a) {
+    delta_dst = std::min(delta_dst, weight_[links_[arcs_[a].link].profile]);
+  }
+  // The search stopped when dst settled, so unsettled nodes sit at >= D.
+  // They are safe only when adding the margin to D still exceeds D: a zero
+  // margin, or one lost to rounding, makes every up-flip stale the entry.
+  // An unreachable dst settled its whole component, which leaves nothing
+  // unsettled to worry about.
+  e.watch_all = d_route != inf && !(d_route + w_min + delta_dst > d_route);
+  if (!e.watch_all) {
+    for (const NodeId x : settled_) {
+      if (dist_[x] + w_min + delta_dst <= d_route) route_store_.push_back(x);
+    }
+  }
+  e.watched = static_cast<std::uint32_t>(route_store_.size() - e.begin - e.hops);
+  return e;
 }
 
 void Network::search_route(NodeId src, NodeId dst, util::Bytes size) const {
+  if (arcs_stale_) build_arcs();
+  weight_.resize(profiles_.size());
+  for (std::size_t p = 0; p < profiles_.size(); ++p) {
+    weight_[p] = profiles_[p].one_hop_delay(size).value();
+  }
   // Dijkstra over unloaded one-hop delay for this payload size. The heap
   // steps are exactly std::priority_queue's with std::greater, so ties
   // between equal-delay paths resolve the same way on every search.
   const auto later = std::greater<>{};
   dist_.assign(node_names_.size(), std::numeric_limits<double>::infinity());
   via_link_.resize(node_names_.size());
+  settled_.clear();
   heap_.clear();
   dist_[src] = 0.0;
   heap_.emplace_back(0.0, src);
@@ -122,20 +261,64 @@ void Network::search_route(NodeId src, NodeId dst, util::Bytes size) const {
     const auto [d, u] = heap_.back();
     heap_.pop_back();
     if (d > dist_[u]) continue;
+    settled_.push_back(u);
     if (u == dst) break;
-    for (const std::size_t li : adjacency_[u]) {
-      const Link& l = links_[li];
+    for (std::uint32_t a = arc_begin_[u]; a < arc_begin_[u + 1]; ++a) {
+      const Arc arc = arcs_[a];
+      const Link& l = links_[arc.link];
       if (!l.up) continue;
-      const NodeId v = (l.a == u) ? l.b : l.a;
-      const double w = l.profile.one_hop_delay(size).value();
-      if (d + w < dist_[v]) {
-        dist_[v] = d + w;
-        via_link_[v] = li;
-        heap_.emplace_back(dist_[v], v);
+      const double dv = d + weight_[l.profile];
+      if (dv < dist_[arc.to]) {
+        dist_[arc.to] = dv;
+        via_link_[arc.to] = arc.link;
+        heap_.emplace_back(dv, arc.to);
         std::push_heap(heap_.begin(), heap_.end(), later);
       }
     }
   }
+}
+
+void Network::append_search_path(NodeId src, NodeId dst, std::vector<std::uint32_t>& out) const {
+  if (dist_[dst] == std::numeric_limits<double>::infinity()) return;
+  // Walk the search tree back from dst, then flip the hops into traversal
+  // order.
+  const std::size_t begin = out.size();
+  for (NodeId cur = dst; cur != src;) {
+    const std::uint32_t li = via_link_[cur];
+    out.push_back(li);
+    cur = (links_[li].a == cur) ? links_[li].b : links_[li].a;
+  }
+  std::reverse(out.begin() + static_cast<std::ptrdiff_t>(begin), out.end());
+}
+
+std::vector<std::string> Network::verify_route_cache() const {
+  std::vector<std::string> out;
+  std::vector<std::uint32_t> expect;
+  for (const RouteSlot& slot : route_slots_) {
+    if (!slot.used()) continue;
+    const RouteKey& key = slot.key;
+    const RouteEntry& e = slot.entry;
+    if (!route_fresh(e, key.dst)) continue;  // the next lookup searches again
+    const double size = std::bit_cast<double>(key.size_bits);
+    search_route(key.src, key.dst, util::Bytes{size});
+    expect.clear();
+    append_search_path(key.src, key.dst, expect);
+    const auto cached = route_store_.begin() + static_cast<std::ptrdiff_t>(e.begin);
+    if (std::equal(expect.begin(), expect.end(), cached, cached + e.hops)) continue;
+    std::ostringstream line;
+    const auto hops = [&line](auto first, auto last) {
+      line << '[';
+      for (auto i = first; i != last; ++i) line << (i == first ? "" : " ") << *i;
+      line << ']';
+    };
+    line << name() << ": cached route " << node_names_[key.src] << " -> " << node_names_[key.dst]
+         << " (" << size << " B) is ";
+    hops(cached, cached + e.hops);
+    line << ", a fresh search gives ";
+    hops(expect.begin(), expect.end());
+    out.push_back(line.str());
+  }
+  return out;
 }
 
 std::vector<std::size_t> Network::route(NodeId src, NodeId dst, util::Bytes size) const {
@@ -149,7 +332,7 @@ std::optional<util::Seconds> Network::unloaded_delay(NodeId src, NodeId dst,
   const auto path = cached_route(src, dst, size);
   if (path.empty()) return std::nullopt;
   util::Seconds total{0.0};
-  for (const std::size_t li : path) total += links_[li].profile.one_hop_delay(size);
+  for (const std::uint32_t li : path) total += profiles_[links_[li].profile].one_hop_delay(size);
   return total;
 }
 
@@ -172,13 +355,14 @@ void Network::send(const Message& msg, std::function<void(sim::Time)> on_deliver
   // occupancy is reserved immediately (cut-through per hop).
   sim::Time t = now();
   NodeId at = msg.src;
-  for (const std::size_t li : path) {
+  for (const std::uint32_t li : path) {
     Link& l = links_[li];
+    const LinkProfile& profile = profiles_[l.profile];
     const std::size_t dir = direction(l, at);
     const sim::Time start = std::max(t, l.next_free[dir]);
-    const double ser = l.profile.serialization_time(msg.size).value();
+    const double ser = profile.serialization_time(msg.size).value();
     l.next_free[dir] = start + ser;
-    t = start + ser + l.profile.base_latency.value();
+    t = start + ser + profile.base_latency.value();
     LinkStats& st = l.dir_stats[dir];
     ++st.messages;
     st.bytes += msg.size.value();

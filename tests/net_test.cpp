@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -204,6 +206,42 @@ TEST(Network, Validation) {
   EXPECT_THROW((void)n.route(a, 42, u::bytes(1.0)), std::out_of_range);
 }
 
+TEST(Network, AddLinkRejectsBadProfilesByField) {
+  Simulation sim;
+  net::Network n(sim, "v");
+  const auto a = n.add_node("a");
+  const auto b = n.add_node("b");
+  const auto expect_rejected = [&](void (*spoil)(net::LinkProfile&), const std::string& field) {
+    net::LinkProfile p = net::ethernet_lan();
+    spoil(p);
+    try {
+      (void)n.add_link(a, b, p);
+      ADD_FAILURE() << "accepted a profile with a bad " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  expect_rejected([](net::LinkProfile& p) { p.bandwidth = u::bps(0.0); }, "bandwidth");
+  expect_rejected([](net::LinkProfile& p) { p.bandwidth = u::bps(-1.0); }, "bandwidth");
+  expect_rejected([](net::LinkProfile& p) { p.duty_cycle = 0.0; }, "duty_cycle");
+  expect_rejected([](net::LinkProfile& p) { p.duty_cycle = 1.5; }, "duty_cycle");
+  expect_rejected([](net::LinkProfile& p) { p.base_latency = u::seconds(-1e-3); },
+                  "base_latency");
+  expect_rejected(
+      [](net::LinkProfile& p) {
+        p.base_latency = u::seconds(std::numeric_limits<double>::infinity());
+      },
+      "base_latency");
+  expect_rejected([](net::LinkProfile& p) { p.base_latency = u::seconds(std::nan("")); },
+                  "base_latency");
+  EXPECT_EQ(n.link_count(), 0u);
+  // The edges of the valid ranges are accepted.
+  net::LinkProfile edge = net::ethernet_lan();
+  edge.base_latency = u::seconds(0.0);
+  edge.duty_cycle = 1.0;
+  EXPECT_EQ(n.add_link(a, b, edge), 0u);
+}
+
 TEST(Network, SegmentedVsSharedLanContention) {
   // E10 micro-version: an edge message behind a bulk DCC transfer on a
   // shared LAN waits; on a segmented (dedicated) LAN it does not.
@@ -360,8 +398,49 @@ TEST(RouteCache, SendAfterFlapDeliversOnTheNewRoute) {
   EXPECT_GT(rerouted, 0);
 }
 
+TEST(RouteCache, MatchesColdTwinOnEveryPairAndSize) {
+  // Every ordered pair at six sizes, with one to four random flips between
+  // rounds and the odd new link: a cached route that a flip should have
+  // staled shows up as a mismatch against a network that never cached.
+  const std::array sizes{u::bytes(1.0),      u::bytes(64.0),     u::bytes(1500.0),
+                         u::kibibytes(64.0), u::mebibytes(1.0), u::mebibytes(5.0)};
+  int stale_routes = 0;  // cached routes that a flip changed
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    RandomFabric f(seed);
+    std::vector<std::vector<std::size_t>> last(kFabricNodes * kFabricNodes * sizes.size());
+    for (int round = 0; round < 30; ++round) {
+      const Twin twin(f.specs);
+      std::size_t k = 0;
+      for (net::NodeId src = 0; src < static_cast<net::NodeId>(kFabricNodes); ++src) {
+        for (net::NodeId dst = 0; dst < static_cast<net::NodeId>(kFabricNodes); ++dst) {
+          for (const u::Bytes size : sizes) {
+            const auto expect = twin.netw.route(src, dst, size);
+            ASSERT_EQ(f.netw.route(src, dst, size), expect)
+                << "seed " << seed << ", round " << round << ", " << src << " -> " << dst << ", "
+                << size.value() << " B";
+            if (round > 0 && expect != last[k]) ++stale_routes;
+            last[k++] = expect;
+          }
+        }
+      }
+      const auto mismatches = f.netw.verify_route_cache();
+      ASSERT_TRUE(mismatches.empty()) << mismatches.front();
+      for (auto flips = f.rng.uniform_int(1, 4); flips > 0; --flips) {
+        const std::size_t li = f.random_link();
+        f.set_up(li, !f.specs[li].up);
+      }
+      if (f.rng.uniform01() < 0.1) f.add_random_link();
+    }
+  }
+  EXPECT_GT(stale_routes, 0);
+}
+
 TEST(RouteCache, StaysWithinCapacityAndClearsOnTopologyChange) {
   Chain c;
+  // A Wi-Fi detour around the LAN hop, and a spare node off every
+  // device -> cloud route.
+  const std::size_t detour = c.netw.add_link(c.gateway, c.worker, net::wifi());
+  const std::size_t spare = c.netw.add_link(c.worker, c.netw.add_node("spare"), net::ethernet_lan());
   // Every payload size is its own key: only the capacity bounds the cache.
   for (int i = 0; i < 100000; ++i) {
     (void)c.netw.route(c.device, c.cloud, u::bytes(64.0 + i));
@@ -369,12 +448,31 @@ TEST(RouteCache, StaysWithinCapacityAndClearsOnTopologyChange) {
   }
   const std::size_t entries = c.netw.route_cache_entries();
   EXPECT_GT(entries, 0u);
+  const u::Bytes size = u::bytes(64.0 + 99999);  // cached by the last ask
+  const std::uint64_t searches = c.netw.route_searches();
   c.netw.set_link_up(c.l_lan, true);  // already up: no change, cache kept
   EXPECT_EQ(c.netw.route_cache_entries(), entries);
+
+  // A link on no cached route flaps: every route stays cached.
+  c.netw.set_link_up(spare, false);
+  c.netw.set_link_up(spare, true);
+  EXPECT_EQ(c.netw.route_cache_entries(), entries);
+  EXPECT_EQ(c.netw.route(c.device, c.cloud, size),
+            (std::vector<std::size_t>{c.l_dev, c.l_lan, c.l_wan}));
+  EXPECT_EQ(c.netw.route_searches(), searches);
+
+  // A hop of the route goes down: the route is searched again and takes
+  // the detour.
   c.netw.set_link_up(c.l_lan, false);
-  EXPECT_EQ(c.netw.route_cache_entries(), 0u);
+  EXPECT_EQ(c.netw.route(c.device, c.cloud, size),
+            (std::vector<std::size_t>{c.l_dev, detour, c.l_wan}));
+  EXPECT_EQ(c.netw.route_searches(), searches + 1);
+  EXPECT_EQ(c.netw.route_cache_entries(), entries);
+
+  c.netw.set_link_up(detour, false);
   EXPECT_TRUE(c.netw.route(c.device, c.cloud, u::bytes(64.0)).empty());
-  EXPECT_EQ(c.netw.route_cache_entries(), 1u);  // unreachable is cached too
+  EXPECT_TRUE(c.netw.route(c.device, c.cloud, u::bytes(64.0)).empty());
+  EXPECT_EQ(c.netw.route_searches(), searches + 2);  // unreachable is cached too
   c.netw.add_link(c.gateway, c.cloud, net::fiber_wan());
   EXPECT_EQ(c.netw.route_cache_entries(), 0u);
   EXPECT_EQ(c.netw.route(c.device, c.cloud, u::bytes(64.0)).size(), 2u);

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "df3/core/platform.hpp"
+#include "df3/net/fault.hpp"
 #include "df3/thermal/calendar.hpp"
 
 namespace core = df3::core;
+namespace net = df3::net;
 namespace th = df3::thermal;
 namespace wl = df3::workload;
 namespace u = df3::util;
@@ -192,6 +194,46 @@ TEST(Platform, CapacityAndDemandSeriesAreSampled) {
   double demand = 0.0;
   for (double v : city.heat_demand_series().values) demand += v;
   EXPECT_GT(demand, 0.0);
+}
+
+TEST(Platform, RouteCacheKeepsItsHitRateUnderLinkFlaps) {
+  // Uplinks and building-local links flap every few minutes. A flap stales
+  // only the cached routes it can change, so searches stay a small share
+  // of sends instead of following every flap.
+  constexpr int kRooms = 4;
+  core::Df3Platform city(winter_config());
+  for (std::size_t b = 0; b < 4; ++b) {
+    city.add_building(small_building("b" + std::to_string(b), kRooms));
+    city.add_edge_source(b, wl::alarm_detection_factory(), 0.5);
+    city.add_edge_source(b, wl::alarm_detection_factory(), 0.2, /*direct=*/true);
+    city.add_edge_source(b, wl::fall_detection_factory(), 0.2, /*direct=*/false,
+                         /*via_wifi=*/true);
+  }
+  city.add_cloud_source(wl::risk_simulation_factory(), 0.05);
+  // Per building: dev-gw, wifi-gw, gw-internet, then gw-srv<i> for each
+  // room with the dev-srv0 and wifi-srv0 back doors right after gw-srv0.
+  const std::size_t per_building = 3 + kRooms + 2;
+  ASSERT_EQ(city.network().link_count(), 4 * per_building);
+  std::vector<std::size_t> uplinks, local;
+  for (std::size_t b = 0; b < 4; ++b) {
+    uplinks.push_back(b * per_building + 2);
+    local.push_back(b * per_building + 1);
+    local.push_back(b * per_building + 3);
+  }
+  net::LinkFlapper flap_up(city.simulation(), "flap-uplink", city.network(),
+                           {uplinks, 400.0, 60.0, 0.0}, u::RngStream(5, "flap-uplink"));
+  net::LinkFlapper flap_local(city.simulation(), "flap-local", city.network(),
+                              {local, 300.0, 30.0, 0.0}, u::RngStream(5, "flap-local"));
+  flap_up.start();
+  flap_local.start();
+  city.run(u::hours(2.0));
+
+  const net::Network& n = city.network();
+  EXPECT_GT(flap_up.flaps() + flap_local.flaps(), 100u);
+  ASSERT_GT(n.messages_sent(), 10000u);
+  EXPECT_LE(static_cast<double>(n.route_searches()),
+            0.1 * static_cast<double>(n.messages_sent()))
+      << n.route_searches() << " searches for " << n.messages_sent() << " sends";
 }
 
 TEST(Platform, Validation) {
