@@ -42,6 +42,7 @@
 #include "df3/core/task.hpp"
 #include "df3/core/worker.hpp"
 #include "df3/net/network.hpp"
+#include "df3/obs/metrics.hpp"
 #include "df3/policy/policy.hpp"
 #include "df3/workload/request.hpp"
 
@@ -143,6 +144,19 @@ struct ClusterStats {
   }
 };
 
+/// City-wide decision counters (DESIGN.md §10): handles into the owning
+/// platform's metric registry. A bound cluster bumps them where the event
+/// happens, next to its own `ClusterStats` / `PolicyCounters`, so the
+/// platform's per-tick feed never re-sums the clusters. `rung` is parallel
+/// to ClusterConfig::edge_peak_ladder; repeated rung names hold the same
+/// id, so their hits sum into one instrument.
+struct CityCounters {
+  obs::MetricRegistry* registry = nullptr;
+  obs::MetricId preemptions, offload_horizontal, offload_vertical, edge_delays;
+  obs::MetricId placement_picks, peer_picks;
+  std::vector<obs::MetricId> rung;
+};
+
 class Cluster : public sim::Entity, private policy::LadderMechanism {
  public:
   using CompletionSink = std::function<void(workload::CompletionRecord)>;
@@ -216,6 +230,10 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
     grid_region_ = region;
   }
   [[nodiscard]] std::size_t grid_region() const { return grid_region_; }
+
+  /// Mirror every ladder/pick counter bump into `city` (nullptr unbinds).
+  /// `city` must outlive the binding and its `rung` must cover the ladder.
+  void bind_city_counters(const CityCounters* city) { city_ = city; }
 
   /// Submit a request arriving at the gateway from `origin`. The transport
   /// from the origin to the gateway must already have happened (the
@@ -362,6 +380,15 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   policy::RungOutcome relieve_by_delay(Task& t) override;
   /// Pick a horizontal-offload target from the peer set via the selector.
   [[nodiscard]] Cluster* select_peer();
+  /// Bump a per-cluster counter and, when bound, its city-wide twin.
+  void count(std::uint64_t& stat, obs::MetricId CityCounters::*city_id) {
+    ++stat;
+    if (city_ != nullptr) city_->registry->at_counter(city_->*city_id).add();
+  }
+  void count_rung(std::size_t i) {
+    ++policy_counters_.rung_hits[i];
+    if (city_ != nullptr) city_->registry->at_counter(city_->rung[i]).add();
+  }
 
   ClusterConfig config_;
   net::Network& network_;
@@ -374,6 +401,7 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   ComputeService* datacenter_ = nullptr;
   ClusterStats stats_;
   PolicyCounters policy_counters_;
+  const CityCounters* city_ = nullptr;
   // Decision plane, resolved from config names in the constructor.
   std::vector<std::unique_ptr<policy::PeakRung>> ladder_;
   std::unique_ptr<policy::PlacementPolicy> placement_;

@@ -291,6 +291,16 @@ class Df3Platform {
   /// (regardless of audit level), report findings into the auditor, and
   /// return them. Cheap enough to call after every test scenario.
   std::vector<std::string> audit_now();
+  /// Oracle for the tick's caches: re-derives each one from the uncached
+  /// path it replaces and returns one line per mismatch (empty = all
+  /// exact). Checks each building's drained core count against its
+  /// cluster's usable_cores() (unless a control-plane touch has moved the
+  /// cluster since the drain read it), the folded regulator sums bit for
+  /// bit against a fresh walk of the regulators, and, at obs kCounters and
+  /// above, every city counter against the sum of the per-cluster counters
+  /// and outcomes it mirrors. Observation only; the kFull audit sweep runs
+  /// it every tick.
+  [[nodiscard]] std::vector<std::string> verify_tick_caches() const;
   [[nodiscard]] metrics::EnergyLedger& df_energy() { return df_energy_; }
   /// The run's telemetry sink (trace ring + metric registry), or nullptr
   /// when the configured obs level is kOff or the build compiled the hooks
@@ -309,7 +319,8 @@ class Df3Platform {
   [[nodiscard]] const metrics::ComfortMetrics& comfort(std::size_t b) const {
     return buildings_.at(b)->comfort_metrics;
   }
-  /// Aggregate regulator tracking error across all servers.
+  /// Aggregate regulator tracking error across all room servers, as of the
+  /// last tick: O(1), from the sums the tick's drain folds.
   [[nodiscard]] double regulator_relative_error() const;
   [[nodiscard]] std::uint64_t total_preemptions() const;
 
@@ -359,6 +370,14 @@ class Df3Platform {
     std::vector<double> delta_j;
     std::vector<double> useful_j;
     std::vector<std::uint8_t> indoors;
+    /// Regulator mirrors, written right after record() (the only writer of
+    /// the accumulators they copy): requested_total() and
+    /// relative_error() * requested_total(). The drain folds them so
+    /// regulator_relative_error() never walks the regulators. Sized with
+    /// the shard map, once, rather than grown room by room: the growth
+    /// fragments the heap of a small city measurably.
+    std::vector<double> reg_requested_j;
+    std::vector<double> reg_weighted_err_j;
 
     [[nodiscard]] std::size_t size() const { return server.size(); }
   };
@@ -415,30 +434,47 @@ class Df3Platform {
   /// config_.shard_rooms, so the room -> shard map is a pure function of
   /// the build sequence and the knob — stable across runs.
   void ensure_shards();
+  /// Append a fully built building and its per-building tick state, bind
+  /// its grid region when a plane is installed, and mark peers and shards
+  /// for a rebuild. Returns the building index.
+  std::size_t push_building(std::unique_ptr<Building> b);
   /// Physics phase for one building: server/room/tank integration and
-  /// per-building metrics. Touches only building-owned state plus this
-  /// building's slice of the fleet arrays, so buildings can run on any
-  /// thread in any order without changing a single bit of the result.
-  /// Returns the 2R2C substep accounting for the building's rooms.
+  /// per-building metrics. Touches only building-owned state, this
+  /// building's slice of the fleet arrays and the lane's `q_scratch`, so
+  /// buildings can run on any thread in any order without changing a
+  /// single bit of the result. Returns the 2R2C substep accounting for the
+  /// building's rooms.
   fleet::Substeps2R2C physics_building(std::size_t b, sim::Time t, util::Celsius t_out,
-                                       util::Celsius seasonal, double hour);
+                                       util::Celsius seasonal, double hour, double* q_scratch);
   /// Lane stage of the control phase for one building (DESIGN.md §12):
   /// every control decision that touches only building-owned state —
   /// thermostat demand math, regulate(), inlet feedback, last-demand
   /// bookkeeping, the gated-path audit replay (findings buffered, not
-  /// reported), the quiet-proof re-derivation, and the speed sync of
-  /// control-quiescent clusters. Never schedules events, never touches the
-  /// ledger, auditor, city aggregates, or another building, so lanes can
-  /// run it on any thread in any order without changing a single bit.
+  /// reported), the quiet-proof re-derivation, and the speed sync and core
+  /// count of control-quiescent clusters. Never schedules events, never
+  /// touches the ledger, auditor, city aggregates, or another building, so
+  /// lanes can run it on any thread in any order without changing a single
+  /// bit.
   void control_building_math(std::size_t b, double t_out_c, std::vector<std::string>& findings);
+  /// City-wide sums the drain accumulates, building by building.
+  struct TickSums {
+    double city_demand_w = 0.0;
+    double city_cores = 0.0;
+    double temp_sum = 0.0;
+    std::size_t room_count = 0;
+    double reg_requested_j = 0.0;
+    double reg_weighted_err_j = 0.0;
+  };
   /// Boundary-drain stage for one building: everything cross-cutting the
   /// lane split — the order-sensitive ledger/city-aggregate reduction and
   /// the deferred sync_workers() (event re-arming + queue pumps). Runs
   /// serially in building-major order in every execution mode, which is
   /// what keeps the golden digests bit-identical at any lane count.
   void control_building_reduce(std::size_t b, metrics::EnergyLedger::Accumulator& energy,
-                               double& city_demand_w, double& city_cores, double& temp_sum,
-                               std::size_t& room_count);
+                               TickSums& sums);
+  /// Record building `b`'s usable cores (and the control epoch they were
+  /// read at) after its speed sync.
+  void note_building_cores(std::size_t b);
   [[nodiscard]] Cluster* route_cloud_target();
   /// Resolve building `b`'s grid_region name against the installed plane
   /// and bind its cluster to the per-tick sample slot.
@@ -452,8 +488,10 @@ class Df3Platform {
   /// (not the installed global) so manual injections between run() calls
   /// still start a journey.
   void open_journey(std::uint64_t id);
-  /// Feed the metric registry from the tick's aggregates and the cluster /
-  /// energy / outcome counters, then snapshot. kCounters and above.
+  /// Set the per-tick gauges from the tick's aggregates, the energy ledger
+  /// and the SLO plane, then snapshot. O(1) in rooms and clusters; the
+  /// counters are bumped at their event sites, not here. kCounters and
+  /// above.
   void feed_metrics(sim::Time t, double room_mean_c, double city_cores, double city_demand_w,
                     double outdoor_c);
 
@@ -474,14 +512,25 @@ class Df3Platform {
   /// Last-tick heat demand per building (W) — the signal heat-aware
   /// routing reads. Written by the control phase, building-major.
   std::vector<double> bld_demand_w_;
+  /// Usable cores per building as the drain summed them, and the cluster
+  /// control epoch they were read at. Written by the lane right after its
+  /// in-lane sync_workers(), or by the drain after a deferred one.
+  std::vector<int> bld_cores_;
+  std::vector<std::uint64_t> bld_cores_epoch_;
+  /// Regulator sums folded by the last drain (see FleetState mirrors).
+  double reg_requested_j_ = 0.0;
+  double reg_weighted_err_j_ = 0.0;
   /// Shard (district) map over the fleet; rebuilt lazily after
   /// add_building. The parallel tick fans out one work item per shard.
   std::vector<Shard> shards_;
   bool shards_dirty_ = true;
   bool peers_dirty_ = false;
-  /// Per-room net heat input (W), staged by the scalar physics pass and
-  /// consumed by the vector room-update kernels (fleet_kernel.hpp).
-  std::vector<double> q_total_w_;
+  /// Per-lane net heat input (W) of one building's rooms, staged by the
+  /// scalar physics pass and consumed by the vector room-update kernels
+  /// (fleet_kernel.hpp): lane s owns [s * stride, (s + 1) * stride), the
+  /// stride being the largest building's room count.
+  std::vector<double> lane_q_total_w_;
+  std::size_t lane_q_stride_ = 0;
   /// Activity gating state. A building is *quiet* when its last control
   /// sweep left every regulator provably idle-stable (regulate() would be
   /// a bitwise no-op); the epoch pins the cluster state that proof was
@@ -537,29 +586,33 @@ class Df3Platform {
   /// above kOff (and the hooks are compiled in), installed as the process
   /// sink for the duration of each run() call.
   std::unique_ptr<obs::Observability> obs_;
-  /// Registry handles + previous cumulative counter values for the per-tick
-  /// metric feed (counters are fed by delta).
+  /// Registry handles for the metric feed. Gauges are set once per tick;
+  /// counters are bumped where the event happens — by the clusters through
+  /// `city`, by route_cloud_target and record_completion here — so the
+  /// tick feeds no counter.
   struct ObsFeed {
     obs::MetricId room_mean_c, usable_cores, heat_demand_w, outdoor_c, regulator_err;
     obs::MetricId gated_districts;  ///< fleet/gated_districts gauge (per tick)
     obs::MetricId energy_it_j, energy_useful_j, energy_waste_j, energy_overhead_j, pue,
         heat_reuse;
-    obs::MetricId preemptions, offload_horizontal, offload_vertical, edge_delays;
     obs::MetricId completed, deadline_missed, rejected, dropped;
     obs::MetricId response_s;
-    // Per-policy decision counters (DESIGN.md §11).
-    obs::MetricId routing_picks, placement_picks, peer_picks;
-    std::vector<obs::MetricId> rung_ids;  ///< one per configured ladder rung
+    // Per-policy decision counters (DESIGN.md §11): routing here, the
+    // ladder and pick counters in `city` (bound to every cluster).
+    obs::MetricId routing_picks;
+    CityCounters city;
     // Per-flow SLO gauges (DESIGN.md §14): rolling-window deadline-miss
     // ratio and response p99, one pair per workload::Flow.
     std::vector<obs::MetricId> slo_miss_ratio, slo_p99_s;
     // Per-region grid gauges (DESIGN.md §15), registered at install_grid.
     std::vector<obs::MetricId> grid_carbon, grid_price, grid_curtailed;
-    std::uint64_t prev_preemptions = 0, prev_horizontal = 0, prev_vertical = 0, prev_delays = 0;
-    std::uint64_t prev_completed = 0, prev_missed = 0, prev_rejected = 0, prev_dropped = 0;
-    std::uint64_t prev_routing_picks = 0, prev_placement_picks = 0, prev_peer_picks = 0;
-    std::vector<std::uint64_t> prev_rung_hits;
   } feed_;
+  /// Bump one of this platform's own registry counters. Uses the owned
+  /// sink, not the installed one: injections between run() calls happen
+  /// with no Install scope.
+  void count_obs(obs::MetricId id) {
+    if (obs_) obs_->registry().at_counter(id).add();
+  }
   util::TimeSeries temp_series_;
   util::TimeSeries capacity_series_;
   util::TimeSeries demand_series_;

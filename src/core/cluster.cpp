@@ -92,7 +92,7 @@ void Cluster::submit(workload::Request r, net::NodeId origin) {
     const double backlog_per_core =
         (queue_.backlog_gigacycles() + r.total_work()) / static_cast<double>(cores);
     if (backlog_per_core > config_.cloud_offload_backlog_gc_per_core) {
-      ++stats_.offloaded_vertical;
+      count(stats_.offloaded_vertical, &CityCounters::offload_vertical);
       DF3_OBS_TRACE_IF(o) {
         o->journey_span(this, name(), obs::Phase::kOffloadVertical, now(), now(), r.id);
       }
@@ -248,7 +248,7 @@ bool Cluster::place(Task& t) {
   }
   while (!place_scratch_.empty()) {
     const std::size_t pos = placement_->pick(policy::PlacementView{place_scratch_});
-    ++policy_counters_.placement_picks;
+    count(policy_counters_.placement_picks, &CityCounters::placement_picks);
     if (pos >= place_scratch_.size()) {
       throw std::out_of_range("placement policy '" + std::string(placement_->name()) +
                               "' picked a candidate out of range");
@@ -280,15 +280,15 @@ bool Cluster::handle_unplaceable_edge(Task t) {
       case policy::RungOutcome::kNoOp:
         continue;  // this rung could not help; try the next one
       case policy::RungOutcome::kResolved:
-        ++policy_counters_.rung_hits[i];
+        count_rung(i);
         return true;
       case policy::RungOutcome::kParked:
-        ++policy_counters_.rung_hits[i];
+        count_rung(i);
         return false;
     }
   }
   // Ladder exhausted: the request waits anyway (equivalent to a delay rung).
-  ++stats_.edge_delays;
+  count(stats_.edge_delays, &CityCounters::edge_delays);
   DF3_OBS_TRACE_IF(o) {
     o->journey_span(this, name(), obs::Phase::kDelay, now(), now(), t.request->request.id,
                     t.shard_index);
@@ -309,7 +309,7 @@ policy::RungOutcome Cluster::relieve_by_preemption(Task& t) {
     if (w.running_below(Priority::kEdge) == 0) continue;
     auto victim = w.preempt_one(Priority::kEdge);
     if (!victim) continue;
-    ++stats_.preemptions;
+    count(stats_.preemptions, &CityCounters::preemptions);
     DF3_OBS_TRACE_IF(o) {
       o->journey_span(this, name(), obs::Phase::kPreempt, now(), now(), t.request->request.id,
                       t.shard_index);
@@ -346,7 +346,7 @@ policy::RungOutcome Cluster::relieve_by_horizontal(Task& t) {
   Cluster* const peer = select_peer();
   auto p = it->second;
   pending_.erase(it);
-  ++stats_.offloaded_horizontal_out;
+  count(stats_.offloaded_horizontal_out, &CityCounters::offload_horizontal);
   DF3_OBS_TRACE_IF(o) {
     // The shard never reached a core here: its local queue time would
     // otherwise vanish from the journey, so close the gap before the
@@ -426,7 +426,7 @@ Cluster* Cluster::select_peer() {
     }
   }
   const std::size_t pos = peer_selector_->pick(view);
-  ++policy_counters_.peer_picks;
+  count(policy_counters_.peer_picks, &CityCounters::peer_picks);
   if (pos >= peers_.size()) {
     throw std::out_of_range("peer selector '" + std::string(peer_selector_->name()) +
                             "' picked a peer out of range");
@@ -446,7 +446,7 @@ policy::RungOutcome Cluster::relieve_by_vertical(Task& t) {
   if (t.request->request.tasks != 1) return policy::RungOutcome::kNoOp;
   auto p = it->second;
   pending_.erase(it);
-  ++stats_.offloaded_vertical;
+  count(stats_.offloaded_vertical, &CityCounters::offload_vertical);
   DF3_OBS_TRACE_IF(o) {
     if (t.enqueued_at >= 0.0) {
       o->journey_span_if_open(this, name(), obs::Phase::kQueueWait, t.enqueued_at, now(),
@@ -463,7 +463,7 @@ policy::RungOutcome Cluster::relieve_by_vertical(Task& t) {
 }
 
 policy::RungOutcome Cluster::relieve_by_delay(Task& t) {
-  ++stats_.edge_delays;
+  count(stats_.edge_delays, &CityCounters::edge_delays);
   DF3_OBS_TRACE_IF(o) {
     o->journey_span(this, name(), obs::Phase::kDelay, now(), now(), t.request->request.id,
                     t.shard_index);

@@ -1,8 +1,11 @@
 #include "df3/core/platform.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -47,10 +50,11 @@ Df3Platform::Df3Platform(PlatformConfig config)
     feed_.energy_overhead_j = reg.gauge("energy/overhead_j");
     feed_.pue = reg.gauge("energy/pue");
     feed_.heat_reuse = reg.gauge("energy/heat_reuse_fraction");
-    feed_.preemptions = reg.counter("ladder/preemptions");
-    feed_.offload_horizontal = reg.counter("ladder/offload_horizontal");
-    feed_.offload_vertical = reg.counter("ladder/offload_vertical");
-    feed_.edge_delays = reg.counter("ladder/edge_delays");
+    feed_.city.registry = &reg;
+    feed_.city.preemptions = reg.counter("ladder/preemptions");
+    feed_.city.offload_horizontal = reg.counter("ladder/offload_horizontal");
+    feed_.city.offload_vertical = reg.counter("ladder/offload_vertical");
+    feed_.city.edge_delays = reg.counter("ladder/edge_delays");
     feed_.completed = reg.counter("requests/completed");
     feed_.deadline_missed = reg.counter("requests/deadline_missed");
     feed_.rejected = reg.counter("requests/rejected");
@@ -59,12 +63,11 @@ Df3Platform::Df3Platform(PlatformConfig config)
     // Decision-plane counters: one per seam plus one per configured ladder
     // rung (duplicate rung names intern to the same instrument and sum).
     feed_.routing_picks = reg.counter("policy/routing_picks");
-    feed_.placement_picks = reg.counter("policy/placement_picks");
-    feed_.peer_picks = reg.counter("policy/peer_picks");
+    feed_.city.placement_picks = reg.counter("policy/placement_picks");
+    feed_.city.peer_picks = reg.counter("policy/peer_picks");
     for (const std::string& rung : config_.cluster.edge_peak_ladder) {
-      feed_.rung_ids.push_back(reg.counter("policy/rung/" + rung));
+      feed_.city.rung.push_back(reg.counter("policy/rung/" + rung));
     }
-    feed_.prev_rung_hits.assign(feed_.rung_ids.size(), 0);
     for (int f = 0; f < 3; ++f) {
       const std::string flow = workload::flow_name(static_cast<workload::Flow>(f));
       feed_.slo_miss_ratio.push_back(reg.gauge("slo/" + flow + "/miss_ratio"));
@@ -98,6 +101,7 @@ std::size_t Df3Platform::add_building(const BuildingConfig& cfg) {
       sim_, cfg.name, ccfg, *network_, b->gateway_node,
       [this](workload::CompletionRecord rec) { record_completion(rec); });
   if (datacenter_) b->cluster->set_datacenter(datacenter_.get());
+  if (obs_) b->cluster->bind_city_counters(&feed_.city);
 
   const util::Watts rating = cfg.server.rated_power();
   if (cfg.water_tank) {
@@ -111,13 +115,7 @@ std::size_t Df3Platform::add_building(const BuildingConfig& cfg) {
     b->tank_unit->rating = rating;
     b->tank_unit->server->set_inlet_temperature(cfg.water_tank->setpoint);
     b->room_begin = b->room_end = fleet_.size();
-    bld_target_c_.push_back(0.0);
-    bld_season_.push_back(0);
-    bld_demand_w_.push_back(0.0);
-    buildings_.push_back(std::move(b));
-    peers_dirty_ = true;
-    shards_dirty_ = true;
-    return buildings_.size() - 1;
+    return push_building(std::move(b));
   }
   // Validate the thermal/control parameters through the model constructors
   // (same exceptions as before the SoA refactor), then flatten the per-room
@@ -191,11 +189,17 @@ std::size_t Df3Platform::add_building(const BuildingConfig& cfg) {
     fleet_.indoors.push_back(0);
   }
   b->room_end = fleet_.size();
+  return push_building(std::move(b));
+}
+
+std::size_t Df3Platform::push_building(std::unique_ptr<Building> b) {
   bld_target_c_.push_back(0.0);
   bld_season_.push_back(0);
   bld_demand_w_.push_back(0.0);
-  buildings_.push_back(std::move(b));
+  bld_cores_.push_back(b->cluster->usable_cores());
+  bld_cores_epoch_.push_back(b->cluster->control_epoch());
   bld_region_.push_back(0);
+  buildings_.push_back(std::move(b));
   if (grid_) bind_building_grid(buildings_.size() - 1);
   peers_dirty_ = true;
   shards_dirty_ = true;
@@ -282,7 +286,8 @@ void Df3Platform::ensure_shards() {
   if (begin < nb) {
     shards_.push_back({begin, nb, buildings_[begin]->room_begin, buildings_[nb - 1]->room_end});
   }
-  q_total_w_.assign(fleet_.size(), 0.0);
+  fleet_.reg_requested_j.assign(fleet_.size(), 0.0);
+  fleet_.reg_weighted_err_j.assign(fleet_.size(), 0.0);
   bld_gated_.assign(nb, 0);
   // Quiet flags survive a rebuild only if the building set is unchanged
   // (rebuilds mid-run happen only when buildings were added, which resets
@@ -292,6 +297,11 @@ void Df3Platform::ensure_shards() {
     bld_quiet_epoch_.assign(nb, 0);
   }
   const std::size_t ns = shards_.size();
+  lane_q_stride_ = 0;
+  for (const auto& bd : buildings_) {
+    lane_q_stride_ = std::max(lane_q_stride_, bd->room_end - bd->room_begin);
+  }
+  lane_q_total_w_.assign(ns * lane_q_stride_, 0.0);
   shard_substeps_run_.assign(ns, 0);
   shard_substeps_skipped_.assign(ns, 0);
   // Control-lane scratch: one lane per shard (DESIGN.md §12).
@@ -477,6 +487,7 @@ Cluster* Df3Platform::route_cloud_target() {
   }
   const std::size_t pick = routing_->pick(view);
   ++routing_picks_;
+  count_obs(feed_.routing_picks);
   if (pick == policy::kRouteToDatacenter) return nullptr;
   if (pick >= buildings_.size()) {
     throw std::out_of_range("routing policy '" + std::string(routing_->name()) +
@@ -553,6 +564,12 @@ void Df3Platform::open_journey([[maybe_unused]] std::uint64_t id) {
 void Df3Platform::record_completion(const workload::CompletionRecord& rec) {
   auditor_.on_terminal(rec);
   flow_metrics_.record(rec);
+  switch (rec.outcome) {
+    case workload::Outcome::kCompleted: count_obs(feed_.completed); break;
+    case workload::Outcome::kDeadlineMissed: count_obs(feed_.deadline_missed); break;
+    case workload::Outcome::kRejected: count_obs(feed_.rejected); break;
+    case workload::Outcome::kDropped: count_obs(feed_.dropped); break;
+  }
   DF3_OBS_IF(o) {
     if (rec.outcome == workload::Outcome::kCompleted) {
       o->registry().at_histogram(feed_.response_s).add(rec.response_time());
@@ -577,7 +594,7 @@ std::vector<std::string> Df3Platform::audit_now() {
 
 fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
                                                   util::Celsius t_out, util::Celsius seasonal,
-                                                  double hour) {
+                                                  double hour, double* q_scratch) {
   const double dt = config_.tick_s;
   const util::Seconds dts{dt};
   Building& bd = *buildings_[b];
@@ -603,9 +620,10 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
   // Pass A (scalar, per room): integrate the interval that just elapsed at
   // the server's current operating point (piecewise-constant at tick
   // scale), stage the room's net heat input for the vector kernel, and
-  // stage the energy split for the serial ledger reduction. Relative to the
-  // old fused per-room loop this only hoists the temperature update out of
-  // the middle: nothing here reads temp_c, so the split is bit-free.
+  // stage the energy split and regulator mirrors for the serial ledger
+  // reduction. Relative to the old fused per-room loop this only hoists
+  // the temperature update out of the middle: nothing here reads temp_c,
+  // so the split is bit-free.
   for (std::size_t i = begin; i < end; ++i) {
     hw::DfServer& server = *fleet_.server[i];
     const bool last_season = fleet_.last_season[i] != 0;
@@ -615,13 +633,16 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
     const double emitted_w = delta_j / dt;
     const bool indoors = fleet_.dual_pipe[i] == 0 || last_season;
     const double q_heat = (indoors ? emitted_w : 0.0) + solar_w;
-    q_total_w_[i] = q_heat + fleet_.gains_w[i];
+    q_scratch[i - begin] = q_heat + fleet_.gains_w[i];
     const double wanted_j = fleet_.last_demand_w[i] * dt;
     fleet_.delta_j[i] = delta_j;
     fleet_.useful_j[i] = std::min(delta_j, wanted_j);
     fleet_.indoors[i] = indoors ? 1 : 0;
-    fleet_.regulator[i].record(dts, util::Watts{emitted_w},
-                               util::Watts{fleet_.last_demand_w[i]});
+    HeatRegulator& reg = fleet_.regulator[i];
+    reg.record(dts, util::Watts{emitted_w}, util::Watts{fleet_.last_demand_w[i]});
+    const double requested_j = reg.requested_total().value();
+    fleet_.reg_requested_j[i] = requested_j;
+    fleet_.reg_weighted_err_j[i] = reg.relative_error() * requested_j;
   }
 
   // Pass B (vector): the room-temperature update over the whole contiguous
@@ -631,14 +652,14 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
   // with decay factors / substep schedules precomputed at add_building.
   if (const std::size_t n = end - begin; n > 0) {
     if (fleet_.high_fidelity[begin] == 0) {
-      fleet::step_rooms_1r1c(n, t_out.value(), q_total_w_.data() + begin,
+      fleet::step_rooms_1r1c(n, t_out.value(), q_scratch,
                              fleet_.r1_resistance.data() + begin,
                              fleet_.r1_decay.data() + begin, fleet_.temp_c.data() + begin);
     } else {
       // A gated (quiescent) district may stop substepping at a bitwise
       // fixed point — provably identical to running every substep.
       sub = fleet::step_rooms_2r2c(
-          n, t_out.value(), q_total_w_.data() + begin, fleet_.r2_r_ae.data() + begin,
+          n, t_out.value(), q_scratch, fleet_.r2_r_ae.data() + begin,
           fleet_.r2_r_eo.data() + begin, fleet_.r2_c_air.data() + begin,
           fleet_.r2_c_env.data() + begin, fleet_.r2_max_step[begin], fleet_.r2_h_last[begin],
           fleet_.r2_n_full[begin], /*allow_early_exit=*/gated, fleet_.temp_c.data() + begin,
@@ -771,20 +792,27 @@ void Df3Platform::control_building_math(std::size_t b, double t_out_c,
   }
   // Speed sync: a control-quiescent cluster (nothing queued, nothing
   // running) has an engine-free sync_workers() and finishes it here inside
-  // the lane; the rest defer to the boundary drain, where event re-arms
-  // and queue pumps replay serially in building-major order.
+  // the lane, then counts its cores while the servers are still in this
+  // core's cache; the rest defer both to the boundary drain, where event
+  // re-arms and queue pumps replay serially in building-major order.
   if (bd.cluster->control_quiescent()) {
     bd.cluster->sync_workers();
+    note_building_cores(b);
     bld_sync_deferred_[b] = 0;
   } else {
     bld_sync_deferred_[b] = 1;
   }
 }
 
+void Df3Platform::note_building_cores(std::size_t b) {
+  const Cluster& c = *buildings_[b]->cluster;
+  bld_cores_[b] = c.usable_cores();
+  bld_cores_epoch_[b] = c.control_epoch();
+}
+
 void Df3Platform::control_building_reduce(std::size_t b,
                                           metrics::EnergyLedger::Accumulator& energy,
-                                          double& city_demand_w, double& city_cores,
-                                          double& temp_sum, std::size_t& room_count) {
+                                          TickSums& sums) {
   Building& bd = *buildings_[b];
   if (bld_gated_[b] != 0) {
     // Gated drain half: the ledger split (servers draw standby power even
@@ -798,8 +826,10 @@ void Df3Platform::control_building_reduce(std::size_t b,
       energy.add_it(delta);
       energy.add_overhead(delta * kDfOverheadFraction);
       energy.add_waste_heat(delta);
-      temp_sum += fleet_.temp_c[i];
-      ++room_count;
+      sums.temp_sum += fleet_.temp_c[i];
+      ++sums.room_count;
+      sums.reg_requested_j += fleet_.reg_requested_j[i];
+      sums.reg_weighted_err_j += fleet_.reg_weighted_err_j[i];
     }
   } else {
     for (std::size_t i = bd.room_begin; i < bd.room_end; ++i) {
@@ -816,9 +846,11 @@ void Df3Platform::control_building_reduce(std::size_t b,
       // last_demand_w was written by the lane stage this tick, so this is
       // the same value (and the same accumulation order) the fused sweep
       // added.
-      city_demand_w += fleet_.last_demand_w[i];
-      temp_sum += fleet_.temp_c[i];
-      ++room_count;
+      sums.city_demand_w += fleet_.last_demand_w[i];
+      sums.temp_sum += fleet_.temp_c[i];
+      ++sums.room_count;
+      sums.reg_requested_j += fleet_.reg_requested_j[i];
+      sums.reg_weighted_err_j += fleet_.reg_weighted_err_j[i];
     }
     if (bd.tank_unit) {
       TankUnit& tu = *bd.tank_unit;
@@ -828,16 +860,20 @@ void Df3Platform::control_building_reduce(std::size_t b,
       const util::Joules useful{tu.scratch_useful_j};
       energy.add_useful_heat(useful);
       energy.add_waste_heat(delta - useful);
-      city_demand_w += tu.last_demand.value();
+      sums.city_demand_w += tu.last_demand.value();
     }
   }
   // Deferred speed sync: the event-calendar half of the control loop
   // (settle + re-arm completions, queue pumps, peer hand-offs) happens
   // here, in the same building-major sequence the fused serial sweep
   // produced — the deterministic merge point of every lane's outbound
-  // effects.
-  if (bld_sync_deferred_[b] != 0) bd.cluster->sync_workers();
-  city_cores += bd.cluster->usable_cores();
+  // effects. The core count sums in building order either way: the values
+  // are integers, so the double chain is the one the live walk added.
+  if (bld_sync_deferred_[b] != 0) {
+    bd.cluster->sync_workers();
+    note_building_cores(b);
+  }
+  sums.city_cores += bld_cores_[b];
 }
 
 void Df3Platform::tick(sim::Time t) {
@@ -861,10 +897,7 @@ void Df3Platform::tick(sim::Time t) {
   // floating-point order-sensitive) whatever the thread count; the ledger
   // accumulator keeps the four energy slots in registers for the whole
   // tick with the identical per-room add sequence.
-  double city_demand_w = 0.0;
-  double city_cores = 0.0;
-  double temp_sum = 0.0;
-  std::size_t room_count = 0;
+  TickSums sums;
   metrics::EnergyLedger::Accumulator energy(df_energy_);
 
   // Each building passes through three stages (DESIGN.md §12):
@@ -901,7 +934,9 @@ void Df3Platform::tick(sim::Time t) {
     phase_mark_s = end_s;
   };
 #else
-  constexpr obs::Observability* sink = nullptr;
+  // Not constexpr: a constant null makes the dead sink->... calls below
+  // constant null dereferences, which GCC 12 rejects under -Wnonnull.
+  obs::Observability* sink = nullptr;
   constexpr bool phase_scopes = false;
   const auto close_phase = [](obs::Phase) {};
 #endif
@@ -939,14 +974,13 @@ void Df3Platform::tick(sim::Time t) {
     const Shard& sh = shards_[s];
     std::uint64_t run = 0;
     std::uint64_t skipped = 0;
+    double* const q_scratch = lane_q_total_w_.data() + s * lane_q_stride_;
     for (std::size_t b = sh.bld_begin; b < sh.bld_end; ++b) {
-      const fleet::Substeps2R2C sub = physics_building(b, t, t_out, seasonal, hour);
+      const fleet::Substeps2R2C sub = physics_building(b, t, t_out, seasonal, hour, q_scratch);
       run += sub.full_steps_run;
       skipped += sub.full_steps_skipped;
       control_building_math(b, t_out.value(), lane_findings_[s]);
-      if (fused_drain) {
-        control_building_reduce(b, energy, city_demand_w, city_cores, temp_sum, room_count);
-      }
+      if (fused_drain) control_building_reduce(b, energy, sums);
     }
     shard_substeps_run_[s] = run;
     shard_substeps_skipped_[s] = skipped;
@@ -974,9 +1008,7 @@ void Df3Platform::tick(sim::Time t) {
                         lane_span_begin_s_[s], lane_span_end_s_[s]);
       }
     }
-    for (std::size_t b = 0; b < nb; ++b) {
-      control_building_reduce(b, energy, city_demand_w, city_cores, temp_sum, room_count);
-    }
+    for (std::size_t b = 0; b < nb; ++b) control_building_reduce(b, energy, sums);
     if (phase_scopes) close_phase(obs::Phase::kControlPhase);
   }
 
@@ -993,6 +1025,8 @@ void Df3Platform::tick(sim::Time t) {
     for (const auto& b : buildings_) b->cluster->disarm_lane_snapshot();
   }
   energy.commit();
+  reg_requested_j_ = sums.reg_requested_j;
+  reg_weighted_err_j_ = sums.reg_weighted_err_j;
 
   // Grid attribution (DESIGN.md §15), after the ledger commit so it reads
   // the same per-room deltas the reduction consumed. Each building's
@@ -1039,18 +1073,20 @@ void Df3Platform::tick(sim::Time t) {
   gated_district_ticks_ += tick_gated_districts_;
 
   const double room_mean =
-      room_count > 0 ? temp_sum / static_cast<double>(room_count) : 0.0;
+      sums.room_count > 0 ? sums.temp_sum / static_cast<double>(sums.room_count) : 0.0;
   temp_series_.add(t, room_mean);
-  capacity_series_.add(t, city_cores);
-  demand_series_.add(t, city_demand_w);
+  capacity_series_.add(t, sums.city_cores);
+  demand_series_.add(t, sums.city_demand_w);
   outdoor_series_.add(t, t_out.value());
-  if (sink != nullptr) feed_metrics(t, room_mean, city_cores, city_demand_w, t_out.value());
+  if (sink != nullptr) {
+    feed_metrics(t, room_mean, sums.city_cores, sums.city_demand_w, t_out.value());
+  }
 
   // Heavyweight structural sweep (EDF lane order, busy-core consistency,
   // per-cluster conservation) once per physics tick at kFull only; the
   // default level keeps auditing to O(1) counter deltas per request.
   if (auditor_.level() == metrics::AuditLevel::kFull) {
-    std::vector<std::string> findings;
+    std::vector<std::string> findings = verify_tick_caches();
     for (const auto& b : buildings_) b->cluster->audit(findings);
     for (auto& f : findings) auditor_.report(std::move(f));
     if (phase_scopes) {
@@ -1083,43 +1119,6 @@ void Df3Platform::feed_metrics(sim::Time t, double room_mean_c, double city_core
     reg.at_gauge(feed_.grid_price[r]).set(grid_now_[r].price_eur_per_kwh);
     reg.at_gauge(feed_.grid_curtailed[r]).set(grid_->curtailed(r) ? 1.0 : 0.0);
   }
-
-  std::uint64_t preempt = 0, horizontal = 0, vertical = 0, delays = 0;
-  std::uint64_t placement = 0, peer = 0;
-  for (const auto& b : buildings_) {
-    const ClusterStats& s = b->cluster->stats();
-    preempt += s.preemptions;
-    horizontal += s.offloaded_horizontal_out;
-    vertical += s.offloaded_vertical;
-    delays += s.edge_delays;
-    const Cluster::PolicyCounters& pc = b->cluster->policy_counters();
-    placement += pc.placement_picks;
-    peer += pc.peer_picks;
-  }
-  const auto bump = [&reg](obs::MetricId id, std::uint64_t& prev, std::uint64_t current) {
-    reg.at_counter(id).add(current - prev);
-    prev = current;
-  };
-  bump(feed_.preemptions, feed_.prev_preemptions, preempt);
-  bump(feed_.offload_horizontal, feed_.prev_horizontal, horizontal);
-  bump(feed_.offload_vertical, feed_.prev_vertical, vertical);
-  bump(feed_.edge_delays, feed_.prev_delays, delays);
-  bump(feed_.routing_picks, feed_.prev_routing_picks, routing_picks_);
-  bump(feed_.placement_picks, feed_.prev_placement_picks, placement);
-  bump(feed_.peer_picks, feed_.prev_peer_picks, peer);
-  for (std::size_t i = 0; i < feed_.rung_ids.size(); ++i) {
-    std::uint64_t hits = 0;
-    for (const auto& b : buildings_) {
-      const auto& rh = b->cluster->policy_counters().rung_hits;
-      if (i < rh.size()) hits += rh[i];
-    }
-    bump(feed_.rung_ids[i], feed_.prev_rung_hits[i], hits);
-  }
-  const metrics::FlowMetrics::Slice& all = flow_metrics_.overall();
-  bump(feed_.completed, feed_.prev_completed, all.completed);
-  bump(feed_.deadline_missed, feed_.prev_missed, all.deadline_missed);
-  bump(feed_.rejected, feed_.prev_rejected, all.rejected);
-  bump(feed_.dropped, feed_.prev_dropped, all.dropped);
 
   // Staleness-bounded SLO gauges: a flow that has gone quiet for a full
   // window reports zero rather than a frozen last value.
@@ -1155,7 +1154,21 @@ void Df3Platform::run(util::Seconds duration) {
 }
 
 double Df3Platform::regulator_relative_error() const {
-  double err = 0.0, req = 0.0;
+  return reg_requested_j_ <= 0.0 ? 0.0 : reg_weighted_err_j_ / reg_requested_j_;
+}
+
+std::vector<std::string> Df3Platform::verify_tick_caches() const {
+  std::vector<std::string> out;
+  for (std::size_t b = 0; b < buildings_.size(); ++b) {
+    const Cluster& c = *buildings_[b]->cluster;
+    if (c.control_epoch() == bld_cores_epoch_[b] && c.usable_cores() != bld_cores_[b]) {
+      out.push_back("tick cache: building " + buildings_[b]->cfg.name + " drained " +
+                    std::to_string(bld_cores_[b]) + " usable cores, cluster has " +
+                    std::to_string(c.usable_cores()));
+    }
+  }
+  // The fresh walk: same building-major room order as the drain's fold.
+  double req = 0.0, err = 0.0;
   for (const auto& b : buildings_) {
     for (std::size_t i = b->room_begin; i < b->room_end; ++i) {
       const HeatRegulator& reg = fleet_.regulator[i];
@@ -1163,7 +1176,48 @@ double Df3Platform::regulator_relative_error() const {
       err += reg.relative_error() * reg.requested_total().value();
     }
   }
-  return req <= 0.0 ? 0.0 : err / req;
+  if (std::bit_cast<std::uint64_t>(req) != std::bit_cast<std::uint64_t>(reg_requested_j_) ||
+      std::bit_cast<std::uint64_t>(err) != std::bit_cast<std::uint64_t>(reg_weighted_err_j_)) {
+    std::ostringstream os;
+    os.precision(17);
+    os << "tick cache: folded regulator sums (" << reg_requested_j_ << ", "
+       << reg_weighted_err_j_ << ") differ from a fresh walk (" << req << ", " << err << ")";
+    out.push_back(os.str());
+  }
+  if (!obs_) return out;
+  obs::MetricRegistry& reg = obs_->registry();
+  // Instrument index -> the sum of every source feeding it. Repeated rung
+  // names share an id, so their hits land in one entry.
+  std::map<std::uint32_t, std::uint64_t> expect;
+  const auto add = [&expect](obs::MetricId id, std::uint64_t n) { expect[id.index] += n; };
+  const CityCounters& city = feed_.city;
+  for (const auto& b : buildings_) {
+    const ClusterStats& s = b->cluster->stats();
+    const Cluster::PolicyCounters& pc = b->cluster->policy_counters();
+    add(city.preemptions, s.preemptions);
+    add(city.offload_horizontal, s.offloaded_horizontal_out);
+    add(city.offload_vertical, s.offloaded_vertical);
+    add(city.edge_delays, s.edge_delays);
+    add(city.placement_picks, pc.placement_picks);
+    add(city.peer_picks, pc.peer_picks);
+    for (std::size_t i = 0; i < city.rung.size(); ++i) {
+      add(city.rung[i], i < pc.rung_hits.size() ? pc.rung_hits[i] : 0);
+    }
+  }
+  const metrics::FlowMetrics::Slice& all = flow_metrics_.overall();
+  add(feed_.routing_picks, routing_picks_);
+  add(feed_.completed, all.completed);
+  add(feed_.deadline_missed, all.deadline_missed);
+  add(feed_.rejected, all.rejected);
+  add(feed_.dropped, all.dropped);
+  for (const auto& [index, sum] : expect) {
+    const std::uint64_t have = reg.at_counter(obs::MetricId{index}).value();
+    if (have != sum) {
+      out.push_back("tick cache: counter " + reg.instruments()[index].name + " reads " +
+                    std::to_string(have) + ", its sources sum to " + std::to_string(sum));
+    }
+  }
+  return out;
 }
 
 std::uint64_t Df3Platform::total_preemptions() const {

@@ -320,6 +320,38 @@ TEST(GridPlatform, InstallValidatesAndBindsRegions) {
   EXPECT_THROW(bad.add_building(b), std::invalid_argument);
 }
 
+TEST(GridPlatform, BoilerPlantDrawsFromItsRegion) {
+  // A digital-boiler plant has no rooms but still draws grid energy: it
+  // must take its own region slot, and buildings added after it must
+  // keep theirs.
+  core::PlatformConfig cfg;
+  cfg.threads = 1;
+  core::Df3Platform city(cfg);
+  core::BuildingConfig rooms;
+  rooms.name = "flats";
+  rooms.rooms = 1;
+  rooms.grid_region = "green";
+  city.add_building(rooms);
+  core::BuildingConfig boiler;
+  boiler.name = "boiler";
+  boiler.server = df3::hw::stimergy_boiler_spec();
+  df3::thermal::WaterTankParams tank;
+  tank.setpoint = u::celsius(58.0);
+  boiler.water_tank = tank;
+  boiler.grid_region = "dirty";
+  city.add_building(boiler);
+  rooms.name = "offices";
+  city.add_building(rooms);
+  city.install_grid(grid::two_region_demo_plane());
+  EXPECT_EQ(city.building_region(0), 0u);
+  EXPECT_EQ(city.building_region(1), 1u);
+  EXPECT_EQ(city.building_region(2), 0u);
+  city.run(u::hours(2.0));
+  // The dirty region holds only the boiler, so its energy is the boiler's.
+  EXPECT_GT(city.grid_accounts()[1].energy_j, 0.0);
+  EXPECT_GT(city.grid_accounts()[0].energy_j, 0.0);
+}
+
 TEST(GridPlatform, TickSamplesSignalsPerRegion) {
   auto city = two_region_city(1, "df-first");
   city->run(u::hours(13.0));  // past the midday breakpoint

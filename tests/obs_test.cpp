@@ -549,6 +549,117 @@ std::string run_churn_city_and_export(std::uint64_t seed) {
   return os.str();
 }
 
+// --- city counters ------------------------------------------------------------
+
+/// The registry's ladder and pick counters are bumped by the clusters where
+/// the event happens (no per-tick re-sum). Every snapshot row must still
+/// equal the sum of the per-cluster counters at that tick — including a
+/// repeated rung name (one instrument, summed) and a pinned request
+/// injected between two run() calls, when no obs scope is installed.
+TEST(CityCounters, SnapshotRowsEqualPerClusterSumsEveryTick) {
+#ifndef DF3_OBS_DISABLED
+  core::PlatformConfig cfg;
+  cfg.seed = 11;
+  cfg.threads = 1;
+  cfg.obs.level = obs::TraceLevel::kCounters;
+  cfg.audit = df3::metrics::AuditLevel::kFull;
+  cfg.cluster.edge_peak_ladder = {"preempt", "horizontal", "vertical", "delay", "preempt"};
+  cfg.cluster.cloud_offload_backlog_gc_per_core = 50.0;
+  core::Df3Platform city(cfg);
+  for (int i = 0; i < 3; ++i) {
+    core::BuildingConfig b;
+    b.name = "b" + std::to_string(i);
+    b.rooms = 2;
+    city.add_building(b);
+  }
+  city.add_edge_source(0, soak_edge_factory(false), 0.6);
+  city.add_edge_source(0, soak_edge_factory(true), 0.2, /*direct=*/true);
+  city.add_edge_source(1, soak_edge_factory(false), 0.5);
+  city.add_cloud_source(soak_cloud_factory(), 0.08);
+  core::WorkerChurnConfig churn_cfg;
+  churn_cfg.workers = {0, 1};
+  churn_cfg.mean_up_s = 400.0;
+  churn_cfg.mean_down_s = 80.0;
+  core::WorkerChurn churn(city.simulation(), "churn-b0", city.cluster(0), churn_cfg,
+                          u::RngStream(11, "counters/churn-b0"));
+  churn.start();
+
+  const obs::MetricRegistry& reg = city.observability()->registry();
+  const auto row = [&reg](const std::string& name) -> const obs::MetricRegistry::Instrument& {
+    for (const auto& ins : reg.instruments()) {
+      if (ins.name == name) return ins;
+    }
+    ADD_FAILURE() << "no instrument " << name;
+    return reg.instruments().front();
+  };
+  std::size_t rung_instruments = 0;
+  for (const auto& ins : reg.instruments()) {
+    if (ins.name.rfind("policy/rung/", 0) == 0) ++rung_instruments;
+  }
+  EXPECT_EQ(rung_instruments, 4u) << "a repeated rung name must intern to one instrument";
+
+  std::map<std::string, std::uint64_t> totals;
+  bool injected = false;
+  for (int tick = 0; tick < 120; ++tick) {
+    if (tick == 60) {
+      // Between run() calls no Install scope is active. Pin requests to
+      // one worker until it is full: the next one runs the ladder (and
+      // bumps its counters) right here.
+      const auto ladder_hits = [&city] {
+        std::uint64_t n = 0;
+        for (const std::uint64_t h : city.cluster(1).policy_counters().rung_hits) n += h;
+        return n;
+      };
+      const std::uint64_t before = ladder_hits();
+      for (std::uint64_t k = 0; k < 64 && ladder_hits() == before; ++k) {
+        wl::Request r;
+        r.id = (1ull << 60) + k;
+        r.app = "pinned";
+        r.work_gigacycles = 50.0;
+        city.inject_pinned(1, 0, r);
+      }
+      injected = ladder_hits() > before;
+    }
+    city.run(u::seconds(cfg.tick_s));
+    std::map<std::string, std::uint64_t> want;
+    for (std::size_t b = 0; b < city.building_count(); ++b) {
+      const core::Cluster& c = city.cluster(b);
+      want["ladder/preemptions"] += c.stats().preemptions;
+      want["ladder/offload_horizontal"] += c.stats().offloaded_horizontal_out;
+      want["ladder/offload_vertical"] += c.stats().offloaded_vertical;
+      want["ladder/edge_delays"] += c.stats().edge_delays;
+      want["policy/placement_picks"] += c.policy_counters().placement_picks;
+      want["policy/peer_picks"] += c.policy_counters().peer_picks;
+      const auto& hits = c.policy_counters().rung_hits;
+      for (std::size_t i = 0; i < hits.size(); ++i) {
+        want["policy/rung/" + cfg.cluster.edge_peak_ladder[i]] += hits[i];
+      }
+    }
+    want["policy/routing_picks"] = city.routing_decisions();
+    for (const auto& [name, sum] : want) {
+      const auto& ins = row(name);
+      ASSERT_EQ(ins.series.size(), static_cast<std::size_t>(tick + 1));
+      EXPECT_EQ(ins.series.back().value, static_cast<double>(sum))
+          << name << " at tick " << tick;
+    }
+    totals = want;
+  }
+  churn.stop();
+  EXPECT_TRUE(injected) << "no ladder counter moved between runs";
+  EXPECT_TRUE(city.verify_tick_caches().empty());
+  EXPECT_EQ(city.auditor().violation_count(), 0u);
+  // The run exercised the counters this test is about.
+  for (const char* name : {"ladder/preemptions", "ladder/offload_horizontal",
+                           "ladder/offload_vertical", "ladder/edge_delays",
+                           "policy/placement_picks", "policy/peer_picks",
+                           "policy/rung/preempt", "policy/routing_picks"}) {
+    EXPECT_GT(totals[name], 0u) << name;
+  }
+#else
+  GTEST_SKIP() << "observability compiled out";
+#endif
+}
+
 TEST(ChurnTrace, LadderRungsOffloadsAndFaultsAllAppearInValidTrace) {
   const std::string text = run_churn_city_and_export(1);
   if (text.empty()) GTEST_SKIP() << "observability compiled out";

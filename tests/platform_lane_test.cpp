@@ -260,6 +260,86 @@ TEST(LaneTrace, TickShapesEmitThePhaseSpanContract) {
   }
 }
 
+TEST(TickCaches, MatchTheUncachedPathsUnderChurnAndFlaps) {
+  // The drain sums per-building core counts the lanes (or, for deferred
+  // clusters, the drain itself) recorded, folds regulator mirrors written
+  // by physics pass A, and the registry counters are bumped at the event
+  // sites. verify_tick_caches() re-derives each from the uncached path.
+  // A 4-building city with traffic (so some clusters defer their sync to
+  // the drain), worker churn and link flaps, in winter (every regulator
+  // stepped) and across the spring end of the heating season (regulators
+  // that tracked demand, then activity-gated), checked after every 10-tick
+  // chunk in both execution shapes; the kFull sweep also runs the oracle
+  // every tick and reports into the auditor.
+  const auto season_end = [] {
+    const core::Df3Platform probe(lane_config(0, 1, 0));
+    const double cutoff_c = core::BuildingConfig{}.comfort.heating_cutoff_outdoor.value();
+    double t = thermal::start_of_month(3);
+    while (probe.weather().seasonal_component(t).value() < cutoff_c) t += 3600.0;
+    return t;
+  };
+  const double starts[] = {thermal::start_of_month(0), season_end() - 2 * 3600.0};
+  Digest digests[2];
+  for (const double start : starts) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("start=" + std::to_string(start) + " threads=" + std::to_string(threads));
+      core::PlatformConfig pc = lane_config(0, threads, 0);
+      pc.start_time = start;
+      pc.shard_rooms = 3;  // one shard (lane) per building
+      pc.obs.level = obs::TraceLevel::kCounters;
+      pc.cluster.edge_peak_ladder = {"preempt", "horizontal", "vertical", "delay"};
+      core::Df3Platform city(pc);
+      for (int i = 0; i < 4; ++i) {
+        core::BuildingConfig b;
+        b.name = "b" + std::to_string(i);
+        b.rooms = 3 + i;
+        b.high_fidelity_rooms = (i == 2);
+        city.add_building(b);
+      }
+      city.add_edge_source(0, workload::alarm_detection_factory(), 0.5);
+      city.add_edge_source(2, workload::alarm_detection_factory(), 0.2);
+      city.add_cloud_source(workload::risk_simulation_factory(), 1.0 / 300.0);
+      ASSERT_EQ(city.shard_count(), 4u);
+
+      core::WorkerChurnConfig churn;
+      churn.workers = {0, 1, 2};
+      churn.mean_up_s = 900.0;
+      churn.mean_down_s = 300.0;
+      core::WorkerChurn worker_churn(city.simulation(), "churn-b0", city.cluster(0), churn,
+                                     util::RngStream(5, "caches/churn-b0"));
+      net::LinkFlapConfig flap;
+      // Uplinks of b0..b2 (each building adds device/wifi/uplink, then
+      // gw->server per room plus device/wifi->server for room 0) and one
+      // b0-local server link.
+      flap.links = {2, 3, 10, 19};
+      flap.mean_up_s = 1800.0;
+      flap.mean_down_s = 300.0;
+      net::LinkFlapper flapper(city.simulation(), "flap", city.network(), flap,
+                               util::RngStream(5, "caches/flap"));
+      worker_churn.start();
+      flapper.start();
+      for (int chunk = 0; chunk < 36; ++chunk) {
+        city.run(util::seconds(10 * pc.tick_s));
+        const std::vector<std::string> findings = city.verify_tick_caches();
+        ASSERT_TRUE(findings.empty()) << "chunk " << chunk << ": " << findings.front();
+      }
+      flapper.stop();
+      worker_churn.stop();
+      EXPECT_GT(worker_churn.outages(), 0u);
+      EXPECT_EQ(city.auditor().violation_count(), 0u);
+      EXPECT_GT(city.regulator_relative_error(), 0.0);
+      if (start != starts[0]) {
+        EXPECT_GT(city.gated_district_ticks(), 0u);
+      }
+      digests[threads > 1 ? 1 : 0] = digest_of(city);
+      if (threads > 1) {
+        EXPECT_GT(city.lane_parallel_ticks(), 0u);
+        EXPECT_TRUE(digests[0] == digests[1]);
+      }
+    }
+  }
+}
+
 TEST(LaneLookahead, MinPeerLatencyCachesAndInvalidates) {
   sim::Simulation sim;
   net::Network net(sim, "t-net");
