@@ -60,16 +60,16 @@ Result run(bool segmented) {
   util::PercentileSampler bulk_done;
   for (const auto w : workers) {
     netw.send(net::Message{gw, w, util::mebibytes(250.0), 1},
-              [&bulk_done](sim::Time t) { bulk_done.add(t); });
+              [&bulk_done, &sim] { bulk_done.add(sim.now()); });
   }
   // Edge probes: 4 KiB request to a worker every 100 ms during the window.
   util::PercentileSampler edge_rtt;
   for (int i = 0; i < 100; ++i) {
     const double t0 = 0.05 + i * 0.1;
-    sim.schedule_at(t0, [&netw, &edge_rtt, &workers, dev, t0, i] {
+    sim.schedule_at(t0, [&sim, &netw, &edge_rtt, &workers, dev, t0, i] {
       netw.send(net::Message{dev, workers[static_cast<std::size_t>(i) % workers.size()],
                              util::kibibytes(4.0), 2},
-                [&edge_rtt, t0](sim::Time t) { edge_rtt.add(t - t0); });
+                [&sim, &edge_rtt, t0] { edge_rtt.add(sim.now() - t0); });
     });
   }
   sim.run();

@@ -91,7 +91,7 @@ int main() {
       city->simulation().schedule_at(r.arrival, [&cl, r, wifi, &city] {
         city->network().send(
             net::Message{wifi, cl.gateway_node(), r.input_size, r.id},
-            [&cl, r, wifi](sim::Time) mutable { cl.submit(r, wifi); });
+            [&cl, r, wifi]() mutable { cl.submit(r, wifi); });
       });
     }
     city->run(util::Seconds{horizon + 3600.0});

@@ -35,7 +35,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "df3/core/scheduler.hpp"
@@ -104,8 +103,8 @@ struct ClusterConfig {
 ///     intake() == terminal() + in_flight
 ///
 /// The identity holds *instantaneously* at every simulation instant, not
-/// just at quiescence: intake counters, terminal counters and the pending
-/// map are always updated within the same event.
+/// just at quiescence: intake counters, terminal counters and the in-flight
+/// list are always updated within the same event.
 struct ClusterStats {
   std::uint64_t received_edge = 0;
   std::uint64_t received_cloud = 0;
@@ -159,8 +158,6 @@ struct CityCounters {
 
 class Cluster : public sim::Entity, private policy::LadderMechanism {
  public:
-  using CompletionSink = std::function<void(workload::CompletionRecord)>;
-
   /// Per-seam decision counters (obs feeds these into the metric registry).
   struct PolicyCounters {
     std::uint64_t placement_picks = 0;  ///< placement-policy selections
@@ -177,9 +174,10 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
 
   /// `gateway_node` must exist in `network`. The sink receives every
   /// completion this cluster is responsible for (including ones it
-  /// offloaded elsewhere).
+  /// offloaded elsewhere). Request states come from `requests`, which must
+  /// outlive the cluster; nullptr gives the cluster a pool of its own.
   Cluster(sim::Simulation& sim, std::string name, ClusterConfig config, net::Network& network,
-          net::NodeId gateway_node, CompletionSink sink);
+          net::NodeId gateway_node, CompletionSink sink, RequestPool* requests = nullptr);
 
   /// Create and register a worker on `node` with the given chassis.
   /// Returns its index. Workers added first are the dedicated-edge ones
@@ -238,15 +236,21 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   /// Submit a request arriving at the gateway from `origin`. The transport
   /// from the origin to the gateway must already have happened (the
   /// platform pays it); this starts the input staging transfer.
-  void submit(workload::Request r, net::NodeId origin);
+  void submit(workload::Request r, net::NodeId origin) {
+    submit(requests_->acquire(std::move(r)), origin);
+  }
+  /// The same for a state the caller took from this cluster's pool at
+  /// intake (the platform does, so one record serves the whole request).
+  /// The cluster owns the state from here on.
+  void submit(RequestRef ref, net::NodeId origin);
 
   /// Direct edge request (paper II-C): the device talks straight to worker
   /// `widx`; no gateway staging hop. Shards prefer that worker.
-  void submit_direct(workload::Request r, net::NodeId origin, std::size_t widx);
-
-  /// Accept a request offloaded from a peer cluster. Will not offload it
-  /// again horizontally (no ping-pong).
-  void submit_offloaded(workload::Request r, net::NodeId origin, CompletionSink peer_sink);
+  void submit_direct(workload::Request r, net::NodeId origin, std::size_t widx) {
+    submit_direct(requests_->acquire(std::move(r)), origin, widx);
+  }
+  /// The same for a state taken from this cluster's pool.
+  void submit_direct(RequestRef ref, net::NodeId origin, std::size_t widx);
 
   /// Run a single request pinned to worker `widx`, reporting completion to
   /// `done` directly (no return transport, no platform sink) — the
@@ -273,15 +277,17 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   /// Queued-but-not-started work — the load signal peers and routing
   /// policies see (gigacycles, slowdown included).
   [[nodiscard]] double queued_gigacycles() const { return queue_.backlog_gigacycles(); }
-  /// Requests accepted but not yet resolved (the pending map's size) —
+  /// Requests accepted but not yet resolved (the in-flight list's size) —
   /// the `in_flight` term of the conservation identity.
-  [[nodiscard]] std::size_t in_flight() const { return pending_.size(); }
+  [[nodiscard]] std::size_t in_flight() const { return in_flight_.size(); }
 
   /// Lifecycle-auditor invariant sweep (DESIGN.md §9). Appends one
   /// human-readable line per violation: conservation identity
-  /// (intake == terminal + in_flight), EDF lane sortedness, non-negative
-  /// remaining work, and per-worker busy-core consistency. Observation
-  /// only — never mutates cluster state.
+  /// (intake == terminal + in_flight), the in-flight list's oracle (every
+  /// entry's stored slot is its position; no two entries share a request
+  /// id other than 0), EDF lane sortedness, non-negative remaining work,
+  /// and per-worker busy-core consistency. Observation only — never
+  /// mutates cluster state.
   void audit(std::vector<std::string>& out) const;
 
   /// Read-only view of the gateway queue — state-capture hook for the model
@@ -289,8 +295,8 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   [[nodiscard]] const TaskQueue& task_queue() const { return queue_; }
 
   /// One pending (in-flight) request, as exposed to state capture. The
-  /// pending map itself is keyed by pointer; consumers needing a canonical
-  /// order must sort by `id`.
+  /// in-flight list is in no useful order (swap-erase); consumers needing a
+  /// canonical order must sort by `id`.
   struct PendingView {
     std::uint64_t id = 0;
     std::size_t preferred_worker = SIZE_MAX;
@@ -301,11 +307,17 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   /// Visit every pending request (unordered — see PendingView). Read-only
   /// state-capture hook for the model checker; not a hot path.
   void for_each_pending(const std::function<void(const PendingView&)>& fn) const {
-    for (const auto& [state, p] : pending_) {
-      fn(PendingView{state->request.id, p->preferred_worker, p->served_worker, p->foreign,
-                     p->local_only});
+    for (const RequestState* s : in_flight_) {
+      fn(PendingView{s->request.id, s->preferred_worker, s->served_worker, s->foreign,
+                     s->local_only});
     }
   }
+
+  /// Test-only fault plant: when set, removing a request from the in-flight
+  /// list forgets to re-slot the entry that swap-erase moves into its
+  /// place. Exists solely so tests can prove audit() catches a stale slot;
+  /// never enable outside a test.
+  static void set_test_skip_reslot(bool plant) { test_skip_reslot_ = plant; }
 
   /// Freeze the load signals peers read through the PeerSelector view
   /// (DESIGN.md §12). While armed, select_peer() builds PeerInfo from
@@ -344,34 +356,27 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   [[nodiscard]] int dedicated_edge_workers() const { return config_.dedicated_edge_workers; }
 
  private:
-  struct Pending {
-    std::shared_ptr<RequestState> state;
-    net::NodeId origin;
-    /// Worker affinity for direct requests; SIZE_MAX = none.
-    std::size_t preferred_worker = SIZE_MAX;
-    /// Worker that actually started the request's shard(s); SIZE_MAX until
-    /// first placement. For direct requests the result ships from this
-    /// worker's node — which may differ from `preferred_worker` when the
-    /// preferred one was busy/gated and placement fell through to another.
-    std::size_t served_worker = SIZE_MAX;
-    /// True when this request arrived via horizontal offload.
-    bool foreign = false;
-    /// True for composition stages: report straight to the sink with no
-    /// return-network hop.
-    bool local_only = false;
-    CompletionSink sink;  ///< where the completion goes (peer's sink if foreign)
-  };
-
-  void stage_and_enqueue(workload::Request r, net::NodeId origin, std::size_t preferred,
-                         bool foreign, CompletionSink sink);
-  void enqueue_ready(const std::shared_ptr<Pending>& p);
+  /// Accept a request offloaded from a peer cluster. Will not offload it
+  /// again horizontally (no ping-pong).
+  void submit_offloaded(workload::Request r, net::NodeId origin, CompletionSink peer_sink);
+  void stage_and_enqueue(RequestRef ref, net::NodeId origin, bool foreign, CompletionSink sink);
+  /// Push the request's shards onto the queue and pump.
+  void enqueue_ready(RequestRef ref);
+  /// Add to / swap-erase from the in-flight list.
+  void track(RequestState& s);
+  void untrack(RequestState& s);
+  /// Move the request out of its state and give the state back.
+  [[nodiscard]] workload::Request take(RequestRef ref);
+  /// Build the terminal record, give the state back, then hand the record
+  /// to the request's sink (the cluster's own one unless foreign/pinned).
+  void finish(RequestRef ref, workload::Outcome outcome, std::string served_by);
   [[nodiscard]] double slowdown_for(const workload::Request& r) const;
   [[nodiscard]] bool worker_eligible(std::size_t widx, Priority p) const;
   [[nodiscard]] bool place(Task& t);
   bool handle_unplaceable_edge(Task t);
   void abandon_expired(Task t);
   void on_task_done(Task t);
-  void complete(const std::shared_ptr<RequestState>& state);
+  void complete(RequestRef ref);
 
   // policy::LadderMechanism — the relief levers the peak rungs pull.
   policy::RungOutcome relieve_by_preemption(Task& t) override;
@@ -394,6 +399,8 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   net::Network& network_;
   net::NodeId gateway_node_;
   CompletionSink sink_;
+  std::unique_ptr<RequestPool> own_requests_;  ///< set when no pool was given
+  RequestPool* requests_;
   std::vector<std::unique_ptr<Worker>> workers_;
   TaskQueue queue_;
   /// Federation peers in ring order (next neighbor first).
@@ -416,8 +423,10 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   // Per-pick scratch (cleared and refilled; never reallocates steady-state).
   std::vector<policy::PlacementCandidate> place_scratch_;
   std::vector<policy::PeerInfo> peer_scratch_;
-  /// Pending bookkeeping keyed by the RequestState pointer.
-  std::unordered_map<const RequestState*, std::shared_ptr<Pending>> pending_;
+  /// Requests this cluster is responsible for; each state's `slot` is its
+  /// position here.
+  std::vector<RequestState*> in_flight_;
+  static bool test_skip_reslot_;  ///< see set_test_skip_reslot
   std::uint64_t control_epoch_ = 0;
   bool pumping_ = false;
   /// Lane-snapshot of the peer-visible load signals (see arm_lane_snapshot).

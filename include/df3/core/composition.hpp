@@ -23,6 +23,8 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "df3/core/cluster.hpp"
@@ -86,6 +88,11 @@ class ServiceComposer {
 
  private:
   struct Pending;
+  /// Read-only worker access: planning and staging must not bump the
+  /// cluster's control epoch (only run_pinned does, once per stage).
+  [[nodiscard]] const Worker& worker(std::size_t widx) const {
+    return std::as_const(cluster_).worker(widx);
+  }
   void run_stage(const std::shared_ptr<Pending>& pending, net::NodeId at);
   void finish(const std::shared_ptr<Pending>& pending, net::NodeId at);
 

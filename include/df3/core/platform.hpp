@@ -479,7 +479,14 @@ class Df3Platform {
   /// Resolve building `b`'s grid_region name against the installed plane
   /// and bind its cluster to the per-tick sample slot.
   void bind_building_grid(std::size_t b);
+  /// Edge intake: take the request's state and pay the device ->
+  /// gateway (or -> worker 0, direct) transport.
   void deliver_to_cluster(workload::Request r, std::size_t b, bool direct, bool via_wifi);
+  /// Cloud intake to a chosen cluster: take the request's state and pay
+  /// the Internet -> gateway transport.
+  void deliver_cloud(Cluster& target, workload::Request r);
+  /// Terminal for a request lost on its intake transport.
+  void drop_in_transport(RequestRef ref, const char* where);
   /// Single funnel for terminal completion records: auditor first, then the
   /// flow metrics. Every sink and drop callback the platform installs must
   /// come through here so no terminal can bypass conservation accounting.
@@ -497,6 +504,9 @@ class Df3Platform {
 
   PlatformConfig config_;
   sim::Simulation sim_;
+  /// One record per request, from intake to terminal, shared by every
+  /// cluster (declared before them, so it outlives them).
+  RequestPool requests_;
   thermal::WeatherModel weather_;
   std::unique_ptr<net::Network> network_;
   net::NodeId internet_node_;

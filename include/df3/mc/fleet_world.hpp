@@ -37,6 +37,8 @@
 ///
 /// Once a branch has flapped, check() and finalize() also report every
 /// cached route that differs from a fresh search (coverage: route_checks).
+/// check() also runs the platform's tick-cache oracle,
+/// Df3Platform::verify_tick_caches() (coverage: tick_checks).
 ///
 /// Submissions and toggles advance no simulated time themselves, so a flap
 /// can be ordered *between* a submission and the ladder decision it
@@ -107,6 +109,7 @@ class FleetWorld final : public World {
   std::vector<std::pair<std::string, std::function<void()>>> actions_;
   std::uint64_t next_id_ = 0;
   std::uint64_t route_checks_ = 0;
+  std::uint64_t tick_checks_ = 0;
 };
 
 }  // namespace df3::mc

@@ -21,7 +21,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <span>
@@ -108,11 +107,15 @@ class Network : public sim::Entity {
   /// loosest possible lookahead, not a hazard.
   [[nodiscard]] util::Seconds min_peer_latency() const;
 
-  /// Send a message now. `on_delivery(delivered_at)` fires at arrival; if
-  /// the destination is unreachable `on_drop()` fires immediately (same
-  /// simulation instant). Accounts queuing on every traversed link.
-  void send(const Message& msg, std::function<void(sim::Time)> on_delivery,
-            std::function<void()> on_drop = nullptr);
+  /// Send a message now. `on_delivery` fires at arrival and reads the
+  /// arrival time as `now()`; a loopback message (src == dst) arrives in the
+  /// send instant. If the destination is unreachable `on_drop` (optional)
+  /// fires instead, also in the send instant. Both are engine callbacks,
+  /// handed to the calendar as they are, so a capture of up to 48 bytes
+  /// costs no heap object. Accounts queuing on every traversed link. Throws
+  /// std::invalid_argument when `on_delivery` is empty.
+  void send(const Message& msg, sim::Simulation::Callback on_delivery,
+            sim::Simulation::Callback on_drop = nullptr);
 
   [[nodiscard]] const LinkStats& stats(std::size_t link) const;
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }

@@ -15,15 +15,27 @@ namespace {
 constexpr std::uint32_t journey_flow_attr(workload::Flow f) {
   return static_cast<std::uint32_t>(f) + 1u;
 }
+
+/// kDeadlineMissed when a result lands after the request's deadline.
+workload::Outcome outcome_at(const workload::Request& r, sim::Time t) {
+  const auto deadline = r.absolute_deadline();
+  return (deadline && t > *deadline) ? workload::Outcome::kDeadlineMissed
+                                     : workload::Outcome::kCompleted;
+}
 }  // namespace
 
+bool Cluster::test_skip_reslot_ = false;
+
 Cluster::Cluster(sim::Simulation& sim, std::string name, ClusterConfig config,
-                 net::Network& network, net::NodeId gateway_node, CompletionSink sink)
+                 net::Network& network, net::NodeId gateway_node, CompletionSink sink,
+                 RequestPool* requests)
     : sim::Entity(sim, std::move(name)),
       config_(std::move(config)),
       network_(network),
       gateway_node_(gateway_node),
       sink_(std::move(sink)),
+      own_requests_(requests == nullptr ? std::make_unique<RequestPool>() : nullptr),
+      requests_(requests == nullptr ? own_requests_.get() : requests),
       queue_(config_.discipline) {
   if (!sink_) throw std::invalid_argument("Cluster: null completion sink");
   if (config_.dedicated_edge_workers < 0) {
@@ -78,7 +90,8 @@ double Cluster::slowdown_for(const workload::Request& r) const {
   return (1.0 - r.comm_fraction) + r.comm_fraction * stretch;
 }
 
-void Cluster::submit(workload::Request r, net::NodeId origin) {
+void Cluster::submit(RequestRef ref, net::NodeId origin) {
+  const workload::Request& r = ref->request;
   (workload::is_edge(r.flow) ? stats_.received_edge : stats_.received_cloud)++;
   DF3_OBS_TRACE_IF(o) {
     o->journey_instant(this, name(), obs::Phase::kArrival, now(), r.id, -1,
@@ -96,29 +109,28 @@ void Cluster::submit(workload::Request r, net::NodeId origin) {
       DF3_OBS_TRACE_IF(o) {
         o->journey_span(this, name(), obs::Phase::kOffloadVertical, now(), now(), r.id);
       }
-      datacenter_->submit(std::move(r), origin, sink_);
+      datacenter_->submit(take(ref), origin, sink_);
       return;
     }
   }
-  stage_and_enqueue(std::move(r), origin, SIZE_MAX, /*foreign=*/false, sink_);
+  stage_and_enqueue(ref, origin, /*foreign=*/false, nullptr);
 }
 
-void Cluster::submit_direct(workload::Request r, net::NodeId origin, std::size_t widx) {
-  if (widx >= workers_.size()) throw std::out_of_range("submit_direct: bad worker index");
+void Cluster::submit_direct(RequestRef ref, net::NodeId origin, std::size_t widx) {
+  if (widx >= workers_.size()) {
+    requests_->release(ref);
+    throw std::out_of_range("submit_direct: bad worker index");
+  }
   ++stats_.received_edge;
   DF3_OBS_TRACE_IF(o) {
-    o->journey_instant(this, name(), obs::Phase::kArrival, now(), r.id, -1,
-                       journey_flow_attr(r.flow));
+    o->journey_instant(this, name(), obs::Phase::kArrival, now(), ref->request.id, -1,
+                       journey_flow_attr(ref->request.flow));
   }
   // The device talked to the worker directly; input is already on it.
-  auto state = std::make_shared<RequestState>(std::move(r));
-  auto p = std::make_shared<Pending>();
-  p->state = state;
-  p->origin = origin;
-  p->preferred_worker = widx;
-  p->sink = sink_;
-  pending_.emplace(state.get(), p);
-  enqueue_ready(p);
+  ref->origin = origin;
+  ref->preferred_worker = widx;
+  track(*ref);
+  enqueue_ready(ref);
 }
 
 void Cluster::run_pinned(workload::Request r, std::size_t widx, CompletionSink done) {
@@ -136,15 +148,13 @@ void Cluster::run_pinned(workload::Request r, std::size_t widx, CompletionSink d
     o->journey_instant_if_open(this, name(), obs::Phase::kArrival, now(), r.id, -1,
                                journey_flow_attr(r.flow));
   }
-  auto state = std::make_shared<RequestState>(std::move(r));
-  auto p = std::make_shared<Pending>();
-  p->state = state;
-  p->origin = workers_[widx]->node();
-  p->preferred_worker = widx;
-  p->local_only = true;
-  p->sink = std::move(done);
-  pending_.emplace(state.get(), p);
-  enqueue_ready(p);
+  const RequestRef ref = requests_->acquire(std::move(r));
+  ref->origin = workers_[widx]->node();
+  ref->preferred_worker = widx;
+  ref->local_only = true;
+  ref->sink = std::move(done);
+  track(*ref);
+  enqueue_ready(ref);
 }
 
 void Cluster::submit_offloaded(workload::Request r, net::NodeId origin,
@@ -154,60 +164,77 @@ void Cluster::submit_offloaded(workload::Request r, net::NodeId origin,
     o->journey_instant(this, name(), obs::Phase::kArrival, now(), r.id, -1,
                        journey_flow_attr(r.flow));
   }
-  stage_and_enqueue(std::move(r), origin, SIZE_MAX, /*foreign=*/true, std::move(peer_sink));
+  stage_and_enqueue(requests_->acquire(std::move(r)), origin, /*foreign=*/true,
+                    std::move(peer_sink));
 }
 
-void Cluster::stage_and_enqueue(workload::Request r, net::NodeId origin, std::size_t preferred,
-                                bool foreign, CompletionSink sink) {
+void Cluster::stage_and_enqueue(RequestRef ref, net::NodeId origin, bool foreign,
+                                CompletionSink sink) {
+  ref->foreign = foreign;
+  ref->sink = std::move(sink);
   if (workers_.empty()) {
     ++stats_.rejected;
-    workload::CompletionRecord rec;
-    rec.request = std::move(r);
-    rec.outcome = workload::Outcome::kRejected;
-    rec.completed_at = now();
-    rec.served_by = name() + ":no-workers";
-    sink(std::move(rec));
+    finish(ref, workload::Outcome::kRejected, name() + ":no-workers");
     return;
   }
-  auto state = std::make_shared<RequestState>(std::move(r));
-  auto p = std::make_shared<Pending>();
-  p->state = state;
-  p->origin = origin;
-  p->preferred_worker = preferred;
-  p->foreign = foreign;
-  p->sink = std::move(sink);
-  pending_.emplace(state.get(), p);
+  ref->origin = origin;
+  track(*ref);
   // Stage the input from the gateway to the storage-head worker over the
   // cluster LAN; shards become schedulable on delivery.
-  const net::NodeId staging =
-      workers_[preferred == SIZE_MAX ? 0 : preferred]->node();
   network_.send(
-      net::Message{gateway_node_, staging, state->request.input_size, state->request.id},
-      [this, p, sent = now()](sim::Time at) {
+      net::Message{gateway_node_, workers_[0]->node(), ref->request.input_size,
+                   ref->request.id},
+      [this, ref, sent = now()] {
         DF3_OBS_TRACE_IF(o) {
-          o->journey_span(this, name(), obs::Phase::kStaging, sent, at, p->state->request.id);
+          o->journey_span(this, name(), obs::Phase::kStaging, sent, now(), ref->request.id);
         }
-        enqueue_ready(p);
+        enqueue_ready(ref);
       },
-      [this, p] {
+      [this, ref] {
         // Partitioned from our own workers: the request is lost.
-        pending_.erase(p->state.get());
+        untrack(*ref);
         ++stats_.dropped;
-        workload::CompletionRecord rec;
-        rec.request = p->state->request;
-        rec.outcome = workload::Outcome::kDropped;
-        rec.completed_at = now();
-        rec.served_by = name() + ":partition";
-        p->sink(std::move(rec));
+        finish(ref, workload::Outcome::kDropped, name() + ":partition");
       });
 }
 
-void Cluster::enqueue_ready(const std::shared_ptr<Pending>& p) {
-  for (Task& t : make_tasks(p->state, slowdown_for(p->state->request))) {
-    t.enqueued_at = now();
-    queue_.push(std::move(t));
+void Cluster::enqueue_ready(RequestRef ref) {
+  const workload::Request& r = ref->request;
+  if (r.tasks <= 0) throw std::invalid_argument("Cluster: request has no tasks");
+  const double slowdown = slowdown_for(r);
+  for (int i = 0; i < r.tasks; ++i) {
+    queue_.push(Task{ref, i, r.work_gigacycles, slowdown, now()});
   }
   pump();
+}
+
+void Cluster::track(RequestState& s) {
+  s.slot = static_cast<std::uint32_t>(in_flight_.size());
+  in_flight_.push_back(&s);
+}
+
+void Cluster::untrack(RequestState& s) {
+  RequestState* const moved = in_flight_.back();
+  in_flight_[s.slot] = moved;
+  if (!test_skip_reslot_) moved->slot = s.slot;
+  in_flight_.pop_back();
+  s.slot = RequestState::kNoSlot;
+}
+
+workload::Request Cluster::take(RequestRef ref) {
+  workload::Request r = std::move(ref->request);
+  requests_->release(ref);
+  return r;
+}
+
+void Cluster::finish(RequestRef ref, workload::Outcome outcome, std::string served_by) {
+  workload::CompletionRecord rec;
+  rec.outcome = outcome;
+  rec.completed_at = now();
+  rec.served_by = std::move(served_by);
+  const CompletionSink sink = std::move(ref->sink);
+  rec.request = take(ref);
+  (sink ? sink : sink_)(std::move(rec));
 }
 
 bool Cluster::worker_eligible(std::size_t widx, Priority p) const {
@@ -217,12 +244,12 @@ bool Cluster::worker_eligible(std::size_t widx, Priority p) const {
 
 bool Cluster::place(Task& t) {
   const Priority prio = t.priority();
+  RequestState& s = *t.request;
   // Honor direct-request affinity first.
-  const auto it = pending_.find(t.request.get());
-  if (it != pending_.end() && it->second->preferred_worker != SIZE_MAX) {
-    const std::size_t w = it->second->preferred_worker;
+  if (s.preferred_worker != SIZE_MAX) {
+    const std::size_t w = s.preferred_worker;
     if (w < workers_.size() && workers_[w]->available() && workers_[w]->try_start(t)) {
-      it->second->served_worker = w;
+      s.served_worker = w;
       return true;
     }
     // Pinned (local_only) stages are an execution contract, not a
@@ -231,7 +258,7 @@ bool Cluster::place(Task& t) {
     // the shared scan would silently run the stage on a different chassis
     // — found by the model checker as a churn-during-composition
     // interleaving (DESIGN.md §13). The stage waits for its worker instead.
-    if (it->second->local_only) return false;
+    if (s.local_only) return false;
   }
   // Edge shards draw candidates from the dedicated pool up; cloud shards
   // only from the shared pool. Candidates are offered to the placement
@@ -255,7 +282,7 @@ bool Cluster::place(Task& t) {
     }
     const std::size_t w = place_scratch_[pos].worker;
     if (workers_[w]->try_start(t)) {
-      if (it != pending_.end()) it->second->served_worker = w;
+      s.served_worker = w;
       return true;
     }
     place_scratch_.erase(place_scratch_.begin() + static_cast<std::ptrdiff_t>(pos));
@@ -301,10 +328,9 @@ policy::RungOutcome Cluster::relieve_by_preemption(Task& t) {
   // A pinned stage may only take a core on its own worker: preempting a
   // victim elsewhere would start the stage on a chassis the composer never
   // selected (same contract as place()).
-  const auto pin = pending_.find(t.request.get());
-  const bool pinned = pin != pending_.end() && pin->second->local_only;
+  const RequestState& s = *t.request;
   for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
-    if (pinned && wi != pin->second->preferred_worker) continue;
+    if (s.local_only && wi != s.preferred_worker) continue;
     Worker& w = *workers_[wi];
     if (w.running_below(Priority::kEdge) == 0) continue;
     auto victim = w.preempt_one(Priority::kEdge);
@@ -318,8 +344,7 @@ policy::RungOutcome Cluster::relieve_by_preemption(Task& t) {
     victim->enqueued_at = now();
     queue_.push_front(std::move(*victim));
     if (w.try_start(t)) {
-      const auto pit = pending_.find(t.request.get());
-      if (pit != pending_.end()) pit->second->served_worker = wi;
+      t.request->served_worker = wi;
       return policy::RungOutcome::kResolved;
     }
     // Freed core vanished (thermal gating race): wait instead.
@@ -330,22 +355,18 @@ policy::RungOutcome Cluster::relieve_by_preemption(Task& t) {
 }
 
 policy::RungOutcome Cluster::relieve_by_horizontal(Task& t) {
-  const auto it = pending_.find(t.request.get());
+  RequestState& s = *t.request;
   // local_only: a pinned composition stage must not leave its worker, let
   // alone the cluster — the composer owns its transfers and expects the
   // stage to run where it staged the input. The model checker flushed this
   // as a depth-1 interleaving (pinned stage arriving at a saturated
   // cluster was silently shipped to a peer, DESIGN.md §13).
-  if (peers_.empty() || it == pending_.end() || it->second->foreign ||
-      it->second->local_only) {
-    return policy::RungOutcome::kNoOp;
-  }
-  if (t.request->request.tasks != 1) {
+  if (peers_.empty() || s.foreign || s.local_only) return policy::RungOutcome::kNoOp;
+  if (s.request.tasks != 1) {
     return policy::RungOutcome::kNoOp;  // only whole single-shard requests move
   }
   Cluster* const peer = select_peer();
-  auto p = it->second;
-  pending_.erase(it);
+  untrack(s);
   count(stats_.offloaded_horizontal_out, &CityCounters::offload_horizontal);
   DF3_OBS_TRACE_IF(o) {
     // The shard never reached a core here: its local queue time would
@@ -353,44 +374,39 @@ policy::RungOutcome Cluster::relieve_by_horizontal(Task& t) {
     // offload decision record.
     if (t.enqueued_at >= 0.0) {
       o->journey_span_if_open(this, name(), obs::Phase::kQueueWait, t.enqueued_at, now(),
-                              t.request->request.id, t.shard_index,
+                              s.request.id, t.shard_index,
                               static_cast<std::uint32_t>(t.shard_index));
     }
-    o->journey_span(this, name(), obs::Phase::kOffloadHorizontal, now(), now(),
-                    t.request->request.id, t.shard_index);
+    o->journey_span(this, name(), obs::Phase::kOffloadHorizontal, now(), now(), s.request.id,
+                    t.shard_index);
   }
-  const std::string via = "horizontal:" + peer->name();
-  auto wrap = [sink = p->sink, via](workload::CompletionRecord rec) {
-    rec.served_by = via;
-    sink(std::move(rec));
-  };
+  s.request.work_gigacycles = t.remaining_gigacycles;  // keep any progress
   // Pay the gateway-to-gateway hop, then hand over.
-  workload::Request moved = p->state->request;
-  moved.work_gigacycles = t.remaining_gigacycles;  // keep any progress
   network_.send(
-      net::Message{gateway_node_, peer->gateway_node(), moved.input_size, moved.id,
+      net::Message{gateway_node_, peer->gateway_node(), s.request.input_size, s.request.id,
                    obs::HopKind::kHandoff},
-      [peer, moved, origin = p->origin, wrap](sim::Time) mutable {
-        peer->submit_offloaded(std::move(moved), origin, wrap);
+      [this, peer, ref = t.request] {
+        const net::NodeId origin = ref->origin;
+        peer->submit_offloaded(take(ref), origin,
+                               [this, via = "horizontal:" + peer->name()](
+                                   workload::CompletionRecord rec) {
+                                 rec.served_by = via;
+                                 sink_(std::move(rec));
+                               });
       },
-      [moved, sink = p->sink, this]() mutable {
+      [this, ref = t.request] {
         // No counter here: responsibility already left this cluster
         // when offloaded_horizontal_out was incremented above, and
         // bumping `rejected` as well would double-count the request
         // in the conservation identity. The platform still sees the
         // loss through the kDropped record.
         //
-        // Report straight through the original sink, not `wrap`: the
-        // peer never saw this request, so a record claiming it was
+        // Report straight through our own sink, not the peer's wrapper:
+        // the peer never saw this request, so a record claiming it was
         // served "horizontal:<peer>" misattributes the loss in every
         // served_by metric slice. Flushed by the model checker as a
         // flap-before-hand-off interleaving (DESIGN.md §13).
-        workload::CompletionRecord rec;
-        rec.request = std::move(moved);
-        rec.outcome = workload::Outcome::kDropped;
-        rec.completed_at = now();
-        rec.served_by = name() + ":partition";
-        sink(std::move(rec));
+        finish(ref, workload::Outcome::kDropped, name() + ":partition");
       });
   return policy::RungOutcome::kResolved;
 }
@@ -435,30 +451,28 @@ Cluster* Cluster::select_peer() {
 }
 
 policy::RungOutcome Cluster::relieve_by_vertical(Task& t) {
-  const auto it = pending_.find(t.request.get());
+  RequestState& s = *t.request;
   // local_only: same pinned-stage contract as relieve_by_horizontal.
-  if (datacenter_ == nullptr || it == pending_.end() || it->second->local_only) {
-    return policy::RungOutcome::kNoOp;
-  }
-  if (t.request->request.privacy_sensitive) {
+  if (datacenter_ == nullptr || s.local_only) return policy::RungOutcome::kNoOp;
+  if (s.request.privacy_sensitive) {
     return policy::RungOutcome::kNoOp;  // must stay local
   }
-  if (t.request->request.tasks != 1) return policy::RungOutcome::kNoOp;
-  auto p = it->second;
-  pending_.erase(it);
+  if (s.request.tasks != 1) return policy::RungOutcome::kNoOp;
+  untrack(s);
   count(stats_.offloaded_vertical, &CityCounters::offload_vertical);
   DF3_OBS_TRACE_IF(o) {
     if (t.enqueued_at >= 0.0) {
       o->journey_span_if_open(this, name(), obs::Phase::kQueueWait, t.enqueued_at, now(),
-                              t.request->request.id, t.shard_index,
+                              s.request.id, t.shard_index,
                               static_cast<std::uint32_t>(t.shard_index));
     }
-    o->journey_span(this, name(), obs::Phase::kOffloadVertical, now(), now(),
-                    t.request->request.id, t.shard_index);
+    o->journey_span(this, name(), obs::Phase::kOffloadVertical, now(), now(), s.request.id,
+                    t.shard_index);
   }
-  workload::Request moved = p->state->request;
-  moved.work_gigacycles = t.remaining_gigacycles;
-  datacenter_->submit(std::move(moved), p->origin, p->sink);
+  s.request.work_gigacycles = t.remaining_gigacycles;
+  const net::NodeId origin = s.origin;
+  CompletionSink sink = s.sink ? std::move(s.sink) : sink_;
+  datacenter_->submit(take(t.request), origin, std::move(sink));
   return policy::RungOutcome::kResolved;
 }
 
@@ -501,10 +515,7 @@ void Cluster::pump() {
 }
 
 void Cluster::abandon_expired(Task t) {
-  const auto it = pending_.find(t.request.get());
-  if (it == pending_.end()) return;  // already resolved elsewhere
-  auto p = it->second;
-  pending_.erase(it);
+  untrack(*t.request);
   ++stats_.deadline_missed;
   // The shard dies in the queue; record the wait so the journey tiles up to
   // the deadline-missed terminal (emitted by the sink at this same instant).
@@ -515,43 +526,25 @@ void Cluster::abandon_expired(Task t) {
                               static_cast<std::uint32_t>(t.shard_index));
     }
   }
-  auto state = t.request;
-  sim().schedule_in(0.0, [p, state, this] {
-    workload::CompletionRecord rec;
-    rec.request = state->request;
-    rec.completed_at = now();
-    rec.outcome = workload::Outcome::kDeadlineMissed;
-    rec.served_by = name() + ":expired";
-    p->sink(std::move(rec));
+  sim().schedule_in(0.0, [this, ref = t.request] {
+    finish(ref, workload::Outcome::kDeadlineMissed, name() + ":expired");
   });
 }
 
 void Cluster::on_task_done(Task t) {
-  auto state = t.request;
-  --state->shards_remaining;
-  if (state->shards_remaining == 0) complete(state);
+  if (--t.request->shards_remaining == 0) complete(t.request);
   pump();
 }
 
-void Cluster::complete(const std::shared_ptr<RequestState>& state) {
-  const auto it = pending_.find(state.get());
-  if (it == pending_.end()) return;  // already resolved (offloaded mid-flight)
-  auto p = it->second;
-  pending_.erase(it);
+void Cluster::complete(RequestRef ref) {
+  RequestState& s = *ref;
+  untrack(s);
   ++stats_.completed;
-  if (p->foreign) stats_.foreign_gigacycles += state->request.total_work();
-  if (p->local_only) {
+  if (s.foreign) stats_.foreign_gigacycles += s.request.total_work();
+  if (s.local_only) {
     // Composition stage: the caller owns all transfers.
-    sim().schedule_in(0.0, [p, state, this] {
-      workload::CompletionRecord rec;
-      rec.request = state->request;
-      rec.completed_at = now();
-      const auto deadline = state->request.absolute_deadline();
-      rec.outcome = (deadline && rec.completed_at > *deadline)
-                        ? workload::Outcome::kDeadlineMissed
-                        : workload::Outcome::kCompleted;
-      rec.served_by = name() + ":pinned";
-      p->sink(std::move(rec));
+    sim().schedule_in(0.0, [this, ref] {
+      finish(ref, outcome_at(ref->request, now()), name() + ":pinned");
     });
     return;
   }
@@ -560,43 +553,50 @@ void Cluster::complete(const std::shared_ptr<RequestState>& state) {
   // worker can differ from the preferred one — placement falls through to
   // the shared scan when the preferred worker is busy or gated — and the
   // result lives where the work ran, not where the device first connected.
-  const net::NodeId from = (p->preferred_worker != SIZE_MAX && p->served_worker < workers_.size())
-                               ? workers_[p->served_worker]->node()
+  const net::NodeId from = (s.preferred_worker != SIZE_MAX && s.served_worker < workers_.size())
+                               ? workers_[s.served_worker]->node()
                                : gateway_node_;
-  const std::string via = name() + (p->foreign ? ":foreign" : ":local");
   network_.send(
-      net::Message{from, p->origin, state->request.output_size, state->request.id,
-                   obs::HopKind::kReturn},
-      [p, state, via](sim::Time delivered) {
-        workload::CompletionRecord rec;
-        rec.request = state->request;
-        rec.completed_at = delivered;
-        const auto deadline = state->request.absolute_deadline();
-        rec.outcome = (deadline && delivered > *deadline) ? workload::Outcome::kDeadlineMissed
-                                                          : workload::Outcome::kCompleted;
-        rec.served_by = via;
-        p->sink(std::move(rec));
+      net::Message{from, s.origin, s.request.output_size, s.request.id, obs::HopKind::kReturn},
+      [this, ref] {
+        finish(ref, outcome_at(ref->request, now()),
+               name() + (ref->foreign ? ":foreign" : ":local"));
       },
-      [p, state, via, this] {
+      [this, ref] {
         // The work was done (stats_.completed already counted it); only
         // the result transport was lost, so no further cluster counter.
-        workload::CompletionRecord rec;
-        rec.request = state->request;
-        rec.completed_at = now();
-        rec.outcome = workload::Outcome::kDropped;
-        rec.served_by = via + ":return-partition";
-        p->sink(std::move(rec));
+        finish(ref, workload::Outcome::kDropped,
+               name() + (ref->foreign ? ":foreign" : ":local") + ":return-partition");
       });
 }
 
 void Cluster::audit(std::vector<std::string>& out) const {
   const std::uint64_t intake = stats_.intake();
   const std::uint64_t terminal = stats_.terminal();
-  const auto in_flight = static_cast<std::uint64_t>(pending_.size());
+  const auto in_flight = static_cast<std::uint64_t>(in_flight_.size());
   if (intake != terminal + in_flight) {
     out.push_back(name() + ": conservation violated — intake " + std::to_string(intake) +
                   " != terminal " + std::to_string(terminal) + " + in_flight " +
                   std::to_string(in_flight));
+  }
+  // The in-flight list against its oracle: every stored slot is the entry's
+  // position (swap-erase re-slots the entry it moves), and no request id
+  // other than 0 — the anonymous id of composition stages and hand-built
+  // requests — is in flight twice.
+  std::vector<std::uint64_t> ids;
+  ids.reserve(in_flight_.size());
+  for (std::size_t i = 0; i < in_flight_.size(); ++i) {
+    const RequestState& s = *in_flight_[i];
+    if (s.slot != i) {
+      out.push_back(name() + ": in-flight entry " + std::to_string(i) + " (request id " +
+                    std::to_string(s.request.id) + ") stores slot " + std::to_string(s.slot));
+    }
+    if (s.request.id != 0) ids.push_back(s.request.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  for (auto it = std::adjacent_find(ids.begin(), ids.end()); it != ids.end();
+       it = std::adjacent_find(std::upper_bound(it, ids.end(), *it), ids.end())) {
+    out.push_back(name() + ": request id " + std::to_string(*it) + " is in flight twice");
   }
   queue_.audit(out, name() + "/queue");
   for (const auto& w : workers_) w->audit(out);

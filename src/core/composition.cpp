@@ -21,14 +21,14 @@ std::size_t ServiceComposer::providers_of(const std::string& function) const {
 }
 
 double ServiceComposer::compute_time_s(const ServiceFunction& f, std::size_t widx) const {
-  const auto& server = cluster_.worker(widx).server();
+  const auto& server = worker(widx).server();
   const double speed = server.core_speed_gcps();
   if (speed <= 0.0) return std::numeric_limits<double>::infinity();  // gated/throttled out
   return f.work_gigacycles / speed;
 }
 
 double ServiceComposer::compute_energy_j(const ServiceFunction& f, std::size_t widx) const {
-  const auto& server = cluster_.worker(widx).server();
+  const auto& server = worker(widx).server();
   const double speed = server.core_speed_gcps();
   if (speed <= 0.0) return std::numeric_limits<double>::infinity();
   // Marginal energy of occupying one extra core for the stage's duration:
@@ -86,7 +86,7 @@ SelectionResult ServiceComposer::select(const ServiceChain& chain, Objective obj
   for (std::size_t j = 0; j < candidates[0]->size(); ++j) {
     const std::size_t w = (*candidates[0])[j];
     const double xfer =
-        transfer_time_s(origin_, cluster_.worker(w).node(), chain.input);
+        transfer_time_s(origin_, worker(w).node(), chain.input);
     best[0][j] = stage_cost(chain.stages[0], w, xfer);
   }
   for (std::size_t s = 1; s < n; ++s) {
@@ -95,8 +95,8 @@ SelectionResult ServiceComposer::select(const ServiceChain& chain, Objective obj
       for (std::size_t i = 0; i < candidates[s - 1]->size(); ++i) {
         if (best[s - 1][i] == inf) continue;
         const std::size_t pw = (*candidates[s - 1])[i];
-        const double xfer = transfer_time_s(cluster_.worker(pw).node(),
-                                            cluster_.worker(w).node(),
+        const double xfer = transfer_time_s(worker(pw).node(),
+                                            worker(w).node(),
                                             chain.stages[s - 1].output);
         const double cost = best[s - 1][i] + stage_cost(chain.stages[s], w, xfer);
         if (cost < best[s][j]) {
@@ -112,7 +112,7 @@ SelectionResult ServiceComposer::select(const ServiceChain& chain, Objective obj
   for (std::size_t j = 0; j < candidates[n - 1]->size(); ++j) {
     if (best[n - 1][j] == inf) continue;
     const std::size_t w = (*candidates[n - 1])[j];
-    const double ret = transfer_time_s(cluster_.worker(w).node(), origin_,
+    const double ret = transfer_time_s(worker(w).node(), origin_,
                                        chain.stages[n - 1].output);
     const double cost = best[n - 1][j] + (objective == Objective::kEnergy ? ret * 1e-6 : ret);
     if (cost < total) {
@@ -134,10 +134,10 @@ SelectionResult ServiceComposer::select(const ServiceChain& chain, Objective obj
   util::Bytes payload = chain.input;
   for (std::size_t s = 0; s < n; ++s) {
     const std::size_t w = result.worker_per_stage[s];
-    result.predicted_latency_s += transfer_time_s(at, cluster_.worker(w).node(), payload);
+    result.predicted_latency_s += transfer_time_s(at, worker(w).node(), payload);
     result.predicted_latency_s += compute_time_s(chain.stages[s], w);
     result.predicted_energy_j += compute_energy_j(chain.stages[s], w);
-    at = cluster_.worker(w).node();
+    at = worker(w).node();
     payload = chain.stages[s].output;
   }
   result.predicted_latency_s += transfer_time_s(at, origin_, payload);
@@ -163,7 +163,7 @@ void ServiceComposer::execute(const ServiceChain& chain, const SelectionResult& 
   p->chain = chain;
   p->selection = selection;
   p->done = std::move(done);
-  p->started_at = cluster_.worker(0).now();
+  p->started_at = cluster_.now();
   run_stage(p, origin_);
 }
 
@@ -174,21 +174,20 @@ void ServiceComposer::run_stage(const std::shared_ptr<Pending>& pending, net::No
   workload::Request r;
   r.flow = workload::Flow::kEdgeDirect;
   r.app = pending->chain.name + "/" + f.name;
-  r.arrival = cluster_.worker(0).now();
+  r.arrival = cluster_.now();
   r.work_gigacycles = f.work_gigacycles;
   r.input_size = s == 0 ? pending->chain.input : pending->chain.stages[s - 1].output;
   r.output_size = f.output;
   r.preemptible = false;
-  const net::NodeId target = cluster_.worker(widx).node();
+  const net::NodeId target = worker(widx).node();
   network_.send(
       net::Message{at, target, r.input_size, 0},
-      [this, pending, widx, target, r](sim::Time) mutable {
+      [this, pending, widx, target, r]() mutable {
         cluster_.run_pinned(std::move(r), widx,
                             [this, pending, target](workload::CompletionRecord rec) {
                               if (rec.outcome != workload::Outcome::kCompleted &&
                                   rec.outcome != workload::Outcome::kDeadlineMissed) {
-                                pending->done(cluster_.worker(0).now() - pending->started_at,
-                                              false);
+                                pending->done(cluster_.now() - pending->started_at, false);
                                 return;
                               }
                               ++pending->stage;
@@ -199,24 +198,20 @@ void ServiceComposer::run_stage(const std::shared_ptr<Pending>& pending, net::No
                               }
                             });
       },
-      [this, pending] {
-        pending->done(cluster_.worker(0).now() - pending->started_at, false);
-      });
+      [this, pending] { pending->done(cluster_.now() - pending->started_at, false); });
 }
 
 void ServiceComposer::finish(const std::shared_ptr<Pending>& pending, net::NodeId at) {
   const auto out = pending->chain.stages.back().output;
   network_.send(
       net::Message{at, origin_, out, 0},
-      [pending](sim::Time at_time) {
-        const double latency = at_time - pending->started_at;
+      [this, pending] {
+        const double latency = cluster_.now() - pending->started_at;
         const bool met =
             !pending->chain.deadline_s || latency <= *pending->chain.deadline_s;
         pending->done(latency, met);
       },
-      [this, pending] {
-        pending->done(cluster_.worker(0).now() - pending->started_at, false);
-      });
+      [this, pending] { pending->done(cluster_.now() - pending->started_at, false); });
 }
 
 }  // namespace df3::core

@@ -99,7 +99,7 @@ std::size_t Df3Platform::add_building(const BuildingConfig& cfg) {
   ccfg.fabric_gbps = cfg.lan.bandwidth.value() / 1e9;
   b->cluster = std::make_unique<Cluster>(
       sim_, cfg.name, ccfg, *network_, b->gateway_node,
-      [this](workload::CompletionRecord rec) { record_completion(rec); });
+      [this](workload::CompletionRecord rec) { record_completion(rec); }, &requests_);
   if (datacenter_) b->cluster->set_datacenter(datacenter_.get());
   if (obs_) b->cluster->bind_city_counters(&feed_.city);
 
@@ -372,19 +372,7 @@ void Df3Platform::add_cloud_source(workload::RequestFactory factory,
                               });
           return;
         }
-        // Pay the Internet -> gateway transport, then hand to the cluster.
-        const auto gw = target->gateway_node();
-        network_->send(
-            net::Message{internet_node_, gw, r.input_size, r.id, obs::HopKind::kTransport},
-            [target, r, this](sim::Time) mutable { target->submit(std::move(r), internet_node_); },
-            [this, r]() mutable {
-              workload::CompletionRecord rec;
-              rec.request = std::move(r);
-              rec.outcome = workload::Outcome::kDropped;
-              rec.completed_at = sim_.now();
-              rec.served_by = "uplink-partition";
-              record_completion(rec);
-            });
+        deliver_cloud(*target, std::move(r));
       }));
   sources_.back()->start();
 }
@@ -408,21 +396,9 @@ void Df3Platform::inject_cloud_at(std::size_t b, workload::Request r) {
   r.flow = workload::Flow::kCloud;
   auditor_.on_submitted(r);
   open_journey(r.id);
-  Cluster* target = buildings_[b]->cluster.get();
   // Same Internet -> gateway transport (and partition drop path) as the
   // routed cloud-source arrivals; only the target choice differs.
-  network_->send(
-      net::Message{internet_node_, target->gateway_node(), r.input_size, r.id,
-                   obs::HopKind::kTransport},
-      [target, r, this](sim::Time) mutable { target->submit(std::move(r), internet_node_); },
-      [this, r]() mutable {
-        workload::CompletionRecord rec;
-        rec.request = std::move(r);
-        rec.outcome = workload::Outcome::kDropped;
-        rec.completed_at = sim_.now();
-        rec.served_by = "uplink-partition";
-        record_completion(rec);
-      });
+  deliver_cloud(*buildings_[b]->cluster, std::move(r));
 }
 
 void Df3Platform::inject_pinned(std::size_t b, std::size_t w, workload::Request r) {
@@ -506,24 +482,37 @@ void Df3Platform::deliver_to_cluster(workload::Request r, std::size_t b, bool di
   // control epoch (that would un-gate the district on every direct arrival).
   const net::NodeId entry = direct ? std::as_const(*building.cluster).worker(0).node()
                                    : building.cluster->gateway_node();
+  const RequestRef ref = requests_.acquire(std::move(r));
   network_->send(
-      net::Message{origin, entry, r.input_size, r.id, obs::HopKind::kTransport},
-      [this, b, direct, origin, r](sim::Time) mutable {
-        Building& bd = *buildings_[b];
+      net::Message{origin, entry, ref->request.input_size, ref->request.id,
+                   obs::HopKind::kTransport},
+      [this, ref, cluster = building.cluster.get(), origin, direct] {
         if (direct) {
-          bd.cluster->submit_direct(std::move(r), origin, 0);
+          cluster->submit_direct(ref, origin, 0);
         } else {
-          bd.cluster->submit(std::move(r), origin);
+          cluster->submit(ref, origin);
         }
       },
-      [this, r]() mutable {
-        workload::CompletionRecord rec;
-        rec.request = std::move(r);
-        rec.outcome = workload::Outcome::kDropped;
-        rec.completed_at = sim_.now();
-        rec.served_by = "lan-partition";
-        record_completion(rec);
-      });
+      [this, ref] { drop_in_transport(ref, "lan-partition"); });
+}
+
+void Df3Platform::deliver_cloud(Cluster& target, workload::Request r) {
+  const RequestRef ref = requests_.acquire(std::move(r));
+  network_->send(
+      net::Message{internet_node_, target.gateway_node(), ref->request.input_size,
+                   ref->request.id, obs::HopKind::kTransport},
+      [this, ref, cluster = &target] { cluster->submit(ref, internet_node_); },
+      [this, ref] { drop_in_transport(ref, "uplink-partition"); });
+}
+
+void Df3Platform::drop_in_transport(RequestRef ref, const char* where) {
+  workload::CompletionRecord rec;
+  rec.request = std::move(ref->request);
+  rec.outcome = workload::Outcome::kDropped;
+  rec.completed_at = sim_.now();
+  rec.served_by = where;
+  requests_.release(ref);
+  record_completion(rec);
 }
 
 namespace {

@@ -37,11 +37,12 @@ void Worker::arm_completion(Running& r) {
   r.completion.cancel();
   if (r.speed_gcps <= 0.0) return;  // paused: gated off or thermally shut down
   const double duration = r.task.remaining_gigacycles * r.task.slowdown / r.speed_gcps;
-  const int shard = r.task.shard_index;
-  const auto* state = r.task.request.get();
-  r.completion = sim().schedule_in(duration, [this, state, shard] {
+  // Match on (ref, shard): the ref's generation keeps a recycled request
+  // state from passing for the one this event was armed for.
+  r.completion = sim().schedule_in(duration, [this, ref = r.task.request,
+                                              shard = r.task.shard_index] {
     for (std::size_t i = 0; i < running_.size(); ++i) {
-      if (running_[i].task.request.get() == state && running_[i].task.shard_index == shard) {
+      if (running_[i].task.request == ref && running_[i].task.shard_index == shard) {
         finish(i);
         return;
       }
@@ -67,9 +68,6 @@ bool Worker::try_start(Task task) {
   r.speed_gcps = server_.core_speed_gcps();
   running_.push_back(std::move(r));
   server_.set_busy_cores(busy_cores());
-  if (running_.back().task.request->first_dispatch < 0.0) {
-    running_.back().task.request->first_dispatch = now();
-  }
   arm_completion(running_.back());
   return true;
 }

@@ -51,6 +51,7 @@ void FleetWorld::reset() {
   city_.reset();
   next_id_ = 0;
   route_checks_ = 0;
+  tick_checks_ = 0;
 
   core::PlatformConfig pc;
   pc.seed = config_.seed;
@@ -211,6 +212,10 @@ void FleetWorld::check_routes(std::vector<std::string>& out) {
 std::vector<std::string> FleetWorld::check() {
   auto out = city_->audit_now();
   check_routes(out);
+  // The tick's caches against the uncached paths they replace, at every
+  // choice point — not just at the ticks the kFull sweep sees.
+  ++tick_checks_;
+  for (auto& line : city_->verify_tick_caches()) out.push_back(std::move(line));
   return out;
 }
 
@@ -367,6 +372,7 @@ std::vector<std::pair<std::string, std::uint64_t>> FleetWorld::coverage() {
   out.emplace_back("flaps", flapper_->flaps());
   out.emplace_back("outages", outages);
   out.emplace_back("route_checks", route_checks_);
+  out.emplace_back("tick_checks", tick_checks_);
   return out;
 }
 

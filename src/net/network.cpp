@@ -336,12 +336,12 @@ std::optional<util::Seconds> Network::unloaded_delay(NodeId src, NodeId dst,
   return total;
 }
 
-void Network::send(const Message& msg, std::function<void(sim::Time)> on_delivery,
-                   std::function<void()> on_drop) {
+void Network::send(const Message& msg, sim::Simulation::Callback on_delivery,
+                   sim::Simulation::Callback on_drop) {
   if (!on_delivery) throw std::invalid_argument("Network::send: empty delivery callback");
   if (msg.src == msg.dst) {  // loopback delivers in the same instant
     ++sent_;
-    sim().schedule_in(0.0, [cb = std::move(on_delivery), t = now()] { cb(t); });
+    sim().schedule_in(0.0, std::move(on_delivery));
     return;
   }
   const auto path = cached_route(msg.src, msg.dst, msg.size);
@@ -381,7 +381,7 @@ void Network::send(const Message& msg, std::function<void(sim::Time)> on_deliver
       o->span(this, name(), obs::Phase::kNetHop, now(), t, msg.payload_tag);
     }
   }
-  sim().schedule_at(t, [cb = std::move(on_delivery), t] { cb(t); });
+  sim().schedule_at(t, std::move(on_delivery));
 }
 
 const LinkStats& Network::stats(std::size_t link) const {

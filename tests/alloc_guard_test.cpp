@@ -1,0 +1,139 @@
+// Allocation guard for the request path: once a city is warm, a request
+// costs no heap object between platform intake and its terminal record
+// (DESIGN.md, "Request path objects"). This binary replaces the global
+// operator new with a counting one, so it stands alone: the replacement
+// must not leak into the other suites. The check counts allocations, not
+// time, so it is deterministic on any host and under the sanitizers.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "df3/core/fault.hpp"
+#include "df3/core/platform.hpp"
+#include "df3/net/fault.hpp"
+#include "df3/thermal/calendar.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// GCC pairs the inlined free() below with the new-expression it came
+// from and flags the pair; these functions are that pair's own definition.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
+namespace core = df3::core;
+namespace metrics = df3::metrics;
+namespace net = df3::net;
+namespace obs = df3::obs;
+namespace wl = df3::workload;
+namespace u = df3::util;
+
+namespace {
+
+/// Allocations per terminal request over a window after warm-up.
+struct Reading {
+  std::uint64_t allocations = 0;
+  std::uint64_t terminals = 0;
+  [[nodiscard]] double per_request() const {
+    return static_cast<double>(allocations) / static_cast<double>(terminals);
+  }
+};
+
+/// Four buildings with every edge intake path (indirect ZigBee, direct to a
+/// worker, Wi-Fi), a multi-shard cloud source, one link flapper over the
+/// uplinks and building LANs, and one worker churn. Warm-up fills the
+/// calendar, route cache, queues and metric slices; the window after it is
+/// what the guard reads.
+Reading measure(obs::TraceLevel level) {
+  core::PlatformConfig cfg;
+  cfg.seed = 2016;
+  cfg.start_time = df3::thermal::start_of_month(0);
+  // kFull keeps one map node per request id by design; the guard covers
+  // the request path, so the auditor stays at its counting level in every
+  // build (DF3_AUDIT builds default to kFull).
+  cfg.audit = metrics::AuditLevel::kCounters;
+  cfg.obs.level = level;
+  core::Df3Platform city(cfg);
+  constexpr std::size_t kBuildings = 4;
+  for (std::size_t b = 0; b < kBuildings; ++b) {
+    core::BuildingConfig bc;
+    bc.name = "b" + std::to_string(b);
+    bc.rooms = 4;
+    city.add_building(bc);
+  }
+  for (std::size_t b = 0; b < kBuildings; ++b) {
+    city.add_edge_source(b, wl::alarm_detection_factory(), 0.2);
+    city.add_edge_source(b, wl::fall_detection_factory(), 0.05, /*direct=*/true);
+    city.add_edge_source(b, wl::alarm_detection_factory(), 0.05, /*direct=*/false,
+                         /*via_wifi=*/true);
+  }
+  city.add_cloud_source(wl::render_batch_factory(), 1.0 / 300.0);
+
+  // Per building: dev-gw, wifi-gw, gw-internet, then gw-srv<i> per room
+  // with the dev-srv0 and wifi-srv0 back doors right after gw-srv0.
+  std::vector<std::size_t> flapped;
+  for (std::size_t b = 0; b < kBuildings; ++b) {
+    const std::size_t base = b * (3 + 4 + 2);
+    flapped.push_back(base + 2);
+    flapped.push_back(base + 3);
+  }
+  net::LinkFlapper flapper(city.simulation(), "flap", city.network(),
+                           net::LinkFlapConfig{flapped, 400.0, 40.0, 0.0},
+                           u::RngStream(cfg.seed, "alloc-guard/flap"));
+  core::WorkerChurnConfig cc;
+  cc.workers = {0, 1};
+  cc.mean_up_s = 400.0;
+  cc.mean_down_s = 60.0;
+  core::WorkerChurn churn(city.simulation(), "churn", city.cluster(0), cc,
+                          u::RngStream(cfg.seed, "alloc-guard/churn"));
+  flapper.start();
+  churn.start();
+
+  city.run(u::hours(3.0));
+  const std::uint64_t terminals0 = city.flow_metrics().overall().total();
+  const std::uint64_t allocations0 = g_allocations.load(std::memory_order_relaxed);
+  city.run(u::hours(3.0));
+  Reading r;
+  r.allocations = g_allocations.load(std::memory_order_relaxed) - allocations0;
+  r.terminals = city.flow_metrics().overall().total() - terminals0;
+  EXPECT_GT(flapper.flaps(), 0u);
+  EXPECT_GT(churn.outages(), 0u);
+  return r;
+}
+
+class AllocGuard : public ::testing::TestWithParam<obs::TraceLevel> {};
+
+TEST_P(AllocGuard, WarmRequestPathAllocatesAlmostNothing) {
+  const Reading r = measure(GetParam());
+  ASSERT_GT(r.terminals, 5000u);
+  RecordProperty("allocations", std::to_string(r.allocations));
+  RecordProperty("terminals", std::to_string(r.terminals));
+  // Before the pooled request record this read ~10 per request.
+  EXPECT_LE(r.per_request(), 0.5) << r.allocations << " allocations for " << r.terminals
+                                  << " terminal requests";
+}
+
+INSTANTIATE_TEST_SUITE_P(ObsLevels, AllocGuard,
+                         ::testing::Values(obs::TraceLevel::kOff, obs::TraceLevel::kCounters),
+                         [](const ::testing::TestParamInfo<obs::TraceLevel>& p) {
+                           return p.param == obs::TraceLevel::kOff ? std::string("Off")
+                                                                   : std::string("Counters");
+                         });
+
+}  // namespace

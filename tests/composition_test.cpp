@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "df3/core/composition.hpp"
+#include "df3/core/platform.hpp"
 #include "df3/net/protocol.hpp"
+#include "df3/thermal/calendar.hpp"
 
 namespace core = df3::core;
 namespace hw = df3::hw;
@@ -198,4 +200,44 @@ TEST(Composer, BalancedObjectiveInterpolates) {
   EXPECT_LE(pure_energy.predicted_energy_j, pure_latency.predicted_energy_j);
   EXPECT_THROW((void)f.composer->select(f.chain3(), core::Objective::kBalanced, 1.5),
                std::invalid_argument);
+}
+
+TEST(Composer, PlanningLeavesTheControlEpochAlone) {
+  // A summer city whose district has gone quiet: the activity gate holds
+  // while the cluster's control epoch is unchanged. Planning only reads
+  // the workers, so it must leave the epoch alone; executing the chain
+  // bumps it once per stage (run_pinned's own bump) and nothing more.
+  core::PlatformConfig cfg;
+  cfg.start_time = df3::thermal::start_of_month(6);  // July
+  cfg.regulator.gating = core::GatingPolicy::kKeepWarm;  // servers stay up to compute
+  core::Df3Platform city(cfg);
+  core::BuildingConfig b;
+  b.name = "b0";
+  b.rooms = 3;
+  city.add_building(b);
+  city.run(u::hours(2.0));
+  ASSERT_GT(city.gated_district_ticks(), 0u);
+
+  core::Cluster& cluster = city.cluster(0);
+  core::ServiceComposer composer(cluster, city.network(), city.network().node("b0/dev"));
+  for (const char* fn : {"decode", "detect", "notify"}) {
+    for (std::size_t w = 0; w < cluster.worker_count(); ++w) composer.provide(fn, w);
+  }
+  core::ServiceChain chain;
+  chain.stages = {{"decode", 2.0, u::kibibytes(64.0)},
+                  {"detect", 6.0, u::kibibytes(4.0)},
+                  {"notify", 0.5, u::bytes(256.0)}};
+  chain.input = u::kibibytes(128.0);
+
+  const std::uint64_t before = cluster.control_epoch();
+  const auto sel = composer.select(chain, core::Objective::kBalanced);
+  (void)composer.compute_time_s(chain.stages[0], 0);
+  (void)composer.compute_energy_j(chain.stages[0], 0);
+  EXPECT_EQ(cluster.control_epoch(), before);
+
+  bool done = false;
+  composer.execute(chain, sel, [&](double, bool) { done = true; });
+  city.run(u::minutes(10.0));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(cluster.control_epoch(), before + chain.stages.size());
 }

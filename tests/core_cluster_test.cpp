@@ -398,6 +398,54 @@ TEST(Cluster, HorizontalPartitionDropDoesNotDoubleCount) {
   EXPECT_TRUE(violations.empty());
 }
 
+TEST(Cluster, AuditChecksInFlightSlots) {
+  // Three requests in flight; the first finishes while the other two run,
+  // so swap-erase moves the last entry into its place. With the re-slot
+  // planted away, the moved entry keeps a stale slot and the sweep must
+  // name it; the clean build must stay silent.
+  for (const bool plant : {false, true}) {
+    ClusterFixture f;
+    core::Cluster::set_test_skip_reslot(plant);
+    std::uint64_t id = 1;
+    for (const double work : {32.0, 3200.0, 6400.0}) {
+      wl::Request r = cloud_request(work);
+      r.id = id++;
+      f.cluster->submit(r, f.device);
+    }
+    f.sim.run_until(50.0);  // request 1 done after ~10 s; 2 and 3 still running
+    core::Cluster::set_test_skip_reslot(false);
+    EXPECT_EQ(f.cluster->stats().completed, 1u);
+    EXPECT_EQ(f.cluster->in_flight(), 2u);
+    std::vector<std::string> violations;
+    f.cluster->audit(violations);
+    if (plant) {
+      ASSERT_EQ(violations.size(), 1u);
+      EXPECT_NE(violations[0].find("request id 3) stores slot 2"), std::string::npos)
+          << violations[0];
+    } else {
+      EXPECT_TRUE(violations.empty()) << violations.front();
+    }
+  }
+}
+
+TEST(Cluster, AuditFlagsDuplicateInFlightIds) {
+  ClusterFixture f;
+  for (int i = 0; i < 3; ++i) {
+    wl::Request r = cloud_request(3200.0);
+    r.id = 7;
+    f.cluster->submit(r, f.device);
+  }
+  f.cluster->submit(cloud_request(3200.0), f.device);  // id 0 is anonymous
+  f.cluster->submit(cloud_request(3200.0), f.device);
+  f.sim.run_until(10.0);
+  ASSERT_EQ(f.cluster->in_flight(), 5u);
+  std::vector<std::string> violations;
+  f.cluster->audit(violations);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("request id 7 is in flight twice"), std::string::npos)
+      << violations[0];
+}
+
 TEST(Cluster, ReturnPartitionRecordsDrop) {
   ClusterFixture f;
   f.cluster->submit(cloud_request(320.0), f.device);

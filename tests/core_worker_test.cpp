@@ -35,6 +35,9 @@ wl::Request cloud_request(double work = 100.0, int tasks = 1) {
   return r;
 }
 
+/// Backing store for the request states these tests shard by hand.
+core::RequestPool requests;
+
 struct WorkerFixture {
   Simulation sim;
   std::vector<core::Task> done;
@@ -47,7 +50,7 @@ struct WorkerFixture {
 // ----------------------------------------------------------------- task ---
 
 TEST(TaskSharding, SplitsAndSharesState) {
-  auto tasks = core::make_tasks(cloud_request(50.0, 4));
+  auto tasks = core::make_tasks(requests, cloud_request(50.0, 4));
   ASSERT_EQ(tasks.size(), 4u);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(tasks[static_cast<std::size_t>(i)].shard_index, i);
@@ -60,11 +63,32 @@ TEST(TaskSharding, SplitsAndSharesState) {
 }
 
 TEST(TaskSharding, EdgePriorityAndDeadline) {
-  auto tasks = core::make_tasks(edge_request(1.0, 2.0));
+  auto tasks = core::make_tasks(requests, edge_request(1.0, 2.0));
   EXPECT_EQ(tasks[0].priority(), core::Priority::kEdge);
   ASSERT_TRUE(tasks[0].deadline().has_value());
   EXPECT_DOUBLE_EQ(*tasks[0].deadline(), 2.0);
-  EXPECT_THROW((void)core::make_tasks(cloud_request(), 0.5), std::invalid_argument);
+  EXPECT_THROW((void)core::make_tasks(requests, cloud_request(), 0.5), std::invalid_argument);
+}
+
+TEST(RequestPool, RecycledStateIsANewRequest) {
+  core::RequestPool pool;
+  const core::RequestRef a = pool.acquire(cloud_request(50.0, 4));
+  EXPECT_EQ(pool.live(), 1u);
+  EXPECT_EQ(a->shards_remaining, 4);
+  a->foreign = true;
+  a->slot = 3;
+  a->sink = [](wl::CompletionRecord) {};
+  pool.release(a);
+  EXPECT_EQ(pool.live(), 0u);
+  // The free list hands the same slot out again, reset, under a new
+  // generation: a ref to the old request must not match the new one.
+  const core::RequestRef b = pool.acquire(edge_request());
+  EXPECT_EQ(b.get(), a.get());
+  EXPECT_NE(b, a);
+  EXPECT_FALSE(b->foreign);
+  EXPECT_EQ(b->slot, core::RequestState::kNoSlot);
+  EXPECT_FALSE(b->sink);
+  EXPECT_EQ(b->shards_remaining, 1);
 }
 
 // --------------------------------------------------------------- worker ---
@@ -72,7 +96,7 @@ TEST(TaskSharding, EdgePriorityAndDeadline) {
 TEST(WorkerRuntime, ExecutesTaskAtNominalSpeed) {
   WorkerFixture f;
   // Q.rad top state: 3.2 GHz per core -> 32 Gcycles take 10 s.
-  auto tasks = core::make_tasks(cloud_request(32.0));
+  auto tasks = core::make_tasks(requests, cloud_request(32.0));
   ASSERT_TRUE(f.worker.try_start(tasks[0]));
   EXPECT_EQ(f.worker.busy_cores(), 1);
   f.sim.run();
@@ -84,7 +108,7 @@ TEST(WorkerRuntime, ExecutesTaskAtNominalSpeed) {
 
 TEST(WorkerRuntime, SlowdownStretchesService) {
   WorkerFixture f;
-  auto tasks = core::make_tasks(cloud_request(32.0), /*slowdown=*/2.0);
+  auto tasks = core::make_tasks(requests, cloud_request(32.0), /*slowdown=*/2.0);
   ASSERT_TRUE(f.worker.try_start(tasks[0]));
   f.sim.run();
   EXPECT_DOUBLE_EQ(f.sim.now(), 20.0);
@@ -92,7 +116,7 @@ TEST(WorkerRuntime, SlowdownStretchesService) {
 
 TEST(WorkerRuntime, CapacityLimit) {
   WorkerFixture f;
-  auto tasks = core::make_tasks(cloud_request(1000.0, 17));  // 17 shards, 16 cores
+  auto tasks = core::make_tasks(requests, cloud_request(1000.0, 17));  // 17 shards, 16 cores
   int started = 0;
   for (auto& t : tasks) {
     if (f.worker.try_start(t)) ++started;
@@ -104,7 +128,7 @@ TEST(WorkerRuntime, CapacityLimit) {
 
 TEST(WorkerRuntime, DvfsChangeReschedulesCompletion) {
   WorkerFixture f;
-  auto tasks = core::make_tasks(cloud_request(32.0));
+  auto tasks = core::make_tasks(requests, cloud_request(32.0));
   ASSERT_TRUE(f.worker.try_start(tasks[0]));
   // After 5 s (16 Gc done at 3.2 GHz), downclock to 1.6 GHz: the remaining
   // 16 Gc take 10 s more -> completion at t=15.
@@ -118,7 +142,7 @@ TEST(WorkerRuntime, DvfsChangeReschedulesCompletion) {
 
 TEST(WorkerRuntime, GatingPausesAndResumesWork) {
   WorkerFixture f;
-  auto tasks = core::make_tasks(cloud_request(32.0));
+  auto tasks = core::make_tasks(requests, cloud_request(32.0));
   ASSERT_TRUE(f.worker.try_start(tasks[0]));
   f.sim.run_until(5.0);
   f.worker.server().set_powered(false);  // heat demand vanished
@@ -134,7 +158,7 @@ TEST(WorkerRuntime, GatingPausesAndResumesWork) {
 
 TEST(WorkerRuntime, ThermalShutdownPausesWork) {
   WorkerFixture f;
-  auto tasks = core::make_tasks(cloud_request(32.0));
+  auto tasks = core::make_tasks(requests, cloud_request(32.0));
   ASSERT_TRUE(f.worker.try_start(tasks[0]));
   f.sim.run_until(5.0);
   f.worker.server().set_inlet_temperature(u::celsius(40.0));
@@ -150,7 +174,7 @@ TEST(WorkerRuntime, ThermalShutdownPausesWork) {
 
 TEST(WorkerRuntime, PreemptionCapturesRemainingWork) {
   WorkerFixture f;
-  auto tasks = core::make_tasks(cloud_request(32.0));
+  auto tasks = core::make_tasks(requests, cloud_request(32.0));
   ASSERT_TRUE(f.worker.try_start(tasks[0]));
   f.sim.run_until(5.0);
   auto victim = f.worker.preempt_one(core::Priority::kEdge);
@@ -170,24 +194,24 @@ TEST(WorkerRuntime, PreemptionCapturesRemainingWork) {
 
 TEST(WorkerRuntime, PreemptionSkipsEdgeAndNonPreemptible) {
   WorkerFixture f;
-  auto edge = core::make_tasks(edge_request());
+  auto edge = core::make_tasks(requests, edge_request());
   ASSERT_TRUE(f.worker.try_start(edge[0]));
   EXPECT_EQ(f.worker.running_below(core::Priority::kEdge), 0);
   EXPECT_FALSE(f.worker.preempt_one(core::Priority::kEdge).has_value());
 
   wl::Request pinned = cloud_request(100.0);
   pinned.preemptible = false;
-  auto t2 = core::make_tasks(pinned);
+  auto t2 = core::make_tasks(requests, pinned);
   ASSERT_TRUE(f.worker.try_start(t2[0]));
   EXPECT_FALSE(f.worker.preempt_one(core::Priority::kEdge).has_value());
 }
 
 TEST(WorkerRuntime, PreemptsLeastProgressedVictim) {
   WorkerFixture f;
-  auto a = core::make_tasks(cloud_request(32.0));
+  auto a = core::make_tasks(requests, cloud_request(32.0));
   ASSERT_TRUE(f.worker.try_start(a[0]));
   f.sim.run_until(5.0);
-  auto b = core::make_tasks(cloud_request(32.0));  // fresh: most remaining
+  auto b = core::make_tasks(requests, cloud_request(32.0));  // fresh: most remaining
   ASSERT_TRUE(f.worker.try_start(b[0]));
   auto victim = f.worker.preempt_one(core::Priority::kEdge);
   ASSERT_TRUE(victim.has_value());
@@ -196,7 +220,7 @@ TEST(WorkerRuntime, PreemptsLeastProgressedVictim) {
 
 TEST(WorkerRuntime, BusyCoreSyncSurvivesGatePreemptUngate) {
   WorkerFixture f;
-  auto tasks = core::make_tasks(cloud_request(32.0, 2));
+  auto tasks = core::make_tasks(requests, cloud_request(32.0, 2));
   ASSERT_TRUE(f.worker.try_start(tasks[0]));
   ASSERT_TRUE(f.worker.try_start(tasks[1]));
   EXPECT_EQ(f.worker.server().busy_cores(), 2);
@@ -234,7 +258,7 @@ TEST(WorkerRuntime, BusyCoreSyncSurvivesGatePreemptUngate) {
 
 TEST(WorkerRuntime, BusyCoreSecondsUtilization) {
   WorkerFixture f;
-  auto tasks = core::make_tasks(cloud_request(32.0, 2));
+  auto tasks = core::make_tasks(requests, cloud_request(32.0, 2));
   ASSERT_TRUE(f.worker.try_start(tasks[0]));
   ASSERT_TRUE(f.worker.try_start(tasks[1]));
   f.sim.run();
@@ -245,8 +269,8 @@ TEST(WorkerRuntime, BusyCoreSecondsUtilization) {
 
 TEST(TaskQueueTest, EdgeClassAlwaysFirst) {
   core::TaskQueue q(core::QueueDiscipline::kFcfs);
-  auto cloud = core::make_tasks(cloud_request());
-  auto edge = core::make_tasks(edge_request());
+  auto cloud = core::make_tasks(requests, cloud_request());
+  auto edge = core::make_tasks(requests, edge_request());
   q.push(cloud[0]);
   q.push(edge[0]);
   auto first = q.pop();
@@ -256,9 +280,9 @@ TEST(TaskQueueTest, EdgeClassAlwaysFirst) {
 
 TEST(TaskQueueTest, EdfOrdersByDeadline) {
   core::TaskQueue q(core::QueueDiscipline::kEdf);
-  auto late = core::make_tasks(edge_request(1.0, 10.0));
-  auto soon = core::make_tasks(edge_request(1.0, 1.0));
-  auto mid = core::make_tasks(edge_request(1.0, 5.0));
+  auto late = core::make_tasks(requests, edge_request(1.0, 10.0));
+  auto soon = core::make_tasks(requests, edge_request(1.0, 1.0));
+  auto mid = core::make_tasks(requests, edge_request(1.0, 5.0));
   q.push(late[0]);
   q.push(soon[0]);
   q.push(mid[0]);
@@ -269,8 +293,8 @@ TEST(TaskQueueTest, EdfOrdersByDeadline) {
 
 TEST(TaskQueueTest, FcfsPreservesArrivalOrder) {
   core::TaskQueue q(core::QueueDiscipline::kFcfs);
-  auto late = core::make_tasks(edge_request(1.0, 10.0));
-  auto soon = core::make_tasks(edge_request(1.0, 1.0));
+  auto late = core::make_tasks(requests, edge_request(1.0, 10.0));
+  auto soon = core::make_tasks(requests, edge_request(1.0, 1.0));
   q.push(late[0]);
   q.push(soon[0]);
   EXPECT_DOUBLE_EQ(*q.pop()->deadline(), 10.0);  // arrival order, not deadline
@@ -278,8 +302,8 @@ TEST(TaskQueueTest, FcfsPreservesArrivalOrder) {
 
 TEST(TaskQueueTest, PushFrontJumpsClassQueue) {
   core::TaskQueue q(core::QueueDiscipline::kEdf);
-  auto a = core::make_tasks(cloud_request(10.0));
-  auto b = core::make_tasks(cloud_request(20.0));
+  auto a = core::make_tasks(requests, cloud_request(10.0));
+  auto b = core::make_tasks(requests, cloud_request(20.0));
   q.push(a[0]);
   q.push_front(b[0]);
   EXPECT_DOUBLE_EQ(q.pop()->remaining_gigacycles, 20.0);
@@ -287,15 +311,15 @@ TEST(TaskQueueTest, PushFrontJumpsClassQueue) {
 
 TEST(TaskQueueTest, EdfPushFrontReinsertsByDeadline) {
   core::TaskQueue q(core::QueueDiscipline::kEdf);
-  auto d1 = core::make_tasks(edge_request(1.0, 1.0));
-  auto d3 = core::make_tasks(edge_request(1.0, 3.0));
-  auto d5 = core::make_tasks(edge_request(1.0, 5.0));
+  auto d1 = core::make_tasks(requests, edge_request(1.0, 1.0));
+  auto d3 = core::make_tasks(requests, edge_request(1.0, 3.0));
+  auto d5 = core::make_tasks(requests, edge_request(1.0, 5.0));
   q.push(d1[0]);
   q.push(d3[0]);
   q.push(d5[0]);
   // A delayed/preempted shard with deadline 4 must slot between 3 and 5 —
   // a blind front-insert would break the sorted lane and starve deadline 1.
-  auto d4 = core::make_tasks(edge_request(1.0, 4.0));
+  auto d4 = core::make_tasks(requests, edge_request(1.0, 4.0));
   q.push_front(d4[0]);
   std::vector<std::string> violations;
   q.audit(violations, "q");
@@ -308,9 +332,9 @@ TEST(TaskQueueTest, EdfPushFrontReinsertsByDeadline) {
 
 TEST(TaskQueueTest, EdfPushFrontResumesAheadOfEqualDeadline) {
   core::TaskQueue q(core::QueueDiscipline::kEdf);
-  auto fresh = core::make_tasks(edge_request(1.0, 3.0));
+  auto fresh = core::make_tasks(requests, edge_request(1.0, 3.0));
   q.push(fresh[0]);
-  auto resumed = core::make_tasks(edge_request(1.0, 3.0));
+  auto resumed = core::make_tasks(requests, edge_request(1.0, 3.0));
   resumed[0].remaining_gigacycles = 0.25;  // partially executed
   q.push_front(resumed[0]);
   // Equal keys: the returning shard goes first (it already waited once).
@@ -320,13 +344,13 @@ TEST(TaskQueueTest, EdfPushFrontResumesAheadOfEqualDeadline) {
 
 TEST(TaskQueueTest, EdfPushFrontDeadlinelessVictimLeadsCloudLane) {
   core::TaskQueue q(core::QueueDiscipline::kEdf);
-  auto a = core::make_tasks(cloud_request(10.0));
-  auto b = core::make_tasks(cloud_request(20.0));
+  auto a = core::make_tasks(requests, cloud_request(10.0));
+  auto b = core::make_tasks(requests, cloud_request(20.0));
   q.push(a[0]);
   q.push(b[0]);
   // Preemption victims are deadline-less (key = +inf): they still resume
   // at the head of the cloud lane, ahead of other +inf entries.
-  auto victim = core::make_tasks(cloud_request(30.0));
+  auto victim = core::make_tasks(requests, cloud_request(30.0));
   q.push_front(victim[0]);
   EXPECT_DOUBLE_EQ(q.pop()->remaining_gigacycles, 30.0);
   std::vector<std::string> violations;
@@ -336,11 +360,11 @@ TEST(TaskQueueTest, EdfPushFrontDeadlinelessVictimLeadsCloudLane) {
 
 TEST(TaskQueueTest, FcfsPushFrontIsTrueFrontInsert) {
   core::TaskQueue q(core::QueueDiscipline::kFcfs);
-  auto first = core::make_tasks(edge_request(1.0, 1.0));
-  auto second = core::make_tasks(edge_request(1.0, 10.0));
+  auto first = core::make_tasks(requests, edge_request(1.0, 1.0));
+  auto second = core::make_tasks(requests, edge_request(1.0, 10.0));
   q.push(first[0]);
   q.push(second[0]);
-  auto returning = core::make_tasks(edge_request(1.0, 5.0));
+  auto returning = core::make_tasks(requests, edge_request(1.0, 5.0));
   q.push_front(returning[0]);
   EXPECT_DOUBLE_EQ(*q.pop()->deadline(), 5.0);  // jumped the whole class
   EXPECT_DOUBLE_EQ(*q.pop()->deadline(), 1.0);
@@ -349,7 +373,7 @@ TEST(TaskQueueTest, FcfsPushFrontIsTrueFrontInsert) {
 
 TEST(TaskQueueTest, AuditFlagsNegativeRemainingWork) {
   core::TaskQueue q(core::QueueDiscipline::kEdf);
-  auto t = core::make_tasks(cloud_request(10.0));
+  auto t = core::make_tasks(requests, cloud_request(10.0));
   t[0].remaining_gigacycles = -1.0;
   q.push(t[0]);
   std::vector<std::string> violations;
@@ -360,7 +384,7 @@ TEST(TaskQueueTest, AuditFlagsNegativeRemainingWork) {
 
 TEST(TaskQueueTest, PopClassAndBacklog) {
   core::TaskQueue q(core::QueueDiscipline::kEdf);
-  auto cloud = core::make_tasks(cloud_request(100.0));
+  auto cloud = core::make_tasks(requests, cloud_request(100.0));
   q.push(cloud[0]);
   EXPECT_FALSE(q.pop_class(core::Priority::kEdge).has_value());
   EXPECT_EQ(q.size_class(core::Priority::kCloud), 1u);
@@ -379,7 +403,7 @@ TEST(TaskQueueTest, PopClassOnEmptyLaneIsNulloptAndHarmless) {
     EXPECT_FALSE(q.pop_class(core::Priority::kCloud).has_value());
     // One edge shard: popping the empty *cloud* lane must not disturb the
     // populated edge lane (dedicated edge workers pull by class).
-    auto t = core::make_tasks(edge_request(1.0, 2.0));
+    auto t = core::make_tasks(requests, edge_request(1.0, 2.0));
     q.push(t[0]);
     EXPECT_FALSE(q.pop_class(core::Priority::kCloud).has_value());
     EXPECT_EQ(q.size(), 1u);

@@ -18,7 +18,8 @@ TEST(WorkerCoverage, BacklogTracksRemainingWork) {
   df3::workload::Request r;
   r.work_gigacycles = 64.0;
   r.tasks = 2;
-  auto tasks = core::make_tasks(r);
+  core::RequestPool requests;
+  auto tasks = core::make_tasks(requests, r);
   ASSERT_TRUE(worker.try_start(tasks[0]));
   ASSERT_TRUE(worker.try_start(tasks[1]));
   EXPECT_DOUBLE_EQ(worker.backlog_gigacycles(), 128.0);
@@ -41,7 +42,7 @@ TEST(NetworkCoverage, LinkUpQueryAndLoopbackStats) {
   EXPECT_FALSE(n.link_up(l));
   EXPECT_THROW((void)n.link_up(99), std::out_of_range);
   // Loopback counts as sent, touches no link stats.
-  n.send({a, a, u::bytes(10.0), 0}, [](double) {});
+  n.send({a, a, u::bytes(10.0), 0}, [] {});
   sim.run();
   EXPECT_EQ(n.messages_sent(), 1u);
   EXPECT_EQ(n.stats(l).messages, 0u);

@@ -112,7 +112,7 @@ TEST(Network, DeliveryEventMatchesUnloadedDelayWhenIdle) {
   Chain c;
   const net::Message m{c.device, c.worker, u::bytes(64.0), 1};
   double delivered_at = -1.0;
-  c.netw.send(m, [&](double t) { delivered_at = t; });
+  c.netw.send(m, [&] { delivered_at = c.sim.now(); });
   c.sim.run();
   const auto d = c.netw.unloaded_delay(c.device, c.worker, m.size);
   EXPECT_NEAR(delivered_at, d->value(), 1e-12);
@@ -125,8 +125,8 @@ TEST(Network, QueuingDelaysBackToBackMessages) {
   // the first's serialization.
   const net::Message m{c.device, c.gateway, u::kibibytes(10.0), 0};
   std::vector<double> deliveries;
-  c.netw.send(m, [&](double t) { deliveries.push_back(t); });
-  c.netw.send(m, [&](double t) { deliveries.push_back(t); });
+  c.netw.send(m, [&] { deliveries.push_back(c.sim.now()); });
+  c.netw.send(m, [&] { deliveries.push_back(c.sim.now()); });
   c.sim.run();
   ASSERT_EQ(deliveries.size(), 2u);
   const double ser = net::zigbee().serialization_time(m.size).value();
@@ -138,8 +138,8 @@ TEST(Network, DirectionsDoNotContend) {
   const net::Message fwd{c.device, c.gateway, u::kibibytes(10.0), 0};
   const net::Message rev{c.gateway, c.device, u::kibibytes(10.0), 0};
   std::vector<double> deliveries;
-  c.netw.send(fwd, [&](double t) { deliveries.push_back(t); });
-  c.netw.send(rev, [&](double t) { deliveries.push_back(t); });
+  c.netw.send(fwd, [&] { deliveries.push_back(c.sim.now()); });
+  c.netw.send(rev, [&] { deliveries.push_back(c.sim.now()); });
   c.sim.run();
   ASSERT_EQ(deliveries.size(), 2u);
   EXPECT_NEAR(deliveries[0], deliveries[1], 1e-9);  // full duplex
@@ -148,7 +148,7 @@ TEST(Network, DirectionsDoNotContend) {
 TEST(Network, LoopbackDeliversImmediately) {
   Chain c;
   double delivered_at = -1.0;
-  c.netw.send({c.device, c.device, u::mebibytes(10.0), 0}, [&](double t) { delivered_at = t; });
+  c.netw.send({c.device, c.device, u::mebibytes(10.0), 0}, [&] { delivered_at = c.sim.now(); });
   c.sim.run();
   EXPECT_DOUBLE_EQ(delivered_at, 0.0);
 }
@@ -158,7 +158,7 @@ TEST(Network, PartitionDropsAndRestores) {
   c.netw.set_link_up(c.l_lan, false);
   bool dropped = false;
   double delivered_at = -1.0;
-  c.netw.send({c.device, c.cloud, u::bytes(64.0), 0}, [&](double t) { delivered_at = t; },
+  c.netw.send({c.device, c.cloud, u::bytes(64.0), 0}, [&] { delivered_at = c.sim.now(); },
               [&] { dropped = true; });
   c.sim.run();
   EXPECT_TRUE(dropped);
@@ -166,9 +166,77 @@ TEST(Network, PartitionDropsAndRestores) {
   EXPECT_EQ(c.netw.messages_dropped(), 1u);
 
   c.netw.set_link_up(c.l_lan, true);
-  c.netw.send({c.device, c.cloud, u::bytes(64.0), 0}, [&](double t) { delivered_at = t; });
+  c.netw.send({c.device, c.cloud, u::bytes(64.0), 0}, [&] { delivered_at = c.sim.now(); });
   c.sim.run();
   EXPECT_GT(delivered_at, 0.0);
+}
+
+// ------------------------------------------------------ send contract ---
+
+TEST(NetworkSend, DeliveryNowIsTheComputedArrival) {
+  Chain c;
+  // Two back-to-back messages over device -> gateway -> worker: the second
+  // waits for the first's serialization on the slow ZigBee hop, then
+  // crosses the (idle by then) LAN. Each delivery callback reads now().
+  const net::Message m{c.device, c.worker, u::kibibytes(4.0), 0};
+  std::vector<double> at;
+  c.netw.send(m, [&] { at.push_back(c.sim.now()); });
+  c.netw.send(m, [&] { at.push_back(c.sim.now()); });
+  c.sim.run();
+  const auto zb = net::zigbee();
+  const auto lan = net::ethernet_lan();
+  const double s1 = zb.serialization_time(m.size).value();
+  const double s2 = lan.serialization_time(m.size).value();
+  const double l1 = zb.base_latency.value();
+  const double l2 = lan.base_latency.value();
+  ASSERT_EQ(at.size(), 2u);
+  EXPECT_DOUBLE_EQ(at[0], s1 + l1 + s2 + l2);
+  EXPECT_DOUBLE_EQ(at[1], (s1 + s1 + l1) + s2 + l2);
+}
+
+TEST(NetworkSend, LoopbackAndDropFireAtTheSendInstant) {
+  Chain c;
+  c.netw.set_link_up(c.l_lan, false);
+  double looped = -1.0, dropped = -1.0;
+  bool delivered = false;
+  c.sim.schedule_at(5.0, [&] {
+    c.netw.send({c.worker, c.worker, u::kibibytes(1.0), 0}, [&] { looped = c.sim.now(); });
+    c.netw.send({c.device, c.cloud, u::kibibytes(1.0), 0}, [&] { delivered = true; },
+                [&] { dropped = c.sim.now(); });
+  });
+  c.sim.run();
+  EXPECT_DOUBLE_EQ(looped, 5.0);
+  EXPECT_DOUBLE_EQ(dropped, 5.0);
+  EXPECT_FALSE(delivered);
+  EXPECT_EQ(c.netw.messages_sent(), 1u);
+  EXPECT_EQ(c.netw.messages_dropped(), 1u);
+}
+
+TEST(NetworkSend, LargeCaptureTakesTheHeapFallback) {
+  Chain c;
+  std::array<double, 8> payload{};  // 64 bytes: over the 48-byte inline buffer
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<double>(i + 1);
+  double sum = 0.0;
+  auto on_delivery = [&sum, payload] {
+    for (const double v : payload) sum += v;
+  };
+  static_assert(sizeof(on_delivery) > df3::sim::Simulation::Callback::kInlineSize);
+  df3::sim::Simulation::Callback cb = on_delivery;
+  EXPECT_FALSE(cb.is_inline());
+  c.netw.send({c.device, c.cloud, u::bytes(64.0), 0}, std::move(cb));
+  c.sim.run();
+  EXPECT_DOUBLE_EQ(sum, 36.0);
+}
+
+TEST(NetworkSend, EmptyDeliveryCallbackThrows) {
+  Chain c;
+  EXPECT_THROW(c.netw.send({c.device, c.cloud, u::bytes(1.0), 0}, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(c.netw.send({c.device, c.cloud, u::bytes(1.0), 0},
+                           df3::sim::Simulation::Callback{}, [] {}),
+               std::invalid_argument);
+  EXPECT_EQ(c.netw.messages_sent(), 0u);
+  EXPECT_EQ(c.sim.pending_events(), 0u);
 }
 
 TEST(Network, RoutePrefersFasterPath) {
@@ -187,8 +255,8 @@ TEST(Network, RoutePrefersFasterPath) {
 TEST(Network, StatsAccumulate) {
   Chain c;
   const net::Message m{c.device, c.gateway, u::bytes(100.0), 0};
-  c.netw.send(m, [](double) {});
-  c.netw.send(m, [](double) {});
+  c.netw.send(m, [] {});
+  c.netw.send(m, [] {});
   c.sim.run();
   const auto& st = c.netw.stats(c.l_dev);
   EXPECT_EQ(st.messages, 2u);
@@ -251,8 +319,8 @@ TEST(Network, SegmentedVsSharedLanContention) {
   const auto s_dst = shared.add_node("dst");
   shared.add_link(s_src, s_dst, net::ethernet_lan());
   double bulk_done = -1.0, edge_done = -1.0;
-  shared.send({s_src, s_dst, u::mebibytes(500.0), 0}, [&](double t) { bulk_done = t; });
-  shared.send({s_src, s_dst, u::bytes(200.0), 0}, [&](double t) { edge_done = t; });
+  shared.send({s_src, s_dst, u::mebibytes(500.0), 0}, [&] { bulk_done = sim.now(); });
+  shared.send({s_src, s_dst, u::bytes(200.0), 0}, [&] { edge_done = sim.now(); });
   sim.run();
   EXPECT_GT(edge_done, 1.0);  // ~4 s stuck behind the bulk transfer
 
@@ -262,7 +330,7 @@ TEST(Network, SegmentedVsSharedLanContention) {
   const auto e_dst = seg.add_node("dst");
   seg.add_link(e_src, e_dst, net::ethernet_lan());
   double edge_done2 = -1.0;
-  seg.send({e_src, e_dst, u::bytes(200.0), 0}, [&](double t) { edge_done2 = t; });
+  seg.send({e_src, e_dst, u::bytes(200.0), 0}, [&] { edge_done2 = sim2.now(); });
   sim2.run();
   EXPECT_LT(edge_done2, 0.001);
 }
@@ -384,7 +452,7 @@ TEST(RouteCache, SendAfterFlapDeliversOnTheNewRoute) {
     const double sent_at = f.sim.now();
     double delivered_at = -1.0;
     bool dropped = false;
-    f.netw.send({src, dst, size, 0}, [&](double t) { delivered_at = t; }, [&] { dropped = true; });
+    f.netw.send({src, dst, size, 0}, [&] { delivered_at = f.sim.now(); }, [&] { dropped = true; });
     f.sim.run();
     if (expect) {
       ++rerouted;

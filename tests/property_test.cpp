@@ -169,6 +169,7 @@ class QueueProperty : public ::testing::TestWithParam<core::QueueDiscipline> {};
 
 TEST_P(QueueProperty, RandomOpsPreserveCountAndOrdering) {
   core::TaskQueue q(GetParam());
+  core::RequestPool requests;
   u::RngStream rng(5, "queue-prop");
   std::size_t pushed = 0, popped = 0;
   for (int op = 0; op < 2000; ++op) {
@@ -177,7 +178,7 @@ TEST_P(QueueProperty, RandomOpsPreserveCountAndOrdering) {
       r.flow = rng.bernoulli(0.5) ? wl::Flow::kEdgeIndirect : wl::Flow::kCloud;
       if (wl::is_edge(r.flow)) r.deadline_s = rng.uniform(0.5, 50.0);
       r.arrival = static_cast<double>(op);
-      auto tasks = core::make_tasks(r);
+      auto tasks = core::make_tasks(requests, r);
       if (rng.bernoulli(0.2)) {
         q.push_front(tasks[0]);
       } else {
@@ -206,12 +207,13 @@ INSTANTIATE_TEST_SUITE_P(Disciplines, QueueProperty,
 
 TEST(QueueEdfOrdering, PurePushesDrainByDeadline) {
   core::TaskQueue q(core::QueueDiscipline::kEdf);
+  core::RequestPool requests;
   u::RngStream rng(9, "edf");
   for (int i = 0; i < 300; ++i) {
     wl::Request r;
     r.flow = wl::Flow::kEdgeIndirect;
     r.deadline_s = rng.uniform(0.0, 100.0);
-    auto tasks = core::make_tasks(r);
+    auto tasks = core::make_tasks(requests, r);
     q.push(tasks[0]);
   }
   double prev = -1.0;
@@ -256,11 +258,11 @@ TEST_P(NetworkProperty, MessagesConservedAndNeverEarly) {
       ++submitted;
       netw.send(
           msg,
-          [&delivered, sent_at, floor_delay](double at) {
+          [&delivered, &sim, sent_at, floor_delay] {
             ++delivered;
             ASSERT_TRUE(floor_delay.has_value());
             // Queuing can only add delay, never remove it.
-            EXPECT_GE(at - sent_at + 1e-12, floor_delay->value());
+            EXPECT_GE(sim.now() - sent_at + 1e-12, floor_delay->value());
           },
           [&dropped] { ++dropped; });
     }
