@@ -33,6 +33,7 @@
 #include "df3/thermal/calendar.hpp"
 #include "df3/thermal/weather.hpp"
 #include "df3/util/units.hpp"
+#include "harness.hpp"
 
 namespace {
 
@@ -43,27 +44,6 @@ constexpr std::uint64_t kWarmupTicks = 30;
 constexpr std::uint64_t kTargetItems = 40'000'000;
 constexpr std::uint64_t kMinTicks = 30;
 constexpr std::uint64_t kMaxTicks = 10'080;  // one simulated week at 60 s
-
-/// Positive integers from the comma-separated environment variable `name`,
-/// or from `fallback` when it is unset.
-std::vector<std::size_t> env_counts(const char* name, const char* fallback) {
-  const char* env = std::getenv(name);
-  const std::string csv = env != nullptr ? env : fallback;
-  std::vector<std::size_t> counts;
-  std::size_t pos = 0;
-  while (pos <= csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    const std::string tok = csv.substr(pos, end - pos);
-    if (!tok.empty()) {
-      const unsigned long long v = std::strtoull(tok.c_str(), nullptr, 10);
-      if (v > 0) counts.push_back(static_cast<std::size_t>(v));
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return counts;
-}
 
 core::PlatformConfig scale_config(int month, std::size_t threads) {
   core::PlatformConfig pc;
@@ -136,9 +116,10 @@ int main() {
               "items/s", "gated", "shards", "threads");
 
   std::vector<Row> rows;
-  std::vector<std::size_t> thread_counts = env_counts("DF3_SCALE_THREADS", "1,2,4");
+  std::vector<std::size_t> thread_counts = bench::env_counts("DF3_SCALE_THREADS", "1,2,4");
   if (thread_counts.empty()) thread_counts.push_back(1);
-  for (const std::size_t rooms : env_counts("DF3_SCALE_ROOMS", "1000,10000,100000,1000000")) {
+  const auto room_counts = bench::env_counts("DF3_SCALE_ROOMS", "1000,10000,100000,1000000");
+  for (const std::size_t rooms : room_counts) {
     for (const auto& [month, season] : {std::pair{0, "winter"}, std::pair{6, "summer"}}) {
       for (const std::size_t threads : thread_counts) {
         const Row r = run_row(rooms, month, season, threads);

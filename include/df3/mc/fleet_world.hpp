@@ -17,8 +17,9 @@
 ///    preemptible victim and one non-preemptible filler (so preemption can
 ///    fire exactly once before the ladder escalates further);
 ///  * injectors wired but *not* RNG-scheduled: one LinkFlapper over the
-///    building uplinks and one WorkerChurn (power gating) per cluster,
-///    driven exclusively through their force_toggle choice points.
+///    building uplinks and each building's gw-srv0 link, and one
+///    WorkerChurn (power gating) per cluster, driven exclusively through
+///    their force_toggle choice points.
 ///
 /// The action alphabet (cluster count n):
 ///
@@ -29,6 +30,9 @@
 ///                 ordering pressure)
 ///   pinned(b0/w0) run a composition stage pinned to b0's worker 0
 ///   flap(up-bK)   toggle building K's uplink (partition choice point)
+///   flap(lan-bK)  toggle building K's gw-srv0 link, inside the building's
+///                 {gw, dev, wifi, srv0} cycle: staging to srv0 reroutes
+///                 through the dev or wifi back door
 ///   gate(bK/w0)   power-gate / restore worker 0 of cluster K
 ///   step          advance simulated time by 1 s (lets in-flight network
 ///                 transfers land between choice points)

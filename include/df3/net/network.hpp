@@ -5,9 +5,10 @@
 /// The topology is an undirected graph of named nodes joined by links, each
 /// carrying a `LinkProfile`. A message from A to B follows the minimum-
 /// latency route for its size. Dijkstra over unloaded one-hop delay finds
-/// that route once per (src, dst, size); an exact route cache serves it
-/// after that. `add_link` clears the cache; a link flap makes stale only
-/// the cached routes it can change (DESIGN.md, "Route cache"). Per hop, a
+/// that route once per (src, dst, size), relaxing only the links of the
+/// biconnected blocks between A and B; an exact route cache serves it after
+/// that. `add_link` clears the cache; a link flap makes stale only the
+/// cached routes it can change (DESIGN.md, "Route cache"). Per hop, a
 /// message experiences:
 ///
 ///   queuing   — each link direction is a FIFO server; a message waits until
@@ -130,9 +131,13 @@ class Network : public sim::Entity {
   /// Dijkstra searches run by route lookups so far (cache misses plus
   /// stale entries searched again).
   [[nodiscard]] std::uint64_t route_searches() const { return route_searches_; }
+  /// Nodes settled by those searches, summed. A search relaxes only the
+  /// links of the biconnected blocks on the way from src to dst, so this
+  /// grows with route length, not with city size.
+  [[nodiscard]] std::uint64_t route_nodes_settled() const { return route_nodes_settled_; }
   /// Re-derives every cached route that a lookup would serve with a search
-  /// that leaves the cache alone, and returns one line per route that
-  /// differs from it. Empty means the cache is exact.
+  /// of the whole graph that leaves the cache alone, and returns one line
+  /// per route that differs from it. Empty means the cache is exact.
   [[nodiscard]] std::vector<std::string> verify_route_cache() const;
 
  private:
@@ -150,7 +155,11 @@ class Network : public sim::Entity {
   struct Arc {
     NodeId to;
     std::uint32_t link;
+    std::uint32_t block;  ///< the link's biconnected block
   };
+  /// No link, or no block-cut tree vertex (an isolated node's, a root's
+  /// parent).
+  static constexpr std::uint32_t kNoIndex = std::numeric_limits<std::uint32_t>::max();
 
   [[nodiscard]] static std::size_t direction(const Link& l, NodeId from) {
     return from == l.a ? 0 : 1;
@@ -197,8 +206,13 @@ class Network : public sim::Entity {
   [[nodiscard]] std::span<const std::uint32_t> cached_route(NodeId src, NodeId dst,
                                                             util::Bytes size) const;
   /// Dijkstra from src until dst settles, into dist_, via_link_ and
-  /// settled_, with one_hop_delay(size) of every profile in weight_.
-  void search_route(NodeId src, NodeId dst, util::Bytes size) const;
+  /// settled_, with one_hop_delay(size) of every profile in weight_. It
+  /// relaxes only links in the blocks that mark_path_blocks() marks, which
+  /// yields the same route, or with `whole_graph` every link.
+  void search_route(NodeId src, NodeId dst, util::Bytes size, bool whole_graph) const;
+  /// Marks the blocks on the block-cut tree path from src to dst; false
+  /// when no link path joins them, up or down.
+  [[nodiscard]] bool mark_path_blocks(NodeId src, NodeId dst) const;
   /// Appends the hops of the last search's src -> dst path, in traversal
   /// order; appends nothing when dst was unreachable.
   void append_search_path(NodeId src, NodeId dst, std::vector<std::uint32_t>& out) const;
@@ -211,8 +225,12 @@ class Network : public sim::Entity {
   void grow_routes() const;
   /// Whether no flip since `e.epoch` can have changed the route to `dst`.
   [[nodiscard]] bool route_fresh(const RouteEntry& e, NodeId dst) const;
-  /// Rebuilds the arc lists from links_ after add_node/add_link.
+  /// Rebuilds the arc lists, the biconnected blocks and the block-cut tree
+  /// from links_ after add_node/add_link.
   void build_arcs() const;
+  /// Hopcroft-Tarjan over every link, up or down: stamps each arc with its
+  /// block and fills node_vertex_, bct_parent_ and bct_depth_.
+  void build_blocks() const;
   void clear_routes() const;
   /// Drops dead route_store_ slices.
   void compact_routes() const;
@@ -228,6 +246,18 @@ class Network : public sim::Entity {
   mutable std::vector<Arc> arcs_;
   mutable std::vector<std::uint32_t> arc_begin_;
   mutable bool arcs_stale_ = true;
+  /// Block-cut tree over the blocks of every link, up or down, so flips
+  /// never change it. Vertices [0, block_count_) are blocks, the rest cut
+  /// nodes. node_vertex_[u] is u's cut vertex if u is a cut node, else its
+  /// one block, else kNoIndex (no links). bct_parent_ is kNoIndex at a
+  /// root; there is one tree per component.
+  mutable std::uint32_t block_count_ = 0;
+  mutable std::vector<std::uint32_t> node_vertex_;
+  mutable std::vector<std::uint32_t> bct_parent_;
+  mutable std::vector<std::uint32_t> bct_depth_;
+  /// Per block: the search stamp of the last search whose path it is on.
+  mutable std::vector<std::uint64_t> block_mark_;
+  mutable std::uint64_t search_stamp_ = 0;
   /// Link flips so far; the flip epoch that stamps links, nodes and routes.
   std::uint64_t flip_epoch_ = 0;
   /// Flip epoch of the last down->up change.
@@ -249,8 +279,10 @@ class Network : public sim::Entity {
   mutable std::vector<std::uint32_t> route_store_;  // the entries' slices, back to back
   mutable std::size_t dead_slices_ = 0;  // slices of entries searched again since
   mutable std::uint64_t route_searches_ = 0;
+  mutable std::uint64_t route_nodes_settled_ = 0;
   mutable std::vector<double> weight_;  // per profile: one_hop_delay of the searched size
-  mutable std::vector<double> dist_;
+  mutable std::vector<double> dist_;  // +inf except at touched_
+  mutable std::vector<NodeId> touched_;  // nodes the last search gave a distance
   mutable std::vector<std::uint32_t> via_link_;
   mutable std::vector<NodeId> settled_;  // in settle order
   mutable std::vector<std::pair<double, NodeId>> heap_;

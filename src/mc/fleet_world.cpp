@@ -17,9 +17,10 @@ constexpr std::uint64_t kIdTag = 0x4d43ULL << 48;
 /// add_building wires links in a fixed order (see Df3Platform::add_building):
 /// dev-gw, wifi-gw, gw-internet, then per room gw-srvN (+ dev-srv0/wifi-srv0
 /// for room 0). With 2 rooms that is 7 links per building; the uplink is the
-/// third.
+/// third, and gw-srv0, in the {gw, dev, wifi, srv0} cycle, the fourth.
 constexpr std::size_t kLinksPerBuilding = 7;
 constexpr std::size_t kUplinkOffset = 2;
+constexpr std::size_t kLanOffset = 3;
 
 }  // namespace
 
@@ -79,10 +80,14 @@ void FleetWorld::reset() {
   }
 
   // Injectors: wired but never start()ed — every toggle is an enumerated
-  // choice point via force_toggle, not an RNG arrival.
+  // choice point via force_toggle, not an RNG arrival. Flapper slots: the
+  // uplinks first, then the gw-srv0 links.
   net::LinkFlapConfig fc;
   for (std::size_t c = 0; c < config_.clusters; ++c) {
     fc.links.push_back(c * kLinksPerBuilding + kUplinkOffset);
+  }
+  for (std::size_t c = 0; c < config_.clusters; ++c) {
+    fc.links.push_back(c * kLinksPerBuilding + kLanOffset);
   }
   flapper_ = std::make_unique<net::LinkFlapper>(city_->simulation(), "mc-flap", city_->network(),
                                                 fc, util::RngStream(config_.seed, "mc-flap"));
@@ -156,6 +161,10 @@ void FleetWorld::build_actions() {
   for (std::size_t c = 0; c < config_.clusters; ++c) {
     all.emplace_back("flap(up-b" + std::to_string(c) + ")",
                      [this, c] { flapper_->force_toggle(c); });
+  }
+  for (std::size_t c = 0; c < config_.clusters; ++c) {
+    all.emplace_back("flap(lan-b" + std::to_string(c) + ")",
+                     [this, c] { flapper_->force_toggle(config_.clusters + c); });
   }
   for (std::size_t c = 0; c < config_.clusters; ++c) {
     all.emplace_back("gate(b" + std::to_string(c) + "/w0)",

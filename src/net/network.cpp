@@ -95,10 +95,135 @@ void Network::build_arcs() const {
   for (std::size_t li = 0; li < links_.size(); ++li) {
     const Link& l = links_[li];
     const auto link = static_cast<std::uint32_t>(li);
-    arcs_[next[l.a]++] = Arc{l.b, link};
-    arcs_[next[l.b]++] = Arc{l.a, link};
+    arcs_[next[l.a]++] = Arc{l.b, link, 0};
+    arcs_[next[l.b]++] = Arc{l.a, link, 0};
   }
+  build_blocks();
+  dist_.assign(node_names_.size(), std::numeric_limits<double>::infinity());
+  via_link_.resize(node_names_.size());
+  touched_.clear();
   arcs_stale_ = false;
+}
+
+void Network::build_blocks() const {
+  // Iterative Hopcroft-Tarjan. The tree link to the DFS parent is skipped
+  // by link index, not by node, so a parallel link counts as a back edge and
+  // joins its twin's block.
+  const std::size_t n = node_names_.size();
+  std::vector<std::uint32_t> disc(n, 0), low(n, 0), up_link(n, kNoIndex);
+  std::vector<std::uint32_t> heads(n, 0);      // blocks hanging from each node
+  std::vector<std::uint32_t> head_block(n, 0);  // the last of them
+  std::vector<NodeId> block_head;               // per block: the node it hangs from
+  std::vector<std::uint32_t> link_block(links_.size(), 0);
+  std::vector<std::uint32_t> link_stack;
+  struct Frame {
+    NodeId v;
+    std::uint32_t next_arc;
+  };
+  std::vector<Frame> frames;
+  std::uint32_t clock = 0;
+  for (NodeId root = 0; root < n; ++root) {
+    if (disc[root] != 0) continue;
+    disc[root] = low[root] = ++clock;
+    frames.push_back({root, arc_begin_[root]});
+    while (!frames.empty()) {
+      const NodeId v = frames.back().v;
+      if (frames.back().next_arc < arc_begin_[v + 1]) {
+        const Arc arc = arcs_[frames.back().next_arc++];
+        if (arc.link == up_link[v]) continue;
+        const NodeId w = arc.to;
+        if (disc[w] == 0) {
+          link_stack.push_back(arc.link);
+          up_link[w] = arc.link;
+          disc[w] = low[w] = ++clock;
+          frames.push_back({w, arc_begin_[w]});
+        } else if (disc[w] < disc[v]) {  // a back edge; seen from w it is skipped below
+          link_stack.push_back(arc.link);
+          low[v] = std::min(low[v], disc[w]);
+        }
+        continue;
+      }
+      frames.pop_back();
+      if (frames.empty()) break;
+      const NodeId u = frames.back().v;
+      low[u] = std::min(low[u], low[v]);
+      if (low[v] >= disc[u]) {
+        // Nothing below v reaches above u: the links stacked since the tree
+        // link u-v form one block hanging from u.
+        const auto b = static_cast<std::uint32_t>(block_head.size());
+        std::uint32_t li = 0;
+        do {
+          li = link_stack.back();
+          link_stack.pop_back();
+          link_block[li] = b;
+        } while (li != up_link[v]);
+        block_head.push_back(u);
+        ++heads[u];
+        head_block[u] = b;
+      }
+    }
+  }
+  for (Arc& arc : arcs_) arc.block = link_block[arc.link];
+
+  // A node lies in the block of its tree link plus every block hanging from
+  // it; in two or more it is a cut node. A block's tree parent is the cut
+  // node it hangs from, a cut node's the block of its tree link. Blocks
+  // close in post-order, so walking them backwards meets every parent
+  // before its children.
+  block_count_ = static_cast<std::uint32_t>(block_head.size());
+  node_vertex_.assign(n, kNoIndex);
+  std::uint32_t vertices = block_count_;
+  for (NodeId u = 0; u < n; ++u) {
+    const bool has_up = up_link[u] != kNoIndex;
+    if ((has_up ? 1U : 0U) + heads[u] >= 2) {
+      node_vertex_[u] = vertices++;
+    } else if (has_up) {
+      node_vertex_[u] = link_block[up_link[u]];
+    } else if (heads[u] == 1) {
+      node_vertex_[u] = head_block[u];
+    }
+  }
+  bct_parent_.assign(vertices, kNoIndex);
+  bct_depth_.assign(vertices, 0);
+  for (std::uint32_t b = block_count_; b-- > 0;) {
+    const NodeId u = block_head[b];
+    const std::uint32_t cut = node_vertex_[u];
+    if (cut < block_count_) continue;  // u lies in b alone: b is a root
+    if (up_link[u] != kNoIndex) {
+      bct_parent_[cut] = link_block[up_link[u]];
+      bct_depth_[cut] = bct_depth_[bct_parent_[cut]] + 1;
+    }
+    bct_parent_[b] = cut;
+    bct_depth_[b] = bct_depth_[cut] + 1;
+  }
+  block_mark_.assign(block_count_, 0);
+}
+
+bool Network::mark_path_blocks(NodeId src, NodeId dst) const {
+  ++search_stamp_;
+  std::uint32_t a = node_vertex_[src];
+  std::uint32_t b = node_vertex_[dst];
+  if (a == kNoIndex || b == kNoIndex) return false;
+  const auto mark = [this](std::uint32_t v) {
+    if (v < block_count_) block_mark_[v] = search_stamp_;
+  };
+  while (bct_depth_[a] > bct_depth_[b]) {
+    mark(a);
+    a = bct_parent_[a];
+  }
+  while (bct_depth_[b] > bct_depth_[a]) {
+    mark(b);
+    b = bct_parent_[b];
+  }
+  while (a != b) {
+    if (bct_parent_[a] == kNoIndex) return false;  // two roots: two components
+    mark(a);
+    mark(b);
+    a = bct_parent_[a];
+    b = bct_parent_[b];
+  }
+  mark(a);
+  return true;
 }
 
 void Network::clear_routes() const {
@@ -208,7 +333,8 @@ std::span<const std::uint32_t> Network::cached_route(NodeId src, NodeId dst,
 
 Network::RouteEntry Network::store_route(NodeId src, NodeId dst, util::Bytes size) const {
   ++route_searches_;
-  search_route(src, dst, size);
+  search_route(src, dst, size, /*whole_graph=*/false);
+  route_nodes_settled_ += settled_.size();
   RouteEntry e{route_store_.size(), 0, 0, false, flip_epoch_};
   append_search_path(src, dst, route_store_);
   e.hops = static_cast<std::uint32_t>(route_store_.size() - e.begin);
@@ -228,8 +354,8 @@ Network::RouteEntry Network::store_route(NodeId src, NodeId dst, util::Bytes siz
   // The search stopped when dst settled, so unsettled nodes sit at >= D.
   // They are safe only when adding the margin to D still exceeds D: a zero
   // margin, or one lost to rounding, makes every up-flip stale the entry.
-  // An unreachable dst settled its whole component, which leaves nothing
-  // unsettled to worry about.
+  // An unreachable dst settled all that src reaches in the path blocks,
+  // which leaves nothing unsettled to worry about.
   e.watch_all = d_route != inf && !(d_route + w_min + delta_dst > d_route);
   if (!e.watch_all) {
     for (const NodeId x : settled_) {
@@ -240,21 +366,35 @@ Network::RouteEntry Network::store_route(NodeId src, NodeId dst, util::Bytes siz
   return e;
 }
 
-void Network::search_route(NodeId src, NodeId dst, util::Bytes size) const {
+void Network::search_route(NodeId src, NodeId dst, util::Bytes size, bool whole_graph) const {
   if (arcs_stale_) build_arcs();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const NodeId v : touched_) dist_[v] = inf;
+  touched_.clear();
+  settled_.clear();
+  heap_.clear();
   weight_.resize(profiles_.size());
   for (std::size_t p = 0; p < profiles_.size(); ++p) {
     weight_[p] = profiles_[p].one_hop_delay(size).value();
+  }
+  // Every simple src -> dst path stays inside the blocks on the block-cut
+  // tree path between them. Any other node hangs off a cut node of those
+  // blocks that settles before it, so it can push no entry inside them: the
+  // restricted search pops the same entries in the same order and returns
+  // the same route (DESIGN.md, "Route cache"). Without a tree path, no
+  // link path joins the two, up or down.
+  if (whole_graph) {
+    std::fill(block_mark_.begin(), block_mark_.end(), ++search_stamp_);
+  } else if (!mark_path_blocks(src, dst)) {
+    return;
   }
   // Dijkstra over unloaded one-hop delay for this payload size. The heap
   // steps are exactly std::priority_queue's with std::greater, so ties
   // between equal-delay paths resolve the same way on every search.
   const auto later = std::greater<>{};
-  dist_.assign(node_names_.size(), std::numeric_limits<double>::infinity());
-  via_link_.resize(node_names_.size());
-  settled_.clear();
-  heap_.clear();
+  const std::uint64_t stamp = search_stamp_;
   dist_[src] = 0.0;
+  touched_.push_back(src);
   heap_.emplace_back(0.0, src);
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), later);
@@ -265,10 +405,12 @@ void Network::search_route(NodeId src, NodeId dst, util::Bytes size) const {
     if (u == dst) break;
     for (std::uint32_t a = arc_begin_[u]; a < arc_begin_[u + 1]; ++a) {
       const Arc arc = arcs_[a];
+      if (block_mark_[arc.block] != stamp) continue;
       const Link& l = links_[arc.link];
       if (!l.up) continue;
       const double dv = d + weight_[l.profile];
       if (dv < dist_[arc.to]) {
+        if (dist_[arc.to] == inf) touched_.push_back(arc.to);
         dist_[arc.to] = dv;
         via_link_[arc.to] = arc.link;
         heap_.emplace_back(dv, arc.to);
@@ -300,7 +442,7 @@ std::vector<std::string> Network::verify_route_cache() const {
     const RouteEntry& e = slot.entry;
     if (!route_fresh(e, key.dst)) continue;  // the next lookup searches again
     const double size = std::bit_cast<double>(key.size_bits);
-    search_route(key.src, key.dst, util::Bytes{size});
+    search_route(key.src, key.dst, util::Bytes{size}, /*whole_graph=*/true);
     expect.clear();
     append_search_path(key.src, key.dst, expect);
     const auto cached = route_store_.begin() + static_cast<std::ptrdiff_t>(e.begin);

@@ -144,12 +144,12 @@ TEST(FleetWorld, FleetShapeChangesTheRootDigest) {
 // ------------------------------------------------------------ exploration
 
 TEST(Explorer, FullAlphabetDepth2IsCleanAndComplete) {
-  mc::FleetWorldConfig wc;  // 2 clusters => 11-action alphabet
+  mc::FleetWorldConfig wc;  // 2 clusters => 13-action alphabet
   mc::FleetWorld world(wc);
   const auto result = mc::Explorer(depth(2)).run(world);
   EXPECT_TRUE(result.clean()) << mc::format_witness(result.violations.at(0).witness);
-  // Full 11-ary tree: 1 + 11 + 121 nodes, every one replayed and checked.
-  EXPECT_EQ(result.states_explored, 133u);
+  // Full 13-ary tree: 1 + 13 + 169 nodes, every one replayed and checked.
+  EXPECT_EQ(result.states_explored, 183u);
   EXPECT_EQ(result.states_deduped, 0u);
   EXPECT_EQ(result.max_depth_reached, 2u);
   EXPECT_FALSE(result.truncated);
@@ -190,6 +190,21 @@ TEST(Explorer, DedupCollapsesCommutingFlaps) {
   EXPECT_TRUE(deduped.clean());
   EXPECT_EQ(deduped.states_explored, 7u);
   EXPECT_EQ(deduped.states_deduped, 2u);
+}
+
+TEST(Explorer, LocalLinkFlapsReachTheRouteCheck) {
+  // flap(lan-b1) cuts gw-srv0 inside b1's {gw, dev, wifi, srv0} cycle, so
+  // staging to srv0 reroutes through a back door: every branch's cached
+  // routes, rerouted ones included, must equal a fresh whole-graph search.
+  mc::FleetWorldConfig wc;
+  wc.alphabet = {"edge(b1)", "flap(lan-b1)", "step"};
+  mc::FleetWorld world(wc);
+  const auto result = mc::Explorer(depth(3)).run(world);
+  EXPECT_TRUE(result.clean()) << mc::format_witness(result.violations.at(0).witness);
+  EXPECT_EQ(result.states_explored, 40u);  // 1 + 3 + 9 + 27
+  const auto it = result.coverage.find("route_checks");
+  ASSERT_NE(it, result.coverage.end());
+  EXPECT_GT(it->second, 0u);
 }
 
 TEST(Explorer, MaxStatesTruncates) {

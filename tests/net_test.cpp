@@ -4,8 +4,11 @@
 
 #include <array>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "df3/net/network.hpp"
@@ -501,6 +504,209 @@ TEST(RouteCache, MatchesColdTwinOnEveryPairAndSize) {
     }
   }
   EXPECT_GT(stale_routes, 0);
+}
+
+namespace {
+
+/// A link that costs nothing for an empty payload: no base latency and no
+/// frame overhead, so its arcs weigh zero at size 0.
+net::LinkProfile free_link() {
+  return net::LinkProfile{"free", u::gbps(10.0), u::seconds(0.0), u::bytes(65536.0),
+                          u::bytes(0.0), 1.0};
+}
+
+/// Dijkstra over every up link, with the tie-breaks the network promises:
+/// each node's links in insertion order, the heap ordered by (delay, node).
+std::vector<std::size_t> whole_graph_route(const std::vector<LinkSpec>& specs, std::size_t nodes,
+                                           net::NodeId src, net::NodeId dst, u::Bytes size) {
+  if (src == dst) return {};
+  std::vector<std::vector<std::pair<net::NodeId, std::size_t>>> adj(nodes);
+  for (std::size_t li = 0; li < specs.size(); ++li) {
+    if (!specs[li].up) continue;
+    adj[specs[li].a].emplace_back(specs[li].b, li);
+    adj[specs[li].b].emplace_back(specs[li].a, li);
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> dist(nodes, inf);
+  std::vector<std::size_t> via(nodes, 0);
+  std::priority_queue<std::pair<double, net::NodeId>, std::vector<std::pair<double, net::NodeId>>,
+                      std::greater<>>
+      heap;
+  dist[src] = 0.0;
+  heap.emplace(0.0, src);
+  while (!heap.empty()) {
+    const auto [d, v] = heap.top();
+    heap.pop();
+    if (d > dist[v]) continue;
+    if (v == dst) break;
+    for (const auto& [w, li] : adj[v]) {
+      const double dw = d + specs[li].profile.one_hop_delay(size).value();
+      if (dw < dist[w]) {
+        dist[w] = dw;
+        via[w] = li;
+        heap.emplace(dw, w);
+      }
+    }
+  }
+  std::vector<std::size_t> hops;
+  if (dist[dst] == inf) return hops;
+  for (net::NodeId cur = dst; cur != src;) {
+    const LinkSpec& l = specs[via[cur]];
+    hops.insert(hops.begin(), via[cur]);
+    cur = l.a == cur ? l.b : l.a;
+  }
+  return hops;
+}
+
+/// A seeded graph with many biconnected blocks: a hub with building-shaped
+/// spokes (a gw/dev/wifi/srv0 cycle plus a pendant server), a ring with a
+/// chord hung off the hub by a bridge, a pendant chain, a parallel-link
+/// pair, a second component and isolated nodes. Profiles are drawn at
+/// random and include free_link().
+struct BlockyFabric {
+  Simulation sim;
+  net::Network netw{sim, "blocky"};
+  u::RngStream rng;
+  std::vector<LinkSpec> specs;
+
+  explicit BlockyFabric(std::uint64_t seed) : rng(seed, "block-routes") {
+    const net::NodeId hub = add();
+    for (int b = 0; b < 3; ++b) {
+      const net::NodeId gw = add(), dev = add(), wifi = add(), srv0 = add(), srv1 = add();
+      link(dev, gw);
+      link(wifi, gw);
+      link(gw, hub);
+      link(gw, srv0);
+      link(dev, srv0);
+      link(wifi, srv0);
+      link(gw, srv1);
+    }
+    std::vector<net::NodeId> ring;
+    for (int i = 0; i < 5; ++i) ring.push_back(add());
+    for (std::size_t i = 0; i < ring.size(); ++i) link(ring[i], ring[(i + 1) % ring.size()]);
+    link(ring[0], ring[2]);
+    link(ring[3], hub);
+    net::NodeId tail = ring[4];
+    for (int i = 0; i < 3; ++i) {
+      const net::NodeId next = add();
+      link(tail, next);
+      tail = next;
+    }
+    const net::NodeId twin = add();
+    link(ring[1], twin);
+    link(ring[1], twin);
+    link(twin, add());
+    const net::NodeId x = add(), y = add(), z = add();
+    link(x, y);
+    link(y, z);
+    link(z, x);
+    link(z, add());
+    (void)add();
+    (void)add();
+  }
+
+  [[nodiscard]] std::size_t nodes() const { return netw.node_count(); }
+  net::NodeId add() { return netw.add_node("n" + std::to_string(netw.node_count())); }
+
+  void link(net::NodeId a, net::NodeId b) {
+    const std::array kinds{net::ethernet_lan(), net::wifi(), net::zigbee(), net::fiber_wan(),
+                           free_link()};
+    specs.push_back({a, b, kinds[static_cast<std::size_t>(rng.uniform_int(0, 4))], true});
+    netw.add_link(a, b, specs.back().profile);
+  }
+
+  void flip(std::size_t li) {
+    specs[li].up = !specs[li].up;
+    netw.set_link_up(li, specs[li].up);
+  }
+};
+
+}  // namespace
+
+TEST(RouteCache, BlockRestrictedSearchMatchesWholeGraphSearch) {
+  // Searches relax only the blocks between src and dst. Every ordered pair
+  // at five sizes (size 0 makes free links weigh zero), under random flips
+  // and the odd new link that merges blocks, must get the route a search
+  // of the whole graph finds, unreachable pairs included.
+  const std::array sizes{u::bytes(0.0), u::bytes(1.0), u::bytes(1500.0), u::kibibytes(64.0),
+                         u::mebibytes(5.0)};
+  int unreachable = 0, zero_cost = 0, reachable = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    BlockyFabric f(seed);
+    for (int round = 0; round < 12; ++round) {
+      const auto n = static_cast<net::NodeId>(f.nodes());
+      for (net::NodeId src = 0; src < n; ++src) {
+        for (net::NodeId dst = 0; dst < n; ++dst) {
+          for (const u::Bytes size : sizes) {
+            const auto expect = whole_graph_route(f.specs, f.nodes(), src, dst, size);
+            ASSERT_EQ(f.netw.route(src, dst, size), expect)
+                << "seed " << seed << ", round " << round << ", " << src << " -> " << dst
+                << ", " << size.value() << " B";
+            if (src == dst) continue;
+            if (expect.empty()) {
+              ++unreachable;
+            } else {
+              ++reachable;
+              if (f.netw.unloaded_delay(src, dst, size)->value() == 0.0) ++zero_cost;
+            }
+          }
+        }
+      }
+      const auto mismatches = f.netw.verify_route_cache();
+      ASSERT_TRUE(mismatches.empty()) << mismatches.front();
+      // A picked link that is down comes up; one that is up goes down
+      // with odds 0.4, so about a quarter of the links are down at a time.
+      for (auto flips = f.rng.uniform_int(1, 4); flips > 0; --flips) {
+        const auto li = static_cast<std::size_t>(
+            f.rng.uniform_int(0, static_cast<std::int64_t>(f.specs.size()) - 1));
+        if (!f.specs[li].up || f.rng.uniform01() < 0.4) f.flip(li);
+      }
+      if (f.rng.uniform01() < 0.15) {
+        const auto a = static_cast<net::NodeId>(f.rng.uniform_int(0, n - 1));
+        const auto b = static_cast<net::NodeId>(f.rng.uniform_int(0, n - 1));
+        if (a != b) f.link(a, b);
+      }
+    }
+  }
+  EXPECT_GT(unreachable, 0);
+  EXPECT_GT(zero_cost, 0);
+  EXPECT_GT(reachable, unreachable);
+}
+
+TEST(RouteCache, SearchesSettleOnlyTheBlocksOnTheWay) {
+  // A star of 50 spokes, each a gw/dev/srv cycle behind a bridge to the
+  // hub: a route inside one spoke settles that spoke's nodes, and one
+  // across the hub settles two spokes and the hub, whatever the star's size.
+  Simulation sim;
+  net::Network n(sim, "star");
+  const net::NodeId hub = n.add_node("hub");
+  std::vector<std::array<net::NodeId, 3>> spokes;
+  for (int s = 0; s < 50; ++s) {
+    const std::string p = "s" + std::to_string(s) + "/";
+    const std::array v{n.add_node(p + "gw"), n.add_node(p + "dev"), n.add_node(p + "srv")};
+    n.add_link(v[0], hub, net::fiber_wan());
+    n.add_link(v[1], v[0], net::zigbee());
+    n.add_link(v[0], v[2], net::ethernet_lan());
+    n.add_link(v[1], v[2], net::zigbee());
+    spokes.push_back(v);
+  }
+  EXPECT_EQ(n.route(spokes[7][0], spokes[7][1], u::bytes(64.0)).size(), 1u);
+  EXPECT_EQ(n.route_nodes_settled(), 3u);  // gw first, then srv, then dev
+  EXPECT_EQ(n.route(spokes[7][1], spokes[31][2], u::bytes(64.0)).size(), 4u);
+  EXPECT_LE(n.route_nodes_settled(), 3u + 7u);
+  EXPECT_EQ(n.route_searches(), 2u);
+  // A node with no links and a node in another component are unreachable
+  // without a search settling anything.
+  const net::NodeId lone = n.add_node("lone");
+  const net::NodeId far_a = n.add_node("far-a");
+  const net::NodeId far_b = n.add_node("far-b");
+  n.add_link(far_a, far_b, net::ethernet_lan());
+  const std::uint64_t settled = n.route_nodes_settled();
+  EXPECT_TRUE(n.route(spokes[0][1], lone, u::bytes(64.0)).empty());
+  EXPECT_TRUE(n.route(far_a, spokes[0][1], u::bytes(64.0)).empty());
+  EXPECT_EQ(n.route_nodes_settled(), settled);
+  EXPECT_EQ(n.route(far_a, far_b, u::bytes(64.0)).size(), 1u);
+  EXPECT_TRUE(n.verify_route_cache().empty());
 }
 
 TEST(RouteCache, StaysWithinCapacityAndClearsOnTopologyChange) {

@@ -5,6 +5,8 @@
 #include "df3/core/platform.hpp"
 #include "df3/net/fault.hpp"
 #include "df3/thermal/calendar.hpp"
+#include "df3/thermal/weather.hpp"
+#include "df3/workload/arrivals.hpp"
 
 namespace core = df3::core;
 namespace net = df3::net;
@@ -234,6 +236,39 @@ TEST(Platform, RouteCacheKeepsItsHitRateUnderLinkFlaps) {
   EXPECT_LE(static_cast<double>(n.route_searches()),
             0.1 * static_cast<double>(n.messages_sent()))
       << n.route_searches() << " searches for " << n.messages_sent() << " sends";
+}
+
+TEST(Platform, RouteSearchesSettleTheSameNodesPerBuildingAtAnyCitySize) {
+  // The request path's cold routes stay inside the buildings they serve: a
+  // gateway -> device return route settles that building's nodes, not half
+  // the city. So the nodes route searches settle per building stay flat
+  // when the city grows 10x. Counts, not timing.
+  const auto settled_per_building = [](std::size_t buildings) {
+    core::PlatformConfig cfg;
+    cfg.seed = 2016;
+    cfg.start_time = th::start_of_month(0);
+    cfg.climate = th::stockholm_climate();
+    cfg.federation_degree = 2;
+    cfg.with_datacenter = true;
+    core::Df3Platform city(cfg);
+    for (std::size_t b = 0; b < buildings; ++b) {
+      city.add_building(small_building("b" + std::to_string(b), 10));
+      city.add_edge_source(b, wl::alarm_detection_factory(), 0.02);
+      city.add_edge_source(b, wl::fall_detection_factory(), 0.005, /*direct=*/true);
+      city.add_edge_source(b, wl::telemetry_factory(),
+                           std::make_unique<wl::FixedIntervalArrivals>(
+                               60.0, static_cast<double>(60 * b / buildings)));
+    }
+    city.run(u::hours(1.0));
+    const net::Network& n = city.network();
+    EXPECT_GE(n.route_searches(), 3 * buildings);
+    return static_cast<double>(n.route_nodes_settled()) / static_cast<double>(buildings);
+  };
+  const double small = settled_per_building(10);
+  const double large = settled_per_building(100);
+  EXPECT_GT(small, 0.0);
+  EXPECT_LE(large, 1.5 * small) << "settled nodes per building: " << small << " at 10 buildings, "
+                                << large << " at 100";
 }
 
 TEST(Platform, Validation) {
