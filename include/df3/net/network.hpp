@@ -7,9 +7,9 @@
 /// latency route for its size. Dijkstra over unloaded one-hop delay finds
 /// that route once per (src, dst, size), relaxing only the links of the
 /// biconnected blocks between A and B; an exact route cache serves it after
-/// that. `add_link` clears the cache; a link flap makes stale only the
-/// cached routes it can change (DESIGN.md, "Route cache"). Per hop, a
-/// message experiences:
+/// that. `add_node` and `add_link` clear the cache; a link flap makes stale
+/// the cached routes that cross its biconnected block (DESIGN.md, "Route
+/// cache"). Per hop, a message experiences:
 ///
 ///   queuing   — each link direction is a FIFO server; a message waits until
 ///               the link is free (this is what makes the shared-vs-
@@ -54,7 +54,7 @@ struct Message {
   obs::HopKind journey_hop = obs::HopKind::kNone;
 };
 
-/// Statistics for one link direction.
+/// Traffic a link carried, both directions together.
 struct LinkStats {
   std::uint64_t messages = 0;
   double bytes = 0.0;
@@ -87,9 +87,10 @@ class Network : public sim::Entity {
 
   /// Minimum-delay route for a message of `size`; empty when unreachable.
   /// The route is the sequence of link indices traversed. Routes are cached
-  /// per (src, dst, size). add_link clears the cache; a set_link_up state
-  /// change makes stale only the cached routes it can change, and a stale
-  /// route is searched again on its next lookup.
+  /// per (src, dst, size). add_node and add_link clear the cache; a
+  /// set_link_up state change makes stale the cached routes that cross the
+  /// link's biconnected block, and a stale route is searched again on its
+  /// next lookup.
   [[nodiscard]] std::vector<std::size_t> route(NodeId src, NodeId dst, util::Bytes size) const;
 
   /// Unloaded end-to-end delay along the current best route (no queuing).
@@ -145,11 +146,9 @@ class Network : public sim::Entity {
     NodeId a, b;
     std::uint32_t profile;  ///< index into profiles_
     bool up = true;
-    /// Flip epoch of the link's last up->down change (0: never).
-    std::uint64_t down_epoch = 0;
     /// Earliest time each direction is free (0: a->b, 1: b->a).
     std::array<sim::Time, 2> next_free{0.0, 0.0};
-    std::array<LinkStats, 2> dir_stats{};
+    LinkStats stats{};
   };
   /// One direction of a link, seen from the node it leaves.
   struct Arc {
@@ -177,14 +176,10 @@ class Network : public sim::Entity {
   struct RouteKeyHash {
     std::size_t operator()(const RouteKey& k) const noexcept;
   };
-  /// A cached route: `hops` link indices starting at route_store_[begin],
-  /// then the `watched` nodes whose up-flips can change it. `watch_all`
-  /// entries are staled by any up-flip instead (see route_fresh()).
+  /// A cached route: `hops` link indices starting at route_store_[begin].
   struct RouteEntry {
     std::size_t begin;
     std::uint32_t hops;
-    std::uint32_t watched;
-    bool watch_all;
     /// Flip epoch at which the entry was last known fresh.
     std::uint64_t epoch;
   };
@@ -205,31 +200,33 @@ class Network : public sim::Entity {
   /// change.
   [[nodiscard]] std::span<const std::uint32_t> cached_route(NodeId src, NodeId dst,
                                                             util::Bytes size) const;
-  /// Dijkstra from src until dst settles, into dist_, via_link_ and
-  /// settled_, with one_hop_delay(size) of every profile in weight_. It
-  /// relaxes only links in the blocks that mark_path_blocks() marks, which
-  /// yields the same route, or with `whole_graph` every link.
-  void search_route(NodeId src, NodeId dst, util::Bytes size, bool whole_graph) const;
+  /// Dijkstra from src until dst settles, into dist_ and via_link_, with
+  /// one_hop_delay(size) of every profile in weight_; returns the number of
+  /// nodes it settled. It relaxes only links in the blocks that
+  /// mark_path_blocks() marks, which yields the same route, or with
+  /// `whole_graph` every link.
+  std::size_t search_route(NodeId src, NodeId dst, util::Bytes size, bool whole_graph) const;
   /// Marks the blocks on the block-cut tree path from src to dst; false
   /// when no link path joins them, up or down.
   [[nodiscard]] bool mark_path_blocks(NodeId src, NodeId dst) const;
   /// Appends the hops of the last search's src -> dst path, in traversal
   /// order; appends nothing when dst was unreachable.
   void append_search_path(NodeId src, NodeId dst, std::vector<std::uint32_t>& out) const;
-  /// Searches src -> dst and appends the route and its watched nodes to
-  /// route_store_.
+  /// Searches src -> dst and appends the route to route_store_.
   [[nodiscard]] RouteEntry store_route(NodeId src, NodeId dst, util::Bytes size) const;
   /// The slot holding `key`, or the empty slot where it belongs.
   [[nodiscard]] RouteSlot& route_slot(const RouteKey& key) const;
   /// Doubles the route index and re-places every route.
   void grow_routes() const;
-  /// Whether no flip since `e.epoch` can have changed the route to `dst`.
-  [[nodiscard]] bool route_fresh(const RouteEntry& e, NodeId dst) const;
+  /// Whether no block that `e`'s route crosses has flipped since `e.epoch`.
+  /// An unreachable entry goes stale on any flip.
+  [[nodiscard]] bool route_fresh(const RouteEntry& e) const;
   /// Rebuilds the arc lists, the biconnected blocks and the block-cut tree
   /// from links_ after add_node/add_link.
   void build_arcs() const;
-  /// Hopcroft-Tarjan over every link, up or down: stamps each arc with its
-  /// block and fills node_vertex_, bct_parent_ and bct_depth_.
+  /// Hopcroft-Tarjan over every link, up or down: fills link_block_, stamps
+  /// each arc with its block, fills node_vertex_, bct_parent_ and
+  /// bct_depth_, and zeroes block_flip_epoch_.
   void build_blocks() const;
   void clear_routes() const;
   /// Drops dead route_store_ slices.
@@ -252,21 +249,22 @@ class Network : public sim::Entity {
   /// one block, else kNoIndex (no links). bct_parent_ is kNoIndex at a
   /// root; there is one tree per component.
   mutable std::uint32_t block_count_ = 0;
+  mutable std::vector<std::uint32_t> link_block_;  // per link: its block
   mutable std::vector<std::uint32_t> node_vertex_;
   mutable std::vector<std::uint32_t> bct_parent_;
   mutable std::vector<std::uint32_t> bct_depth_;
   /// Per block: the search stamp of the last search whose path it is on.
   mutable std::vector<std::uint64_t> block_mark_;
   mutable std::uint64_t search_stamp_ = 0;
-  /// Link flips so far; the flip epoch that stamps links, nodes and routes.
+  /// Link flips so far; the flip epoch that stamps blocks and routes.
   std::uint64_t flip_epoch_ = 0;
-  /// Flip epoch of the last down->up change.
-  std::uint64_t last_up_epoch_ = 0;
-  /// Per node: flip epoch of the last down->up change of an incident link.
-  std::vector<std::uint64_t> node_up_epoch_;
+  /// Per block: flip epoch of the last flip of one of its links. Zeroed
+  /// with every block rebuild, which only follows add_node or add_link and
+  /// so finds the cache empty; while the blocks are stale, flips stamp
+  /// nothing.
+  mutable std::vector<std::uint64_t> block_flip_epoch_;
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
-  mutable LinkStats merged_stats_{};  // scratch for stats() aggregation
   /// min_peer_latency() memo; < 0 = stale (recompute on next query).
   mutable double min_peer_latency_cache_ = -1.0;
   /// Route cache and Dijkstra scratch. They are mutable because route() and
@@ -284,7 +282,6 @@ class Network : public sim::Entity {
   mutable std::vector<double> dist_;  // +inf except at touched_
   mutable std::vector<NodeId> touched_;  // nodes the last search gave a distance
   mutable std::vector<std::uint32_t> via_link_;
-  mutable std::vector<NodeId> settled_;  // in settle order
   mutable std::vector<std::pair<double, NodeId>> heap_;
 };
 

@@ -32,7 +32,8 @@ class KeyValueConfig {
   [[nodiscard]] bool has(const std::string& key) const;
 
   /// Typed accessors with defaults; conversion failures throw
-  /// std::invalid_argument naming the key.
+  /// std::invalid_argument naming the key. get_double also rejects NaN and
+  /// infinities.
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;

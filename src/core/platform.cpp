@@ -26,7 +26,7 @@ Df3Platform::Df3Platform(PlatformConfig config)
     : config_(std::move(config)),
       weather_(config_.climate, config_.seed ^ 0x5ca1ab1eULL),
       auditor_(config_.audit) {
-  if (config_.tick_s <= 0.0) throw std::invalid_argument("Df3Platform: tick must be positive");
+  if (!(config_.tick_s > 0.0)) throw std::invalid_argument("Df3Platform: tick must be positive");
   // 0 = one thread per hardware thread, resolved once: hardware_concurrency()
   // is a sysconf query, far too slow for the tick path.
   if (config_.threads == 0) {
@@ -1129,7 +1129,7 @@ void Df3Platform::feed_metrics(sim::Time t, double room_mean_c, double city_core
 }
 
 void Df3Platform::run(util::Seconds duration) {
-  if (duration.value() < 0.0) throw std::invalid_argument("run: negative duration");
+  if (!(duration.value() >= 0.0)) throw std::invalid_argument("run: negative or NaN duration");
   ensure_peers_wired();
   if (!physics_) {
     physics_ = std::make_unique<sim::PeriodicProcess>(

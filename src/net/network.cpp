@@ -26,8 +26,10 @@ NodeId Network::add_node(const std::string& node_name) {
   const auto id = static_cast<NodeId>(node_names_.size());
   node_names_.push_back(node_name);
   by_name_.emplace(node_name, id);
-  node_up_epoch_.push_back(0);
   arcs_stale_ = true;
+  // The next search rebuilds the blocks and zeroes their flip epochs, which
+  // would make a route staled by an earlier flip look fresh.
+  clear_routes();
   return id;
 }
 
@@ -72,11 +74,7 @@ void Network::set_link_up(std::size_t link, bool up) {
   if (l.up == up) return;
   l.up = up;
   ++flip_epoch_;
-  if (up) {
-    node_up_epoch_[l.a] = node_up_epoch_[l.b] = last_up_epoch_ = flip_epoch_;
-  } else {
-    l.down_epoch = flip_epoch_;
-  }
+  if (!arcs_stale_) block_flip_epoch_[link_block_[link]] = flip_epoch_;
   min_peer_latency_cache_ = -1.0;
 }
 bool Network::link_up(std::size_t link) const { return links_.at(link).up; }
@@ -114,7 +112,7 @@ void Network::build_blocks() const {
   std::vector<std::uint32_t> heads(n, 0);      // blocks hanging from each node
   std::vector<std::uint32_t> head_block(n, 0);  // the last of them
   std::vector<NodeId> block_head;               // per block: the node it hangs from
-  std::vector<std::uint32_t> link_block(links_.size(), 0);
+  link_block_.assign(links_.size(), 0);
   std::vector<std::uint32_t> link_stack;
   struct Frame {
     NodeId v;
@@ -155,7 +153,7 @@ void Network::build_blocks() const {
         do {
           li = link_stack.back();
           link_stack.pop_back();
-          link_block[li] = b;
+          link_block_[li] = b;
         } while (li != up_link[v]);
         block_head.push_back(u);
         ++heads[u];
@@ -163,7 +161,7 @@ void Network::build_blocks() const {
       }
     }
   }
-  for (Arc& arc : arcs_) arc.block = link_block[arc.link];
+  for (Arc& arc : arcs_) arc.block = link_block_[arc.link];
 
   // A node lies in the block of its tree link plus every block hanging from
   // it; in two or more it is a cut node. A block's tree parent is the cut
@@ -178,7 +176,7 @@ void Network::build_blocks() const {
     if ((has_up ? 1U : 0U) + heads[u] >= 2) {
       node_vertex_[u] = vertices++;
     } else if (has_up) {
-      node_vertex_[u] = link_block[up_link[u]];
+      node_vertex_[u] = link_block_[up_link[u]];
     } else if (heads[u] == 1) {
       node_vertex_[u] = head_block[u];
     }
@@ -190,13 +188,14 @@ void Network::build_blocks() const {
     const std::uint32_t cut = node_vertex_[u];
     if (cut < block_count_) continue;  // u lies in b alone: b is a root
     if (up_link[u] != kNoIndex) {
-      bct_parent_[cut] = link_block[up_link[u]];
+      bct_parent_[cut] = link_block_[up_link[u]];
       bct_depth_[cut] = bct_depth_[bct_parent_[cut]] + 1;
     }
     bct_parent_[b] = cut;
     bct_depth_[b] = bct_depth_[cut] + 1;
   }
   block_mark_.assign(block_count_, 0);
+  block_flip_epoch_.assign(block_count_, 0);
 }
 
 bool Network::mark_path_blocks(NodeId src, NodeId dst) const {
@@ -263,11 +262,10 @@ void Network::compact_routes() const {
   for (RouteEntry* e : live) {
     const auto slice = route_store_.begin() + static_cast<std::ptrdiff_t>(e->begin);
     if (e->begin != end) {
-      std::copy(slice, slice + e->hops + e->watched,
-                route_store_.begin() + static_cast<std::ptrdiff_t>(end));
+      std::copy(slice, slice + e->hops, route_store_.begin() + static_cast<std::ptrdiff_t>(end));
     }
     e->begin = end;
-    end += e->hops + e->watched;
+    end += e->hops;
   }
   route_store_.resize(end);
   dead_slices_ = 0;
@@ -284,17 +282,14 @@ util::Seconds Network::min_peer_latency() const {
   return util::Seconds{min_peer_latency_cache_};
 }
 
-bool Network::route_fresh(const RouteEntry& e, NodeId dst) const {
+bool Network::route_fresh(const RouteEntry& e) const {
   if (e.epoch == flip_epoch_) return true;
+  if (e.hops == 0) return false;
+  // The route's hops cross exactly the blocks its search read (DESIGN.md,
+  // "Route cache"), so a flip in none of them leaves the route as it was.
   const std::uint32_t* const hops = route_store_.data() + e.begin;
   for (std::uint32_t i = 0; i < e.hops; ++i) {
-    if (links_[hops[i]].down_epoch > e.epoch) return false;
-  }
-  if (last_up_epoch_ <= e.epoch) return true;
-  if (e.watch_all || node_up_epoch_[dst] > e.epoch) return false;
-  const std::uint32_t* const watched = hops + e.hops;
-  for (std::uint32_t i = 0; i < e.watched; ++i) {
-    if (node_up_epoch_[watched[i]] > e.epoch) return false;
+    if (block_flip_epoch_[link_block_[hops[i]]] > e.epoch) return false;
   }
   return true;
 }
@@ -319,7 +314,7 @@ std::span<const std::uint32_t> Network::cached_route(NodeId src, NodeId dst,
     slot->entry = store_route(src, dst, size);
     ++route_count_;
   } else if (RouteEntry& e = slot->entry; e.epoch != flip_epoch_) {
-    if (route_fresh(e, dst)) {
+    if (route_fresh(e)) {
       // Checking in stages is the same as checking once: every flip since
       // the search has now passed, so later lookups check only newer ones.
       e.epoch = flip_epoch_;
@@ -333,45 +328,19 @@ std::span<const std::uint32_t> Network::cached_route(NodeId src, NodeId dst,
 
 Network::RouteEntry Network::store_route(NodeId src, NodeId dst, util::Bytes size) const {
   ++route_searches_;
-  search_route(src, dst, size, /*whole_graph=*/false);
-  route_nodes_settled_ += settled_.size();
-  RouteEntry e{route_store_.size(), 0, 0, false, flip_epoch_};
+  route_nodes_settled_ += search_route(src, dst, size, /*whole_graph=*/false);
+  RouteEntry e{route_store_.size(), 0, flip_epoch_};
   append_search_path(src, dst, route_store_);
   e.hops = static_cast<std::uint32_t>(route_store_.size() - e.begin);
-  // Watched nodes (DESIGN.md, "Route cache"): a link L = (x, y) coming up
-  // can only give the route a cheaper or equal-cost rival if x or y is dst,
-  // or if the first newly-up link of the rival path leaves a node x this
-  // search settled with d_x + w_min + delta_dst <= D. Here w_min bounds any
-  // link's one-hop delay from below and delta_dst the last hop's.
-  const double inf = std::numeric_limits<double>::infinity();
-  const double d_route = dist_[dst];
-  double w_min = inf;
-  for (const double w : weight_) w_min = std::min(w_min, w);
-  double delta_dst = inf;
-  for (std::uint32_t a = arc_begin_[dst]; a < arc_begin_[dst + 1]; ++a) {
-    delta_dst = std::min(delta_dst, weight_[links_[arcs_[a].link].profile]);
-  }
-  // The search stopped when dst settled, so unsettled nodes sit at >= D.
-  // They are safe only when adding the margin to D still exceeds D: a zero
-  // margin, or one lost to rounding, makes every up-flip stale the entry.
-  // An unreachable dst settled all that src reaches in the path blocks,
-  // which leaves nothing unsettled to worry about.
-  e.watch_all = d_route != inf && !(d_route + w_min + delta_dst > d_route);
-  if (!e.watch_all) {
-    for (const NodeId x : settled_) {
-      if (dist_[x] + w_min + delta_dst <= d_route) route_store_.push_back(x);
-    }
-  }
-  e.watched = static_cast<std::uint32_t>(route_store_.size() - e.begin - e.hops);
   return e;
 }
 
-void Network::search_route(NodeId src, NodeId dst, util::Bytes size, bool whole_graph) const {
+std::size_t Network::search_route(NodeId src, NodeId dst, util::Bytes size,
+                                  bool whole_graph) const {
   if (arcs_stale_) build_arcs();
   const double inf = std::numeric_limits<double>::infinity();
   for (const NodeId v : touched_) dist_[v] = inf;
   touched_.clear();
-  settled_.clear();
   heap_.clear();
   weight_.resize(profiles_.size());
   for (std::size_t p = 0; p < profiles_.size(); ++p) {
@@ -386,13 +355,14 @@ void Network::search_route(NodeId src, NodeId dst, util::Bytes size, bool whole_
   if (whole_graph) {
     std::fill(block_mark_.begin(), block_mark_.end(), ++search_stamp_);
   } else if (!mark_path_blocks(src, dst)) {
-    return;
+    return 0;
   }
   // Dijkstra over unloaded one-hop delay for this payload size. The heap
   // steps are exactly std::priority_queue's with std::greater, so ties
   // between equal-delay paths resolve the same way on every search.
   const auto later = std::greater<>{};
   const std::uint64_t stamp = search_stamp_;
+  std::size_t settled = 0;
   dist_[src] = 0.0;
   touched_.push_back(src);
   heap_.emplace_back(0.0, src);
@@ -401,7 +371,7 @@ void Network::search_route(NodeId src, NodeId dst, util::Bytes size, bool whole_
     const auto [d, u] = heap_.back();
     heap_.pop_back();
     if (d > dist_[u]) continue;
-    settled_.push_back(u);
+    ++settled;
     if (u == dst) break;
     for (std::uint32_t a = arc_begin_[u]; a < arc_begin_[u + 1]; ++a) {
       const Arc arc = arcs_[a];
@@ -418,6 +388,7 @@ void Network::search_route(NodeId src, NodeId dst, util::Bytes size, bool whole_
       }
     }
   }
+  return settled;
 }
 
 void Network::append_search_path(NodeId src, NodeId dst, std::vector<std::uint32_t>& out) const {
@@ -440,7 +411,7 @@ std::vector<std::string> Network::verify_route_cache() const {
     if (!slot.used()) continue;
     const RouteKey& key = slot.key;
     const RouteEntry& e = slot.entry;
-    if (!route_fresh(e, key.dst)) continue;  // the next lookup searches again
+    if (!route_fresh(e)) continue;  // the next lookup searches again
     const double size = std::bit_cast<double>(key.size_bits);
     search_route(key.src, key.dst, util::Bytes{size}, /*whole_graph=*/true);
     expect.clear();
@@ -505,10 +476,9 @@ void Network::send(const Message& msg, sim::Simulation::Callback on_delivery,
     const double ser = profile.serialization_time(msg.size).value();
     l.next_free[dir] = start + ser;
     t = start + ser + profile.base_latency.value();
-    LinkStats& st = l.dir_stats[dir];
-    ++st.messages;
-    st.bytes += msg.size.value();
-    st.busy_seconds += ser;
+    ++l.stats.messages;
+    l.stats.bytes += msg.size.value();
+    l.stats.busy_seconds += ser;
     at = (l.a == at) ? l.b : l.a;
   }
   // One span covers the whole multi-hop delivery: cut-through reserves
@@ -526,15 +496,6 @@ void Network::send(const Message& msg, sim::Simulation::Callback on_delivery,
   sim().schedule_at(t, std::move(on_delivery));
 }
 
-const LinkStats& Network::stats(std::size_t link) const {
-  const Link& l = links_.at(link);
-  merged_stats_ = LinkStats{};
-  for (const auto& d : l.dir_stats) {
-    merged_stats_.messages += d.messages;
-    merged_stats_.bytes += d.bytes;
-    merged_stats_.busy_seconds += d.busy_seconds;
-  }
-  return merged_stats_;
-}
+const LinkStats& Network::stats(std::size_t link) const { return links_.at(link).stats; }
 
 }  // namespace df3::net

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -73,14 +74,20 @@ double KeyValueConfig::get_double(const std::string& key, double fallback) const
   accessed_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
+  double v = 0.0;
   try {
     std::size_t used = 0;
-    const double v = std::stod(it->second, &used);
+    v = std::stod(it->second, &used);
     if (used != it->second.size()) throw std::invalid_argument("trailing characters");
-    return v;
   } catch (const std::exception&) {
     throw std::invalid_argument("config key '" + key + "': not a number: " + it->second);
   }
+  // std::stod reads "nan" and "inf", which every "<= 0" guard downstream
+  // lets through.
+  if (!std::isfinite(v)) {
+    throw std::invalid_argument("config key '" + key + "': not a finite number: " + it->second);
+  }
+  return v;
 }
 
 long KeyValueConfig::get_int(const std::string& key, long fallback) const {

@@ -50,11 +50,20 @@ TEST(KeyValueConfig, RejectsMalformedInput) {
   EXPECT_THROW((void)u::KeyValueConfig::parse(dup), std::invalid_argument);
   std::istringstream empty_key("= 3\n");
   EXPECT_THROW((void)u::KeyValueConfig::parse(empty_key), std::invalid_argument);
-  std::istringstream bad_types("n = 3x\nb = maybe\n");
+  std::istringstream bad_types("n = 3x\nb = maybe\nx = nan\ny = inf\nz = -inf\n");
   const auto cfg = u::KeyValueConfig::parse(bad_types);
   EXPECT_THROW((void)cfg.get_int("n", 0), std::invalid_argument);
   EXPECT_THROW((void)cfg.get_double("n", 0.0), std::invalid_argument);
   EXPECT_THROW((void)cfg.get_bool("b", false), std::invalid_argument);
+  // std::stod reads these; a NaN would slip past every "<= 0" guard.
+  for (const std::string key : {"x", "y", "z"}) {
+    try {
+      (void)cfg.get_double(key, 1.0);
+      ADD_FAILURE() << key << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos) << e.what();
+    }
+  }
   EXPECT_THROW((void)u::KeyValueConfig::parse_file("/nonexistent/x.cfg"), std::runtime_error);
 }
 

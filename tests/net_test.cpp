@@ -351,12 +351,15 @@ struct LinkSpec {
 
 /// A seeded random fabric whose parallel paths change winner with payload
 /// size: single wifi or zigbee hops race multi-hop ethernet and fiber
-/// paths, and serialization time decides between them. `specs` mirrors
-/// every link and its up-state so a Twin can rebuild the fabric.
+/// paths, and serialization time decides between them. `nodes` and `specs`
+/// mirror every node, link and up-state so a Twin can rebuild the fabric.
+/// Links join only the first kFabricNodes nodes; add_node() adds isolated
+/// ones.
 struct RandomFabric {
   Simulation sim;
   net::Network netw{sim, "cached"};
   u::RngStream rng;
+  int nodes = kFabricNodes;
   std::vector<LinkSpec> specs;
 
   explicit RandomFabric(std::uint64_t seed) : rng(seed, "route-cache") {
@@ -386,15 +389,18 @@ struct RandomFabric {
     specs[link].up = up;
     netw.set_link_up(link, up);
   }
+
+  void add_node() { netw.add_node("n" + std::to_string(nodes++)); }
 };
 
-/// The same nodes, links and up-states as `specs`, with a cold route cache.
+/// The same nodes, links and up-states as `f`, with a cold route cache.
 struct Twin {
   Simulation sim;
   net::Network netw{sim, "twin"};
 
-  explicit Twin(const std::vector<LinkSpec>& specs) {
-    for (int i = 0; i < kFabricNodes; ++i) netw.add_node("n" + std::to_string(i));
+  explicit Twin(const RandomFabric& f) {
+    const std::vector<LinkSpec>& specs = f.specs;
+    for (int i = 0; i < f.nodes; ++i) netw.add_node("n" + std::to_string(i));
     for (std::size_t li = 0; li < specs.size(); ++li) {
       netw.add_link(specs[li].a, specs[li].b, specs[li].profile);
       netw.set_link_up(li, specs[li].up);
@@ -411,7 +417,7 @@ TEST(RouteCache, MatchesColdTwinUnderFlapsAndNewLinks) {
   for (int step = 0; step < 200; ++step) {
     // Every step re-asks the same pairs, so routes cached before a flap or
     // a new link are asked for again after it.
-    const Twin twin(f.specs);
+    const Twin twin(f);
     for (net::NodeId src = 0; src < 3; ++src) {
       for (net::NodeId dst = 0; dst < static_cast<net::NodeId>(kFabricNodes); ++dst) {
         const auto smallest = twin.netw.route(src, dst, sizes[0]);
@@ -430,11 +436,16 @@ TEST(RouteCache, MatchesColdTwinUnderFlapsAndNewLinks) {
     if (r < 0.5) {
       const std::size_t li = f.random_link();
       f.set_up(li, !f.specs[li].up);
+      // A new node between a flip and the next lookup: the first search
+      // after it rebuilds the blocks, and routes the flip staled must stay
+      // stale across that rebuild.
+      if (step % 5 == 0) f.add_node();
     } else if (r < 0.6) {
       f.add_random_link();
     }
   }
   EXPECT_GT(size_flips, 0);
+  EXPECT_GT(f.nodes, kFabricNodes);
 }
 
 TEST(RouteCache, SendAfterFlapDeliversOnTheNewRoute) {
@@ -449,7 +460,7 @@ TEST(RouteCache, SendAfterFlapDeliversOnTheNewRoute) {
     const std::size_t cut = old_route[static_cast<std::size_t>(
         f.rng.uniform_int(0, static_cast<std::int64_t>(old_route.size()) - 1))];
     f.set_up(cut, false);
-    const Twin twin(f.specs);
+    const Twin twin(f);
     const auto expect = twin.netw.unloaded_delay(src, dst, size);
     // The previous trial's run() left every link idle, so nothing queues.
     const double sent_at = f.sim.now();
@@ -480,7 +491,7 @@ TEST(RouteCache, MatchesColdTwinOnEveryPairAndSize) {
     RandomFabric f(seed);
     std::vector<std::vector<std::size_t>> last(kFabricNodes * kFabricNodes * sizes.size());
     for (int round = 0; round < 30; ++round) {
-      const Twin twin(f.specs);
+      const Twin twin(f);
       std::size_t k = 0;
       for (net::NodeId src = 0; src < static_cast<net::NodeId>(kFabricNodes); ++src) {
         for (net::NodeId dst = 0; dst < static_cast<net::NodeId>(kFabricNodes); ++dst) {
@@ -681,13 +692,14 @@ TEST(RouteCache, SearchesSettleOnlyTheBlocksOnTheWay) {
   net::Network n(sim, "star");
   const net::NodeId hub = n.add_node("hub");
   std::vector<std::array<net::NodeId, 3>> spokes;
+  std::vector<std::size_t> dev_srv;  // per spoke: a cycle link off its routes below
   for (int s = 0; s < 50; ++s) {
     const std::string p = "s" + std::to_string(s) + "/";
     const std::array v{n.add_node(p + "gw"), n.add_node(p + "dev"), n.add_node(p + "srv")};
     n.add_link(v[0], hub, net::fiber_wan());
     n.add_link(v[1], v[0], net::zigbee());
     n.add_link(v[0], v[2], net::ethernet_lan());
-    n.add_link(v[1], v[2], net::zigbee());
+    dev_srv.push_back(n.add_link(v[1], v[2], net::zigbee()));
     spokes.push_back(v);
   }
   EXPECT_EQ(n.route(spokes[7][0], spokes[7][1], u::bytes(64.0)).size(), 1u);
@@ -695,6 +707,13 @@ TEST(RouteCache, SearchesSettleOnlyTheBlocksOnTheWay) {
   EXPECT_EQ(n.route(spokes[7][1], spokes[31][2], u::bytes(64.0)).size(), 4u);
   EXPECT_LE(n.route_nodes_settled(), 3u + 7u);
   EXPECT_EQ(n.route_searches(), 2u);
+  // A flip inside spoke 31's cycle stales the routes that cross that
+  // block, even where the flipped link is no hop, and no other.
+  n.set_link_up(dev_srv[31], false);
+  EXPECT_EQ(n.route(spokes[7][0], spokes[7][1], u::bytes(64.0)).size(), 1u);
+  EXPECT_EQ(n.route_searches(), 2u);
+  EXPECT_EQ(n.route(spokes[7][1], spokes[31][2], u::bytes(64.0)).size(), 4u);
+  EXPECT_EQ(n.route_searches(), 3u);
   // A node with no links and a node in another component are unreachable
   // without a search settling anything.
   const net::NodeId lone = n.add_node("lone");

@@ -2,6 +2,8 @@
 // flows, seasonality, energy accounting.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "df3/core/platform.hpp"
 #include "df3/net/fault.hpp"
 #include "df3/thermal/calendar.hpp"
@@ -280,4 +282,10 @@ TEST(Platform, Validation) {
                std::invalid_argument);
   EXPECT_THROW(city.add_edge_source(5, wl::alarm_detection_factory(), 1.0), std::out_of_range);
   EXPECT_THROW(city.run(u::seconds(-1.0)), std::invalid_argument);
+  // NaN passes every "<= 0" test: a NaN tick ran no physics and a NaN
+  // duration never ended.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  bad.tick_s = nan;
+  EXPECT_THROW(core::Df3Platform{bad}, std::invalid_argument);
+  EXPECT_THROW(city.run(u::seconds(nan)), std::invalid_argument);
 }
