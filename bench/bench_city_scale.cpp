@@ -19,13 +19,17 @@
 //
 // Output: a console table plus BENCH_scale.json (path overridable with
 // DF3_BENCH_JSON): ns/room-tick, items/s, gated district fraction, shard
-// count and the effective thread count per row.
+// count, the effective thread count and the heap bytes per room per row.
+// Heap bytes are glibc's mallinfo2() in-use figure (uordblks + hblkhd,
+// summed over arenas) at the end of warm-up minus its value before the
+// first add_building: what the city's buildings, rooms and servers cost.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <malloc.h>
 #include <string>
 #include <vector>
 
@@ -64,11 +68,19 @@ struct Row {
   double gated_fraction;
   std::size_t shards;
   std::size_t threads;
+  double heap_bytes_per_room;
 };
+
+/// Bytes the allocator has handed out and not taken back.
+double heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return static_cast<double>(mi.uordblks + mi.hblkhd);
+}
 
 Row run_row(std::size_t rooms, int month, const char* season, std::size_t threads) {
   const std::size_t buildings = std::max<std::size_t>(1, rooms / kRoomsPerBuilding);
   core::Df3Platform city(scale_config(month, threads));
+  const double heap0 = heap_in_use();
   for (std::size_t i = 0; i < buildings; ++i) {
     core::BuildingConfig b;
     b.name = "b" + std::to_string(i);
@@ -78,8 +90,9 @@ Row run_row(std::size_t rooms, int month, const char* season, std::size_t thread
   }
   const double tick_s = scale_config(month, threads).tick_s;
   city.run(util::Seconds{static_cast<double>(kWarmupTicks) * tick_s});
-
   const std::size_t total_rooms = buildings * kRoomsPerBuilding;
+  const double heap_per_room = (heap_in_use() - heap0) / static_cast<double>(total_rooms);
+
   const std::uint64_t ticks =
       std::clamp(kTargetItems / std::max<std::uint64_t>(1, total_rooms), kMinTicks, kMaxTicks);
 
@@ -103,6 +116,7 @@ Row run_row(std::size_t rooms, int month, const char* season, std::size_t thread
   // Report the *effective* count: the platform clamps the pool to the shard
   // count, so a 4-thread request over 3 shards runs (and is recorded as) 3.
   r.threads = std::min(threads, std::max<std::size_t>(1, r.shards));
+  r.heap_bytes_per_room = heap_per_room;
   return r;
 }
 
@@ -112,8 +126,8 @@ int main() {
   std::printf("bench_city_scale: sharded fleet kernel, %zu rooms/building, "
               "timed window ~%llu room-ticks\n\n",
               kRoomsPerBuilding, static_cast<unsigned long long>(kTargetItems));
-  std::printf("%9s %7s %12s %14s %8s %7s %8s\n", "rooms", "season", "ns/room-tick",
-              "items/s", "gated", "shards", "threads");
+  std::printf("%9s %7s %12s %14s %8s %7s %8s %11s\n", "rooms", "season", "ns/room-tick",
+              "items/s", "gated", "shards", "threads", "heap B/room");
 
   std::vector<Row> rows;
   std::vector<std::size_t> thread_counts = bench::env_counts("DF3_SCALE_THREADS", "1,2,4");
@@ -124,9 +138,9 @@ int main() {
       for (const std::size_t threads : thread_counts) {
         const Row r = run_row(rooms, month, season, threads);
         rows.push_back(r);
-        std::printf("%9zu %7s %12.1f %14.3e %7.1f%% %7zu %8zu\n", r.rooms, r.season,
+        std::printf("%9zu %7s %12.1f %14.3e %7.1f%% %7zu %8zu %11.0f\n", r.rooms, r.season,
                     r.ns_per_room_tick, r.items_per_s, 100.0 * r.gated_fraction, r.shards,
-                    r.threads);
+                    r.threads, r.heap_bytes_per_room);
       }
     }
   }
@@ -143,7 +157,8 @@ int main() {
         << ", \"ns_per_room_tick\": " << r.ns_per_room_tick
         << ", \"items_per_s\": " << r.items_per_s
         << ", \"gated_fraction\": " << r.gated_fraction << ", \"shards\": " << r.shards
-        << ", \"threads\": " << r.threads << '}'
+        << ", \"threads\": " << r.threads
+        << ", \"heap_bytes_per_room\": " << r.heap_bytes_per_room << '}'
         << (i + 1 < rows.size() ? "," : "") << '\n';
   }
   out << "  ]\n}\n";

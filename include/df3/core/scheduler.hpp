@@ -13,7 +13,6 @@
 /// a class.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
@@ -87,15 +86,44 @@ class TaskQueue {
   [[nodiscard]] QueueDiscipline discipline() const { return discipline_; }
 
  private:
-  std::deque<Task>& lane(Priority p) { return p == Priority::kEdge ? edge_ : cloud_; }
-  void insert_by_discipline(std::deque<Task>& q, Task t);
+  /// One priority class's shards in pop order: a ring over a power-of-two
+  /// buffer that holds no storage until the first push and doubles when
+  /// full. An idle cluster's lanes cost no heap block, and a warm lane
+  /// reuses its slots instead of cycling allocations.
+  class Lane {
+   public:
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    /// The i-th shard in pop order.
+    [[nodiscard]] Task& operator[](std::size_t i) { return buf_[(head_ + i) & (buf_.size() - 1)]; }
+    [[nodiscard]] const Task& operator[](std::size_t i) const {
+      return buf_[(head_ + i) & (buf_.size() - 1)];
+    }
+    [[nodiscard]] Task& front() { return (*this)[0]; }
+    [[nodiscard]] const Task& front() const { return (*this)[0]; }
+    [[nodiscard]] const Task& back() const { return (*this)[size_ - 1]; }
+    void pop_front() {
+      head_ = (head_ + 1) & (buf_.size() - 1);
+      --size_;
+    }
+    /// Insert before position `i` (0 = front, size() = back), shifting the
+    /// shorter side by one slot.
+    void insert(std::size_t i, Task t);
+
+   private:
+    std::vector<Task> buf_;  ///< capacity == buf_.size(), 0 or a power of two
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
+  Lane& lane(Priority p) { return p == Priority::kEdge ? edge_ : cloud_; }
+  void insert_by_discipline(Lane& q, Task t);
 
   static bool test_unsorted_push_front_;  ///< see set_test_unsorted_push_front
 
   QueueDiscipline discipline_;
-  std::uint64_t seq_ = 0;
-  std::deque<Task> edge_;
-  std::deque<Task> cloud_;
+  Lane edge_;
+  Lane cloud_;
   mutable double backlog_cache_ = 0.0;
   mutable bool backlog_dirty_ = false;
 };

@@ -25,6 +25,8 @@ namespace df3::hw {
 struct PState {
   double freq_ghz;
   double voltage_v;
+
+  bool operator==(const PState&) const = default;
 };
 
 /// Static description of a CPU model.
@@ -38,6 +40,8 @@ struct CpuSpec {
   util::Watts dynamic_power_max{52.0}; ///< dynamic power at top P-state, all cores busy
 
   [[nodiscard]] std::size_t top_pstate() const { return pstates.size() - 1; }
+
+  bool operator==(const CpuSpec&) const = default;
 };
 
 /// Pure power/throughput math over a CpuSpec — stateless, so schedulers can

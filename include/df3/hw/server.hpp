@@ -21,6 +21,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -87,6 +88,8 @@ struct ServerSpec {
   [[nodiscard]] int total_cores() const { return cpu.cores * cpu_count; }
   /// Nameplate power: all CPUs at top P-state, fully busy.
   [[nodiscard]] util::Watts rated_power() const;
+
+  bool operator==(const ServerSpec&) const = default;
 };
 
 /// Catalogue of the server families named in the paper (section II-B).
@@ -96,15 +99,45 @@ struct ServerSpec {
 [[nodiscard]] ServerSpec asperitas_boiler_spec(); ///< AIC24, ~20 kW, 200 CPUs
 [[nodiscard]] ServerSpec stimergy_boiler_spec();  ///< oil-immersed, ~4 kW
 
+/// Immutable catalogue data of one chassis family: the spec, its CPU model
+/// and the merged per-P-state table the operating-point math reads. A city
+/// has a handful of families and up to millions of chassis, so every
+/// `DfServer` of an equal spec shares one model (`ServerModel::shared`).
+class ServerModel {
+ public:
+  /// Throws std::invalid_argument for a bad CPU spec, a non-positive
+  /// cpu_count or an empty throttle window.
+  explicit ServerModel(ServerSpec spec);
+
+  /// The live model equal to `spec`, or a new one. Thread-safe; a model
+  /// lives while some server holds it.
+  [[nodiscard]] static std::shared_ptr<const ServerModel> shared(ServerSpec spec);
+
+  [[nodiscard]] const ServerSpec& spec() const { return spec_; }
+  [[nodiscard]] const CpuModel& cpu_model() const { return cpu_model_; }
+  [[nodiscard]] std::size_t pstate_count() const { return spec_.cpu.pstates.size(); }
+
+  /// Merged per-P-state tables, stride pstate_count():
+  /// [full-power chassis W | idle-power chassis W | freq ratio |
+  ///  per-CPU dynamic coefficient | core speed gcps].
+  [[nodiscard]] const double* tables() const { return tables_.data(); }
+
+ private:
+  ServerSpec spec_;
+  CpuModel cpu_model_;
+  std::vector<double> tables_;
+};
+
 /// Runtime state of one chassis. The middleware sets the P-state and the
 /// number of busy cores; the physics coupling reads power/heat and feeds
-/// back the room (inlet) temperature.
+/// back the room (inlet) temperature. The catalogue data is the shared
+/// `ServerModel` of the spec; the server itself carries only operating state.
 class DfServer {
  public:
   explicit DfServer(ServerSpec spec);
 
-  [[nodiscard]] const ServerSpec& spec() const { return spec_; }
-  [[nodiscard]] const CpuModel& cpu_model() const { return cpu_model_; }
+  [[nodiscard]] const ServerSpec& spec() const { return model_->spec(); }
+  [[nodiscard]] const CpuModel& cpu_model() const { return model_->cpu_model(); }
 
   // --- control plane (called by the middleware) ---
 
@@ -358,14 +391,14 @@ class DfServer {
     rise_k_ = 20.0 * util_frac * freq_ratio_table_()[eff_pstate_];
   }
 
-  // Sections of the merged per-P-state table (see `tables_`).
-  [[nodiscard]] const double* freq_ratio_table_() const { return tables_.data() + 2 * n_pstates_; }
-  [[nodiscard]] const double* dyn_coeff_table_() const { return tables_.data() + 3 * n_pstates_; }
-  [[nodiscard]] const double* core_speed_table_() const { return tables_.data() + 4 * n_pstates_; }
+  // Sections of the merged per-P-state table (see ServerModel::tables).
+  [[nodiscard]] const double* freq_ratio_table_() const { return tables_ + 2 * n_pstates_; }
+  [[nodiscard]] const double* dyn_coeff_table_() const { return tables_ + 3 * n_pstates_; }
+  [[nodiscard]] const double* core_speed_table_() const { return tables_ + 4 * n_pstates_; }
 
   // --- hot state: everything the per-room physics/control tick touches,
   // packed at the front of the object so a fleet sweep pulls two or three
-  // cache lines per server instead of walking the spec/model blocks below.
+  // cache lines per server instead of walking the shared model.
 
   // advance() path.
   double power_w_ = 0.0;         ///< == power().value()
@@ -375,34 +408,28 @@ class DfServer {
   double stress_hours_ = 0.0;
   util::Celsius inlet_{20.0};
   double rise_k_ = 0.0;          ///< junction rise beyond inlet + 25 K
-  double aging_reference_c_;     ///< == spec_.aging_reference_junction
+  double aging_reference_c_;     ///< == spec().aging_reference_junction
 
   // Control/throttle path (regulate -> set_* -> refresh_*).
   double core_speed_gcps_ = 0.0; ///< core speed at eff_pstate_
-  double standby_power_w_;       ///< == spec_.standby_power
-  double throttle_start_c_;      ///< == spec_.throttle_start
-  double shutdown_temp_c_;       ///< == spec_.shutdown_temp
+  double standby_power_w_;       ///< == spec().standby_power
+  double throttle_start_c_;      ///< == spec().throttle_start
+  double shutdown_temp_c_;       ///< == spec().shutdown_temp
   double static_power_w_;        ///< per-CPU static power (power-law replay)
   std::size_t pstate_ = 0;
   std::size_t thermal_cap_ = 0;  ///< P-state cap from the free-cooling throttle
   std::size_t eff_pstate_ = 0;
-  std::size_t n_pstates_;        ///< ladder length (== tables_ stride)
+  std::size_t n_pstates_;        ///< ladder length (== model_->pstate_count())
   int busy_cores_ = 0;
   int filler_cores_ = 0;
-  int total_cores_;              ///< == spec_.total_cores()
-  int cpu_count_;                ///< == spec_.cpu_count
+  int total_cores_;              ///< == spec().total_cores()
+  int cpu_count_;                ///< == spec().cpu_count
   bool powered_ = true;
   bool shut_down_ = false;
-  HeatRouting routing_;          ///< == spec_.routing
+  HeatRouting routing_;          ///< == spec().routing
+  const double* tables_;         ///< == model_->tables()
 
-  /// Merged per-P-state tables, one heap block, stride n_pstates_:
-  /// [full-power chassis W | idle-power chassis W | freq ratio |
-  ///  per-CPU dynamic coefficient | core speed gcps].
-  std::vector<double> tables_;
-
-  // --- cold catalogue data (immutable after construction) ---
-  ServerSpec spec_;
-  CpuModel cpu_model_;
+  std::shared_ptr<const ServerModel> model_;
 };
 
 }  // namespace df3::hw

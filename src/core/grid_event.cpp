@@ -18,10 +18,12 @@ GridEventSource::GridEventSource(sim::Simulation& sim, std::string name, grid::G
   if (config_.region >= plane_.region_count()) {
     throw std::out_of_range("GridEventSource: region index out of range");
   }
-  if (config_.mean_up_s <= 0.0 || config_.mean_down_s <= 0.0) {
-    throw std::invalid_argument("GridEventSource: dwell means must be positive");
+  // Negated comparisons: NaN compares false, so it must fail these guards.
+  if (!(config_.mean_up_s > 0.0) || !(config_.mean_down_s > 0.0) ||
+      !std::isfinite(config_.mean_up_s) || !std::isfinite(config_.mean_down_s)) {
+    throw std::invalid_argument("GridEventSource: dwell means must be positive and finite");
   }
-  if (config_.shed_fraction < 0.0 || config_.shed_fraction > 1.0) {
+  if (!(config_.shed_fraction >= 0.0 && config_.shed_fraction <= 1.0)) {
     throw std::invalid_argument("GridEventSource: shed_fraction must be in [0, 1]");
   }
   for (const Cluster* c : clusters_) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <ranges>
 
 namespace df3::core {
 
@@ -13,26 +14,55 @@ double edf_key(const Task& t) {
   const auto d = t.deadline();
   return d ? *d : std::numeric_limits<double>::infinity();
 }
+
+/// First position in [0, n) whose shard fails `before` (lanes are
+/// partitioned by it, so this is a binary search).
+template <typename Pred>
+std::size_t first_not(std::size_t n, Pred before) {
+  return *std::ranges::partition_point(std::views::iota(std::size_t{0}, n), before);
+}
 }  // namespace
 
-void TaskQueue::insert_by_discipline(std::deque<Task>& q, Task t) {
+void TaskQueue::Lane::insert(std::size_t i, Task t) {
+  if (size_ == buf_.size()) {
+    std::vector<Task> grown(std::max<std::size_t>(4, 2 * buf_.size()));
+    for (std::size_t k = 0; k < size_; ++k) grown[k] = std::move((*this)[k]);
+    buf_ = std::move(grown);
+    head_ = 0;
+  }
+  const std::size_t mask = buf_.size() - 1;
+  if (i < size_ - i) {
+    // Front side is shorter: open the slot by moving [0, i) one step back.
+    head_ = (head_ + mask) & mask;
+    for (std::size_t k = 0; k < i; ++k) {
+      buf_[(head_ + k) & mask] = std::move(buf_[(head_ + k + 1) & mask]);
+    }
+  } else {
+    for (std::size_t k = size_; k > i; --k) {
+      buf_[(head_ + k) & mask] = std::move(buf_[(head_ + k - 1) & mask]);
+    }
+  }
+  buf_[(head_ + i) & mask] = std::move(t);
+  ++size_;
+}
+
+void TaskQueue::insert_by_discipline(Lane& q, Task t) {
   if (discipline_ == QueueDiscipline::kFcfs) {
-    q.push_back(std::move(t));
+    q.insert(q.size(), std::move(t));
     return;
   }
   // EDF: stable insert before the first entry with a later deadline. The
   // lane is always sorted, so binary search finds the spot in O(log n) —
   // and the dominant case (deadline-less cloud shards, key = +inf, which
-  // land at the back) degenerates to an O(1) push_back instead of a full
+  // land at the back) degenerates to an O(1) append instead of a full
   // scan per shard.
   const double key = edf_key(t);
   if (q.empty() || edf_key(q.back()) <= key) {
-    q.push_back(std::move(t));
+    q.insert(q.size(), std::move(t));
     return;
   }
-  const auto it = std::upper_bound(
-      q.begin(), q.end(), key, [](double k, const Task& other) { return k < edf_key(other); });
-  q.insert(it, std::move(t));
+  q.insert(first_not(q.size(), [&](std::size_t i) { return edf_key(q[i]) <= key; }),
+           std::move(t));
 }
 
 void TaskQueue::push(Task t) {
@@ -49,7 +79,7 @@ void TaskQueue::push_front(Task t) {
   if (discipline_ == QueueDiscipline::kFcfs) {
     // FCFS: a re-queued shard has already waited once, so a true
     // front-insert is both correct and the intended fairness.
-    q.push_front(std::move(t));
+    q.insert(0, std::move(t));
     return;
   }
   // EDF: a blind front-insert would break the sorted-lane invariant that
@@ -60,17 +90,16 @@ void TaskQueue::push_front(Task t) {
   // resumes ahead of fresh work with the same deadline.
   if (test_unsorted_push_front_) {
     // Planted pre-fix behavior for the model checker's self-test.
-    q.push_front(std::move(t));
+    q.insert(0, std::move(t));
     return;
   }
   const double key = edf_key(t);
   if (q.empty() || key <= edf_key(q.front())) {
-    q.push_front(std::move(t));
+    q.insert(0, std::move(t));
     return;
   }
-  const auto it = std::lower_bound(
-      q.begin(), q.end(), key, [](const Task& other, double k) { return edf_key(other) < k; });
-  q.insert(it, std::move(t));
+  q.insert(first_not(q.size(), [&](std::size_t i) { return edf_key(q[i]) < key; }),
+           std::move(t));
 }
 
 std::optional<Task> TaskQueue::pop() {
@@ -104,7 +133,7 @@ const Task* TaskQueue::peek() const {
 }
 
 void TaskQueue::audit(std::vector<std::string>& out, const std::string& who) const {
-  const auto check_lane = [&](const std::deque<Task>& q, const char* lane_name) {
+  const auto check_lane = [&](const Lane& q, const char* lane_name) {
     for (std::size_t i = 0; i < q.size(); ++i) {
       if (q[i].remaining_gigacycles < 0.0) {
         out.push_back(who + ": negative remaining work (" +
@@ -124,8 +153,8 @@ void TaskQueue::audit(std::vector<std::string>& out, const std::string& who) con
 }
 
 void TaskQueue::for_each(const std::function<void(const Task&, Priority)>& fn) const {
-  for (const auto& t : edge_) fn(t, Priority::kEdge);
-  for (const auto& t : cloud_) fn(t, Priority::kCloud);
+  for (std::size_t i = 0; i < edge_.size(); ++i) fn(edge_[i], Priority::kEdge);
+  for (std::size_t i = 0; i < cloud_.size(); ++i) fn(cloud_[i], Priority::kCloud);
 }
 
 double TaskQueue::backlog_gigacycles() const {
@@ -134,8 +163,8 @@ double TaskQueue::backlog_gigacycles() const {
     // used: the cached value is bitwise equal, never incrementally drifted
     // (routing policies compare these doubles, so order matters).
     double total = 0.0;
-    for (const auto& t : edge_) total += t.remaining_gigacycles;
-    for (const auto& t : cloud_) total += t.remaining_gigacycles;
+    for (std::size_t i = 0; i < edge_.size(); ++i) total += edge_[i].remaining_gigacycles;
+    for (std::size_t i = 0; i < cloud_.size(); ++i) total += cloud_[i].remaining_gigacycles;
     backlog_cache_ = total;
     backlog_dirty_ = false;
   }

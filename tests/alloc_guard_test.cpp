@@ -14,6 +14,7 @@
 
 #include "df3/core/fault.hpp"
 #include "df3/core/platform.hpp"
+#include "df3/core/scheduler.hpp"
 #include "df3/net/fault.hpp"
 #include "df3/thermal/calendar.hpp"
 
@@ -124,9 +125,24 @@ TEST_P(AllocGuard, WarmRequestPathAllocatesAlmostNothing) {
   ASSERT_GT(r.terminals, 5000u);
   RecordProperty("allocations", std::to_string(r.allocations));
   RecordProperty("terminals", std::to_string(r.terminals));
-  // Before the pooled request record this read ~10 per request.
-  EXPECT_LE(r.per_request(), 0.5) << r.allocations << " allocations for " << r.terminals
-                                  << " terminal requests";
+  // Before the pooled request record this read ~10 per request; before the
+  // ring queue lanes, 0.11 (kOff) and 0.25 (kCounters). The bounds are 3x
+  // today's readings: 33 and 1753 allocations for 12998 requests.
+  const double bound = GetParam() == obs::TraceLevel::kOff ? 0.0075 : 0.4;
+  EXPECT_LE(r.per_request(), bound) << r.allocations << " allocations for " << r.terminals
+                                    << " terminal requests";
+}
+
+TEST(TaskQueueAlloc, DefaultConstructedAllocatesNothing) {
+  // A city has one queue per building and most of them sit idle: an empty
+  // lane must cost no heap block until its first push.
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (const auto d : {core::QueueDiscipline::kFcfs, core::QueueDiscipline::kEdf}) {
+    const core::TaskQueue q(d);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.backlog_gigacycles(), 0.0);
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(ObsLevels, AllocGuard,

@@ -2,6 +2,17 @@
 // DVFS/gating, the task queue, and the heat regulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <deque>
+#include <limits>
+#include <optional>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "df3/core/heat_regulator.hpp"
 #include "df3/core/scheduler.hpp"
 #include "df3/core/task.hpp"
@@ -410,6 +421,166 @@ TEST(TaskQueueTest, PopClassOnEmptyLaneIsNulloptAndHarmless) {
     EXPECT_EQ(q.size_class(core::Priority::kEdge), 1u);
     EXPECT_TRUE(q.pop_class(core::Priority::kEdge).has_value());
     EXPECT_TRUE(q.empty());
+  }
+}
+
+namespace {
+
+/// TaskQueue's lane semantics as they were on std::deque: the reference
+/// the ring lanes are checked against.
+class DequeQueue {
+ public:
+  explicit DequeQueue(core::QueueDiscipline d) : d_(d) {}
+
+  void push(const core::Task& t) {
+    auto& q = lane(t.priority());
+    const double k = key(t);
+    if (d_ == core::QueueDiscipline::kFcfs || q.empty() || key(q.back()) <= k) {
+      q.push_back(t);
+      return;
+    }
+    q.insert(std::upper_bound(q.begin(), q.end(), k,
+                              [](double kk, const core::Task& o) { return kk < key(o); }),
+             t);
+  }
+  void push_front(const core::Task& t) {
+    auto& q = lane(t.priority());
+    const double k = key(t);
+    if (d_ == core::QueueDiscipline::kFcfs || core::TaskQueue::test_unsorted_push_front() ||
+        q.empty() || k <= key(q.front())) {
+      q.push_front(t);
+      return;
+    }
+    q.insert(std::lower_bound(q.begin(), q.end(), k,
+                              [](const core::Task& o, double kk) { return key(o) < kk; }),
+             t);
+  }
+  std::optional<core::Task> pop() { return !edge_.empty() ? take(edge_) : take(cloud_); }
+  std::optional<core::Task> pop_class(core::Priority p) { return take(lane(p)); }
+  [[nodiscard]] std::size_t size_class(core::Priority p) const {
+    return p == core::Priority::kEdge ? edge_.size() : cloud_.size();
+  }
+  [[nodiscard]] double backlog() const {
+    double total = 0.0;
+    for (const auto& t : edge_) total += t.remaining_gigacycles;
+    for (const auto& t : cloud_) total += t.remaining_gigacycles;
+    return total;
+  }
+  [[nodiscard]] std::vector<std::pair<const core::Task*, core::Priority>> order() const {
+    std::vector<std::pair<const core::Task*, core::Priority>> out;
+    for (const auto& t : edge_) out.emplace_back(&t, core::Priority::kEdge);
+    for (const auto& t : cloud_) out.emplace_back(&t, core::Priority::kCloud);
+    return out;
+  }
+
+ private:
+  static double key(const core::Task& t) {
+    return t.deadline().value_or(std::numeric_limits<double>::infinity());
+  }
+  std::deque<core::Task>& lane(core::Priority p) {
+    return p == core::Priority::kEdge ? edge_ : cloud_;
+  }
+  static std::optional<core::Task> take(std::deque<core::Task>& q) {
+    if (q.empty()) return std::nullopt;
+    core::Task t = q.front();
+    q.pop_front();
+    return t;
+  }
+  core::QueueDiscipline d_;
+  std::deque<core::Task> edge_;
+  std::deque<core::Task> cloud_;
+};
+
+/// Sets the TaskQueue fault plant for one scope, cleared even when an
+/// assertion returns early.
+struct PlantGuard {
+  explicit PlantGuard(bool plant) { core::TaskQueue::set_test_unsorted_push_front(plant); }
+  ~PlantGuard() { core::TaskQueue::set_test_unsorted_push_front(false); }
+  PlantGuard(const PlantGuard&) = delete;
+  PlantGuard& operator=(const PlantGuard&) = delete;
+};
+
+/// Same shard: same request state, shard and remaining work, bit for bit.
+bool same_task(const core::Task& a, const core::Task& b) {
+  return a.request == b.request && a.shard_index == b.shard_index &&
+         std::bit_cast<std::uint64_t>(a.remaining_gigacycles) ==
+             std::bit_cast<std::uint64_t>(b.remaining_gigacycles);
+}
+
+}  // namespace
+
+TEST(TaskQueueTest, MatchesDequeReferenceUnderRandomOps) {
+  struct Mode {
+    core::QueueDiscipline discipline;
+    bool plant;  ///< the test-only blind EDF push_front
+  };
+  for (const Mode mode : {Mode{core::QueueDiscipline::kFcfs, false},
+                          Mode{core::QueueDiscipline::kEdf, false},
+                          Mode{core::QueueDiscipline::kEdf, true}}) {
+    for (const std::size_t target : {1u, 2u, 3u, 17u, 1000u}) {
+      SCOPED_TRACE(std::string(core::discipline_name(mode.discipline)) +
+                   (mode.plant ? "+plant" : "") + " target " + std::to_string(target));
+      const PlantGuard plant(mode.plant);
+      core::TaskQueue q(mode.discipline);
+      DequeQueue ref(mode.discipline);
+      std::mt19937_64 rng(2016 + target);
+      // Few distinct deadlines, so equal keys are common; cloud requests
+      // are deadline-less (+inf key) or carry one.
+      const auto make = [&](std::uint64_t id) {
+        wl::Request r = rng() % 2 == 0 ? edge_request(1.0, 1.0 + static_cast<double>(rng() % 6))
+                                       : cloud_request(1.0);
+        if (r.flow == wl::Flow::kCloud && rng() % 3 == 0) {
+          r.deadline_s = 1.0 + static_cast<double>(rng() % 6);
+        }
+        core::Task t = core::make_tasks(requests, r)[0];
+        t.remaining_gigacycles = 0.1 * static_cast<double>(id) + 1.0 / 3.0;
+        return t;
+      };
+      const std::size_t ops = 8 * target + 64;
+      for (std::uint64_t op = 0; op < ops; ++op) {
+        const std::size_t size = q.size();
+        const std::uint64_t roll = rng() % 100;
+        const std::uint64_t push_share = size < target ? 70 : 35;
+        if (roll < push_share) {
+          const core::Task t = make(op);
+          q.push(t);
+          ref.push(t);
+        } else if (roll < push_share + 15) {
+          const core::Task t = make(op);
+          q.push_front(t);
+          ref.push_front(t);
+        } else {
+          std::optional<core::Task> got;
+          std::optional<core::Task> want;
+          if (rng() % 2 == 0) {
+            got = q.pop();
+            want = ref.pop();
+          } else {
+            const auto p = rng() % 2 == 0 ? core::Priority::kEdge : core::Priority::kCloud;
+            got = q.pop_class(p);
+            want = ref.pop_class(p);
+          }
+          ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+          if (got) {
+            ASSERT_TRUE(same_task(*got, *want)) << "op " << op;
+          }
+        }
+        ASSERT_EQ(q.size_class(core::Priority::kEdge), ref.size_class(core::Priority::kEdge));
+        ASSERT_EQ(q.size_class(core::Priority::kCloud), ref.size_class(core::Priority::kCloud));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(q.backlog_gigacycles()),
+                  std::bit_cast<std::uint64_t>(ref.backlog()))
+            << "op " << op;
+        const auto want_order = ref.order();
+        std::size_t i = 0;
+        bool same = true;
+        q.for_each([&](const core::Task& t, core::Priority p) {
+          same = same && i < want_order.size() && want_order[i].second == p &&
+                 same_task(t, *want_order[i].first);
+          ++i;
+        });
+        ASSERT_TRUE(same && i == want_order.size()) << "for_each order differs at op " << op;
+      }
+    }
   }
 }
 

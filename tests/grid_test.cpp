@@ -480,6 +480,23 @@ TEST(GridEvent, ValidatesConfigAndTogglesDeterministically) {
   EXPECT_THROW(core::GridEventSource(city->simulation(), "bad", *city->grid_plane(), clusters,
                                      bad, u::RngStream(6, "bad")),
                std::invalid_argument);
+  // NaN slips past "<= 0" and "< 0 || > 1" guards; infinities are no dwell
+  // mean and no fraction either.
+  const double non_finite[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (const double v : non_finite) {
+    for (double core::GridEventConfig::*field :
+         {&core::GridEventConfig::mean_up_s, &core::GridEventConfig::mean_down_s,
+          &core::GridEventConfig::shed_fraction}) {
+      core::GridEventConfig c;
+      c.*field = v;
+      EXPECT_THROW(core::GridEventSource(city->simulation(), "bad", *city->grid_plane(),
+                                         clusters, c, u::RngStream(6, "bad")),
+                   std::invalid_argument)
+          << "value " << v;
+    }
+  }
 
   core::GridEventConfig cfg;
   cfg.region = 0;

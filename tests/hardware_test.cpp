@@ -2,6 +2,11 @@
 // throttling, heat routing, power capping and aging.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "df3/hw/cpu.hpp"
 #include "df3/hw/server.hpp"
 
@@ -216,4 +221,83 @@ TEST(DfServer, Validation) {
   EXPECT_THROW(s.set_busy_cores(17), std::invalid_argument);
   EXPECT_THROW(s.set_pstate(99), std::out_of_range);
   EXPECT_THROW(s.advance(u::seconds(-1.0), true), std::invalid_argument);
+}
+
+// ------------------------------------------------------- shared model ---
+
+TEST(ServerModelSharing, EqualSpecsShareOneModel) {
+  const hw::DfServer a(hw::qrad_spec());
+  const hw::DfServer b(hw::qrad_spec());
+  EXPECT_EQ(&a.spec(), &b.spec());
+  EXPECT_EQ(&a.cpu_model(), &b.cpu_model());
+  hw::ServerSpec warmer = hw::qrad_spec();
+  warmer.throttle_start = u::Celsius{28.0};
+  const hw::DfServer c(warmer);
+  EXPECT_NE(&a.spec(), &c.spec());
+  EXPECT_EQ(c.spec().throttle_start.value(), 28.0);
+}
+
+TEST(ServerModelSharing, OperatingStateStaysPerChassis) {
+  hw::DfServer driven(hw::qrad_spec());
+  hw::DfServer idle(hw::qrad_spec());
+  hw::DfServer reference(hw::qrad_spec());
+  ASSERT_EQ(&driven.spec(), &idle.spec());
+  driven.set_pstate(1);
+  driven.set_busy_cores(12);
+  driven.set_inlet_temperature(u::Celsius{31.0});
+  driven.advance(u::hours(2.0), true);
+  idle.advance(u::hours(2.0), true);
+  reference.advance(u::hours(2.0), true);
+  EXPECT_NE(driven.power().value(), idle.power().value());
+  // Exact comparisons: the idle chassis must be bit-identical to one that
+  // never shared a model with a driven one.
+  EXPECT_EQ(idle.pstate(), reference.pstate());
+  EXPECT_EQ(idle.busy_cores(), reference.busy_cores());
+  EXPECT_EQ(idle.inlet_temperature().value(), reference.inlet_temperature().value());
+  EXPECT_EQ(idle.power().value(), reference.power().value());
+  EXPECT_EQ(idle.max_power_now().value(), reference.max_power_now().value());
+  EXPECT_EQ(idle.energy_consumed().value(), reference.energy_consumed().value());
+  EXPECT_EQ(idle.aging_stress_hours(), reference.aging_stress_hours());
+}
+
+TEST(ServerModelSharing, CopyOutlivesOriginal) {
+  // A spec no other test uses, so the copy is the model's last holder.
+  hw::ServerSpec spec = hw::stimergy_boiler_spec();
+  spec.family = "copy-outlives-original";
+  auto original = std::make_unique<hw::DfServer>(spec);
+  original->set_pstate(2);
+  const double max_power = original->max_power_now().value();
+  const double idle_power = original->idle_power().value();
+  const hw::DfServer copy(*original);
+  original.reset();
+  // Churn the heap so a freed table would be reused.
+  for (int i = 0; i < 8; ++i) {
+    hw::ServerSpec other = spec;
+    other.family += std::to_string(i);
+    const hw::DfServer filler(other);
+  }
+  EXPECT_EQ(copy.max_power_now().value(), max_power);
+  EXPECT_EQ(copy.idle_power().value(), idle_power);
+  EXPECT_EQ(copy.spec().family, "copy-outlives-original");
+}
+
+TEST(ServerModelSharing, ConcurrentConstructionSeesOneModel) {
+  hw::ServerSpec spec = hw::qrad_spec();
+  spec.family = "concurrent-construction";
+  constexpr int kThreads = 4;
+  constexpr int kServers = 1000;
+  std::vector<std::vector<hw::DfServer>> built(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&spec, &out = built[static_cast<std::size_t>(t)]] {
+      out.reserve(kServers);
+      for (int i = 0; i < kServers; ++i) out.emplace_back(spec);
+    });
+  }
+  for (auto& th : threads) th.join();
+  const hw::ServerSpec* model = &built[0][0].spec();
+  for (const auto& servers : built) {
+    ASSERT_EQ(servers.size(), static_cast<std::size_t>(kServers));
+    for (const auto& s : servers) EXPECT_EQ(&s.spec(), model);
+  }
 }

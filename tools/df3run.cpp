@@ -58,6 +58,7 @@
 // Policy names resolve through policy::Registry::global(); unknown names —
 // and unrecognized scenario keys (typos) — abort with a loud error.
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -145,15 +146,27 @@ std::vector<GridEventSpec> parse_grid_events(const std::string& text) {
           "grid_events spec '" + item +
           "' — want region:mean_up_s:mean_down_s:shed_fraction");
     }
+    // Each number is the whole field and finite: std::stod alone takes
+    // "14400x" as 14400 and reads "nan" and "inf".
+    const auto number = [&](std::size_t i, const char* name) {
+      double v = 0.0;
+      std::size_t used = 0;
+      try {
+        v = std::stod(fields[i], &used);
+      } catch (const std::exception&) {
+        used = 0;
+      }
+      if (used == 0 || used != fields[i].size() || !std::isfinite(v)) {
+        throw std::invalid_argument("grid_events spec '" + item + "': " + name +
+                                    " is not a finite number: '" + fields[i] + "'");
+      }
+      return v;
+    };
     GridEventSpec s;
     s.region = fields[0];
-    try {
-      s.mean_up_s = std::stod(fields[1]);
-      s.mean_down_s = std::stod(fields[2]);
-      s.shed_fraction = std::stod(fields[3]);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("grid_events spec '" + item + "': malformed number");
-    }
+    s.mean_up_s = number(1, "mean_up_s");
+    s.mean_down_s = number(2, "mean_down_s");
+    s.shed_fraction = number(3, "shed_fraction");
     specs.push_back(std::move(s));
   }
   return specs;
