@@ -7,8 +7,11 @@
 //
 // Room counts come from DF3_SCALE_ROOMS (csv, default
 // "1000,10000,100000,1000000") and thread counts from DF3_SCALE_THREADS
-// (csv, default "1,2,4"; each is PlatformConfig::threads). Every size runs
-// a fixed warm-up, then a timed window sized to ~4e7 room-ticks (clamped to
+// (csv, default "1,2,4"; each is PlatformConfig::threads). The platform
+// clamps the thread count to the shard count, so a size runs each distinct
+// effective count once: at 1e3 rooms (one shard) "1,2,4" is one row per
+// season, and every row name is unique. Every size runs a fixed warm-up,
+// then a timed window sized to ~4e7 room-ticks (clamped to
 // [30, one-week] ticks) so a million-room row costs seconds, not hours,
 // while the small sizes still integrate over enough ticks to be stable.
 // Cities mix fidelities — every third building is 2R2C — so both vector
@@ -134,9 +137,19 @@ int main() {
   if (thread_counts.empty()) thread_counts.push_back(1);
   const auto room_counts = bench::env_counts("DF3_SCALE_ROOMS", "1000,10000,100000,1000000");
   for (const std::size_t rooms : room_counts) {
+    // The shard count depends on the size only; it is known after the
+    // size's first row (0 = not yet).
+    std::size_t shards = 0;
     for (const auto& [month, season] : {std::pair{0, "winter"}, std::pair{6, "summer"}}) {
+      std::vector<std::size_t> effective;
       for (const std::size_t threads : thread_counts) {
+        if (shards > 0) {
+          const std::size_t eff = std::min(threads, shards);
+          if (std::find(effective.begin(), effective.end(), eff) != effective.end()) continue;
+        }
         const Row r = run_row(rooms, month, season, threads);
+        shards = std::max<std::size_t>(1, r.shards);
+        effective.push_back(r.threads);
         rows.push_back(r);
         std::printf("%9zu %7s %12.1f %14.3e %7.1f%% %7zu %8zu %11.0f\n", r.rooms, r.season,
                     r.ns_per_room_tick, r.items_per_s, 100.0 * r.gated_fraction, r.shards,

@@ -14,10 +14,9 @@
 // default kFull configuration with span links on, so the full→journeys
 // delta prices the causal-link records (DESIGN.md section 14).
 //
-// With -DDF3_OBS=OFF the hooks compile to nothing and all four sides
-// measure the same binary path; the interesting numbers come from the
-// default DF3_OBS=ON build, where `off` exercises the disabled-path check
-// (a pointer load and branch per hook site).
+// The hooks are always compiled in: `off` exercises the disabled-path
+// check (a pointer load and branch per hook site), which is the baseline
+// the other three sides are priced against.
 //
 // Output: a console table plus BENCH_obs.json (path overridable with
 // DF3_BENCH_JSON) with ns/tick and the overhead per level relative to off.

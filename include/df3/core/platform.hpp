@@ -135,7 +135,7 @@ struct PlatformConfig {
   /// nothing; kCounters feeds and snapshots the metric registry each tick;
   /// kFull additionally records lifecycle/tick/fault trace events. All
   /// levels are observation-only: the simulation trajectory is bit-for-bit
-  /// identical whatever the level. Ignored when built with -DDF3_OBS=OFF.
+  /// identical whatever the level.
   obs::ObsConfig obs = {};
 };
 
@@ -303,9 +303,8 @@ class Df3Platform {
   [[nodiscard]] std::vector<std::string> verify_tick_caches() const;
   [[nodiscard]] metrics::EnergyLedger& df_energy() { return df_energy_; }
   /// The run's telemetry sink (trace ring + metric registry), or nullptr
-  /// when the configured obs level is kOff or the build compiled the hooks
-  /// out (-DDF3_OBS=OFF). Export with obs::write_chrome_trace /
-  /// obs::write_metrics_csv after the run.
+  /// when the configured obs level is kOff. Export with
+  /// obs::write_chrome_trace / obs::write_metrics_csv after the run.
   [[nodiscard]] obs::Observability* observability() { return obs_.get(); }
   [[nodiscard]] const obs::Observability* observability() const { return obs_.get(); }
   /// Mean room temperature across all rooms, per sample tick (Fig 4 input).

@@ -1,7 +1,7 @@
 #pragma once
 /// \file obs.hpp
 /// \brief Observability aggregate: trace recorder + metric registry behind a
-///        single install point and compile-to-nothing hook macros.
+///        single install point and two hook-guard macros.
 ///
 /// Instrumented code never talks to `TraceRecorder`/`MetricRegistry`
 /// directly; it goes through two macros:
@@ -13,11 +13,10 @@
 /// }
 /// ```
 ///
-/// With the `DF3_OBS` CMake option OFF, `DF3_OBS_DISABLED` is defined and
-/// both macros expand to an `if constexpr (false)` guard: the hook body is
-/// type-checked but emits no code at any optimisation level. With the
-/// option ON (the default) the cost of a hook while nothing is installed is
-/// one relaxed pointer load and a predictable branch.
+/// Hooks are always compiled in; the installed sink and its level decide
+/// whether a hook body runs. While nothing is installed a hook costs one
+/// pointer load and a predictable branch, and no hook ever changes the
+/// simulated state.
 ///
 /// Installation is scoped: `Df3Platform::run` installs its `Observability`
 /// for the duration of the event loop via `Install`, so hooks fire only for
@@ -36,20 +35,16 @@ namespace df3::obs {
 
 struct ObsConfig {
   TraceLevel level = TraceLevel::kOff;
-  /// Ring capacity in records (32 B each). 0 = auto: the `DF3_TRACE_CAPACITY`
-  /// environment variable when set, else the ~1M-record default.
+  /// Ring capacity in records (32 B each). 0 = the ~1M-record
+  /// `TraceRecorder::kDefaultCapacity`.
   std::size_t trace_capacity = 0;
   /// Emit journey span-link records at kFull (DESIGN.md section 14). Off
   /// restores the pre-journey trace byte-for-byte; the obs bench uses this
   /// to price the link overhead.
   bool journey_links = true;
-  /// Rolling SLO window and its sub-bucket count (active at >= kCounters).
+  /// Rolling SLO window (active at >= kCounters).
   double slo_window_s = 3600.0;
-  std::size_t slo_buckets = 60;
 };
-
-/// Resolve `trace_capacity` (0 = `DF3_TRACE_CAPACITY` env or the default).
-[[nodiscard]] std::size_t resolved_trace_capacity(std::size_t requested);
 
 /// Everything a run records: the span ring, journey links, the metric
 /// registry, and the rolling SLO monitor.
@@ -57,8 +52,8 @@ class Observability {
  public:
   explicit Observability(ObsConfig cfg)
       : cfg_(cfg),
-        trace_(resolved_trace_capacity(cfg.trace_capacity)),
-        slo_(cfg.slo_window_s, cfg.slo_buckets) {}
+        trace_(cfg.trace_capacity != 0 ? cfg.trace_capacity : TraceRecorder::kDefaultCapacity),
+        slo_(cfg.slo_window_s) {}
 
   [[nodiscard]] TraceLevel level() const { return cfg_.level; }
   [[nodiscard]] bool tracing() const { return cfg_.level == TraceLevel::kFull; }
@@ -152,8 +147,6 @@ class Observability {
   SloMonitor slo_;
 };
 
-#ifndef DF3_OBS_DISABLED
-
 namespace detail {
 /// The currently installed sink, or nullptr. Not thread_local: the physics
 /// phase is the only parallel region and it contains no hooks; every hook
@@ -185,27 +178,5 @@ class Install {
 /// Trace-hook guard: body runs iff the installed sink is at level kFull.
 #define DF3_OBS_TRACE_IF(o) \
   if (::df3::obs::Observability* o = ::df3::obs::current(); o != nullptr && o->tracing())
-
-#else  // DF3_OBS_DISABLED
-
-[[nodiscard]] constexpr Observability* current() { return nullptr; }
-
-class Install {
- public:
-  explicit constexpr Install(Observability*) {}
-  Install(const Install&) = delete;
-  Install& operator=(const Install&) = delete;
-};
-
-// The body is still type-checked but dead: the constant-false condition is
-// folded away in the front end, so no code survives at any -O level. The
-// binding is deliberately *not* constexpr — a constexpr null would make the
-// o->... calls in the (unreachable) body constant null dereferences, which
-// GCC's front end rejects under -Werror=nonnull.
-#define DF3_OBS_IF(o) \
-  if ([[maybe_unused]] ::df3::obs::Observability* o = nullptr; false)
-#define DF3_OBS_TRACE_IF(o) DF3_OBS_IF(o)
-
-#endif  // DF3_OBS_DISABLED
 
 }  // namespace df3::obs

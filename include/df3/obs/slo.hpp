@@ -58,7 +58,9 @@ class SloMonitor {
   };
 
   /// Windowed report for `flow` at time `now_s`. `staleness_s < 0` uses one
-  /// full window as the staleness bound.
+  /// full window as the staleness bound. Merges into one reused scratch
+  /// sketch, so the per-tick reports allocate nothing once it has grown;
+  /// not safe to call concurrently on one monitor.
   [[nodiscard]] FlowReport report(std::uint32_t flow, double now_s,
                                   double staleness_s = -1.0) const;
 
@@ -90,6 +92,8 @@ class SloMonitor {
   std::size_t buckets_;
   double span_s_;  ///< seconds per sub-bucket
   std::vector<PerFlow> per_flow_;
+  /// report()'s merge target; clear() keeps its bucket storage.
+  mutable util::PercentileSampler merged_;
 };
 
 }  // namespace df3::obs

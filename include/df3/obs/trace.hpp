@@ -16,9 +16,8 @@
 ///  * **observation-only** — recording a trace never mutates simulation
 ///    state, allocates through the engine, or perturbs event order; golden
 ///    determinism digests are bit-identical with tracing on or off;
-///  * **near-zero cost when disabled** — every hook compiles away entirely
-///    under `-DDF3_OBS_DISABLED` and otherwise costs one pointer load and
-///    branch while no `Observability` is installed (`obs::current()`
+///  * **near-zero cost when disabled** — every hook costs one pointer load
+///    and branch while no `Observability` is installed (`obs::current()`
 ///    returns nullptr outside `Df3Platform::run` or at level kOff);
 ///  * **two clocks** — request/fault events carry *simulated* time (the
 ///    trace's primary axis, exported as microseconds); tick-phase scopes

@@ -9,7 +9,7 @@ namespace df3::baselines {
 namespace {
 /// Flow attribute on journey arrival links: 0 = unknown, else flow+1
 /// (mirrors the cluster-side encoding in cluster.cpp).
-[[maybe_unused]] constexpr std::uint32_t journey_flow_attr(workload::Flow f) {
+constexpr std::uint32_t journey_flow_attr(workload::Flow f) {
   return static_cast<std::uint32_t>(f) + 1;
 }
 }  // namespace

@@ -32,7 +32,6 @@ Df3Platform::Df3Platform(PlatformConfig config)
   if (config_.threads == 0) {
     config_.threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-#ifndef DF3_OBS_DISABLED
   if (config_.obs.level != obs::TraceLevel::kOff) {
     obs_ = std::make_unique<obs::Observability>(config_.obs);
     // Register every instrument up front: the per-tick feed is pure
@@ -74,7 +73,6 @@ Df3Platform::Df3Platform(PlatformConfig config)
       feed_.slo_p99_s.push_back(reg.gauge("slo/" + flow + "/p99_s"));
     }
   }
-#endif
   routing_ = policy::Registry::global().make_routing("df-first");
   network_ = std::make_unique<net::Network>(sim_, "city-net");
   internet_node_ = network_->add_node("internet");
@@ -244,7 +242,6 @@ void Df3Platform::install_grid(grid::GridPlane plane) {
   grid_accounts_.assign(nr, RegionAccount{});
   for (std::size_t r = 0; r < nr; ++r) grid_now_[r] = grid_->signal(r).sample(sim_.now());
   for (std::size_t b = 0; b < buildings_.size(); ++b) bind_building_grid(b);
-#ifndef DF3_OBS_DISABLED
   if (obs_) {
     auto& reg = obs_->registry();
     for (std::size_t r = 0; r < nr; ++r) {
@@ -254,7 +251,6 @@ void Df3Platform::install_grid(grid::GridPlane plane) {
       feed_.grid_curtailed.push_back(reg.gauge(base + "/curtailed"));
     }
   }
-#endif
 }
 
 void Df3Platform::bind_building_grid(std::size_t b) {
@@ -516,7 +512,7 @@ void Df3Platform::drop_in_transport(RequestRef ref, const char* where) {
 }
 
 namespace {
-[[maybe_unused]] constexpr obs::Phase terminal_phase(workload::Outcome o) {
+constexpr obs::Phase terminal_phase(workload::Outcome o) {
   switch (o) {
     case workload::Outcome::kCompleted: return obs::Phase::kCompleted;
     case workload::Outcome::kDeadlineMissed: return obs::Phase::kDeadlineMissed;
@@ -526,7 +522,7 @@ namespace {
   return obs::Phase::kCompleted;
 }
 
-[[maybe_unused]] constexpr obs::SloOutcome slo_outcome(workload::Outcome o) {
+constexpr obs::SloOutcome slo_outcome(workload::Outcome o) {
   switch (o) {
     case workload::Outcome::kCompleted: return obs::SloOutcome::kOk;
     case workload::Outcome::kDeadlineMissed: return obs::SloOutcome::kMissed;
@@ -537,17 +533,15 @@ namespace {
 }
 
 /// Flow carried on journey arrival/terminal links: 0 = unknown, else flow+1.
-[[maybe_unused]] constexpr std::uint32_t journey_flow_attr(workload::Flow f) {
+constexpr std::uint32_t journey_flow_attr(workload::Flow f) {
   return static_cast<std::uint32_t>(f) + 1;
 }
 }  // namespace
 
-void Df3Platform::open_journey([[maybe_unused]] std::uint64_t id) {
-#ifndef DF3_OBS_DISABLED
+void Df3Platform::open_journey(std::uint64_t id) {
   // The owned sink, not the installed global: manual injections happen
   // between run() calls, when no Install scope is active.
   if (obs_) obs_->journey_open(id);
-#endif
 }
 
 void Df3Platform::record_completion(const workload::CompletionRecord& rec) {
@@ -913,7 +907,6 @@ void Df3Platform::tick(sim::Time t) {
   // happens at one simulated instant, so only wall time gives the spans
   // extent. Trace content for these spans is machine-dependent by nature;
   // the simulated trajectory stays bit-identical (hooks observe only).
-#ifndef DF3_OBS_DISABLED
   obs::Observability* const sink = obs::current();
   const bool phase_scopes = sink != nullptr && sink->tracing();
   double phase_mark_s = phase_scopes ? sink->trace().host_now_s() : 0.0;
@@ -922,13 +915,6 @@ void Df3Platform::tick(sim::Time t) {
     sink->host_span(this, "tick", p, phase_mark_s, end_s);
     phase_mark_s = end_s;
   };
-#else
-  // Not constexpr: a constant null makes the dead sink->... calls below
-  // constant null dereferences, which GCC 12 rejects under -Wnonnull.
-  obs::Observability* sink = nullptr;
-  constexpr bool phase_scopes = false;
-  const auto close_phase = [](obs::Phase) {};
-#endif
 
   // The effective thread count clamps to the shard count: a fleet with
   // fewer districts than cores must not wake workers that would find no
@@ -1088,7 +1074,6 @@ void Df3Platform::tick(sim::Time t) {
 
 void Df3Platform::feed_metrics(sim::Time t, double room_mean_c, double city_cores,
                                double city_demand_w, double outdoor_c) {
-#ifndef DF3_OBS_DISABLED
   auto& reg = obs_->registry();
   reg.at_gauge(feed_.room_mean_c).set(room_mean_c);
   reg.at_gauge(feed_.usable_cores).set(city_cores);
@@ -1119,13 +1104,6 @@ void Df3Platform::feed_metrics(sim::Time t, double room_mean_c, double city_core
   }
 
   reg.snapshot(t);
-#else
-  (void)t;
-  (void)room_mean_c;
-  (void)city_cores;
-  (void)city_demand_w;
-  (void)outdoor_c;
-#endif
 }
 
 void Df3Platform::run(util::Seconds duration) {
@@ -1138,7 +1116,7 @@ void Df3Platform::run(util::Seconds duration) {
   // Scope this platform's telemetry sink to the event loop: every request /
   // network / fault hook in the process records here while (and only while)
   // this platform is the one running.
-  [[maybe_unused]] obs::Install obs_scope(obs_.get());
+  obs::Install obs_scope(obs_.get());
   sim_.run_until(sim_.now() + duration.value());
 }
 

@@ -1,23 +1,9 @@
 #include "df3/obs/obs.hpp"
 
-#include <cstdlib>
-
 namespace df3::obs {
 
-std::size_t resolved_trace_capacity(std::size_t requested) {
-  if (requested != 0) return requested;
-  if (const char* env = std::getenv("DF3_TRACE_CAPACITY"); env != nullptr) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<std::size_t>(v);
-  }
-  return TraceRecorder::kDefaultCapacity;
-}
-
-#ifndef DF3_OBS_DISABLED
 namespace detail {
 Observability* g_current = nullptr;
 }  // namespace detail
-#endif
 
 }  // namespace df3::obs

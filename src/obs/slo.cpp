@@ -51,21 +51,21 @@ SloMonitor::FlowReport SloMonitor::report(std::uint32_t flow, double now_s,
   // `buckets_` epochs has been lapped or expired.
   const std::uint64_t cur = epoch_of(now_s);
   const std::uint64_t oldest = cur >= buckets_ - 1 ? cur - (buckets_ - 1) : 0;
-  util::PercentileSampler merged;
+  merged_.clear();
   for (const Bucket& b : f.ring) {
     if (b.epoch == UINT64_MAX || b.epoch < oldest || b.epoch > cur) continue;
     r.total += b.total;
     r.missed += b.missed;
     r.failed += b.failed;
-    merged.merge(b.resp);
+    merged_.merge(b.resp);
   }
   if (r.total > 0) {
     r.miss_ratio = static_cast<double>(r.missed) / static_cast<double>(r.total);
     r.fail_ratio = static_cast<double>(r.failed) / static_cast<double>(r.total);
   }
-  r.p50_s = merged.median();
-  r.p99_s = merged.p99();
-  r.max_s = merged.max();
+  r.p50_s = merged_.median();
+  r.p99_s = merged_.p99();
+  r.max_s = merged_.max();
   return r;
 }
 

@@ -30,8 +30,6 @@ namespace net = df3::net;
 namespace wl = df3::workload;
 namespace u = df3::util;
 
-#ifndef DF3_OBS_DISABLED
-
 namespace {
 
 // --- unit: parent/advance policy --------------------------------------------
@@ -381,9 +379,3 @@ TEST(JourneyChurn, JourneyLinksOffRestoresPlainTrace) {
 }
 
 }  // namespace
-
-#else
-
-TEST(JourneyChurn, Skipped) { GTEST_SKIP() << "observability compiled out"; }
-
-#endif  // DF3_OBS_DISABLED

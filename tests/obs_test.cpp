@@ -443,7 +443,6 @@ TEST(MetricsExport, CsvAndJsonShapes) {
 // --- install scope ----------------------------------------------------------
 
 TEST(ObsInstall, ScopesNestAndKOffInstallsNothing) {
-#ifndef DF3_OBS_DISABLED
   EXPECT_EQ(obs::current(), nullptr);
   obs::Observability full({obs::TraceLevel::kFull, 256});
   obs::Observability off({obs::TraceLevel::kOff, 256});
@@ -457,9 +456,6 @@ TEST(ObsInstall, ScopesNestAndKOffInstallsNothing) {
     EXPECT_EQ(obs::current(), &full);
   }
   EXPECT_EQ(obs::current(), nullptr);
-#else
-  GTEST_SKIP() << "observability compiled out";
-#endif
 }
 
 // --- end-to-end churn trace --------------------------------------------------
@@ -494,8 +490,8 @@ wl::RequestFactory soak_cloud_factory() {
 
 /// The lifecycle-soak "lan-churn" scenario (see lifecycle_soak_test.cpp) at
 /// full trace level: saturating workload, link flapping, worker churn, full
-/// peak ladder.
-std::string run_churn_city_and_export(std::uint64_t seed) {
+/// peak ladder. Writes the Chrome trace export to `out`.
+void run_churn_city_and_export(std::uint64_t seed, std::string& out) {
   core::PlatformConfig cfg;
   cfg.seed = seed;
   cfg.tick_s = 60.0;
@@ -542,11 +538,11 @@ std::string run_churn_city_and_export(std::uint64_t seed) {
   city.run(u::hours(1.0));
 
   obs::Observability* o = city.observability();
-  if (o == nullptr) return "";  // DF3_OBS=OFF build
+  ASSERT_NE(o, nullptr);
   EXPECT_EQ(o->trace().dropped(), 0u) << "ring too small for the scenario";
   std::ostringstream os;
   obs::write_chrome_trace(os, o->trace());
-  return os.str();
+  out = os.str();
 }
 
 // --- city counters ------------------------------------------------------------
@@ -557,7 +553,6 @@ std::string run_churn_city_and_export(std::uint64_t seed) {
 /// repeated rung name (one instrument, summed) and a pinned request
 /// injected between two run() calls, when no obs scope is installed.
 TEST(CityCounters, SnapshotRowsEqualPerClusterSumsEveryTick) {
-#ifndef DF3_OBS_DISABLED
   core::PlatformConfig cfg;
   cfg.seed = 11;
   cfg.threads = 1;
@@ -655,14 +650,11 @@ TEST(CityCounters, SnapshotRowsEqualPerClusterSumsEveryTick) {
                            "policy/rung/preempt", "policy/routing_picks"}) {
     EXPECT_GT(totals[name], 0u) << name;
   }
-#else
-  GTEST_SKIP() << "observability compiled out";
-#endif
 }
 
 TEST(ChurnTrace, LadderRungsOffloadsAndFaultsAllAppearInValidTrace) {
-  const std::string text = run_churn_city_and_export(1);
-  if (text.empty()) GTEST_SKIP() << "observability compiled out";
+  std::string text;
+  ASSERT_NO_FATAL_FAILURE(run_churn_city_and_export(1, text));
 
   const Json root = JsonParser(text).parse();
   const JsonArray& events = root.at("traceEvents").arr();
@@ -682,9 +674,10 @@ TEST(ChurnTrace, LadderRungsOffloadsAndFaultsAllAppearInValidTrace) {
 }
 
 TEST(ChurnTrace, SameSeedProducesIdenticalTraceBytes) {
-  const std::string a = run_churn_city_and_export(7);
-  if (a.empty()) GTEST_SKIP() << "observability compiled out";
-  const std::string b = run_churn_city_and_export(7);
+  std::string a;
+  std::string b;
+  ASSERT_NO_FATAL_FAILURE(run_churn_city_and_export(7, a));
+  ASSERT_NO_FATAL_FAILURE(run_churn_city_and_export(7, b));
   // Host-clock tick spans differ run to run; compare only sim-clock events.
   const auto sim_events = [](const std::string& text) {
     std::vector<std::string> out;

@@ -38,11 +38,13 @@
 //   peer_select (ring|least-loaded|greenest)   placement (first-fit|best-fit)
 //   csv ("" = no export)     trace ("" = no export)   metrics ("" = no export)
 //   telemetry (off|counters|full; default inferred: full when a trace is
-//              requested, counters when only metrics are, off otherwise)
-//   trace_capacity (0 = auto: DF3_TRACE_CAPACITY env, else 1M records) —
-//              size the trace ring for long soaks; when journey spans are
-//              overwritten a loud warning reports the dropped() count and
-//              df3trace will refuse the export without --partial
+//              requested, counters when only metrics are, off otherwise;
+//              an explicit level below what a requested export needs is
+//              raised to it, with a note on stderr)
+//   trace_capacity (0 = the 1M-record default) — size the trace ring for
+//              long soaks; when journey spans are overwritten a loud
+//              warning reports the dropped() count and df3trace will
+//              refuse the export without --partial
 //   slo_window_s (3600)      rolling SLO window for the per-flow report
 //   report (""|json)
 //   grid_signals ("" = no grid plane) — per-region carbon/price/renewables
@@ -368,6 +370,10 @@ int run(const std::string& config_path, const Options& opts) {
     std::fprintf(stderr, "df3run: --trace needs telemetry=full; raising level\n");
     pc.obs.level = obs::TraceLevel::kFull;
   }
+  if (!metrics.empty() && pc.obs.level == obs::TraceLevel::kOff) {
+    std::fprintf(stderr, "df3run: --metrics needs telemetry=counters; raising level\n");
+    pc.obs.level = obs::TraceLevel::kCounters;
+  }
   pc.obs.trace_capacity = static_cast<std::size_t>(trace_capacity);
   pc.obs.slo_window_s = slo_window_s;
 
@@ -526,13 +532,8 @@ int run(const std::string& config_path, const Options& opts) {
     std::printf("telemetry series written to %s\n", csv.c_str());
   }
   if (!trace.empty() || !metrics.empty()) {
-    obs::Observability* o = city.observability();
-    if (o == nullptr) {
-      std::fprintf(stderr,
-                   "df3run: telemetry exports requested but observability is unavailable "
-                   "(built with -DDF3_OBS=OFF?)\n");
-      return 1;
-    }
+    // Both exports raised the level above kOff, so the sink exists.
+    const obs::Observability* o = city.observability();
     if (!trace.empty()) {
       if (!obs::write_chrome_trace_file(trace, o->trace())) {
         throw std::runtime_error("cannot write trace: " + trace);
@@ -550,8 +551,7 @@ int run(const std::string& config_path, const Options& opts) {
                      "df3run: incomplete and df3trace will refuse this export without "
                      "--partial.\n"
                      "df3run: Raise trace_capacity= in the scenario (current ring: %zu "
-                     "records) or set\n"
-                     "df3run: the DF3_TRACE_CAPACITY environment variable.\n\n",
+                     "records).\n\n",
                      static_cast<unsigned long long>(o->trace().dropped()),
                      o->trace().capacity());
       }

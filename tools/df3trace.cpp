@@ -559,7 +559,7 @@ int main(int argc, char** argv) {
                  "df3trace: %llu journey tree(s) are missing spans and %llu link(s) lost "
                  "their record (ring overwrote %llu events).\n"
                  "df3trace: refusing to report on incomplete trees; raise trace_capacity= "
-                 "(or DF3_TRACE_CAPACITY) in df3run, or pass --partial to analyze anyway.\n",
+                 "in df3run, or pass --partial to analyze anyway.\n",
                  static_cast<unsigned long long>(incomplete),
                  static_cast<unsigned long long>(in.orphan_links),
                  static_cast<unsigned long long>(in.dropped));
