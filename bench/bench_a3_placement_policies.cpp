@@ -46,7 +46,7 @@ Result run(const std::string& routing, int month) {
     }
   }
   const double vertical =
-      static_cast<double>(city->flow_metrics().served_by_prefix("vertical:")) /
+      static_cast<double>(city->flow_metrics().served(workload::ServedBy::kVertical)) /
       static_cast<double>(std::max<std::uint64_t>(1, cloud.total()));
   return {cloud.response_s.percentile(50.0) / 60.0, sold_core_s / 3600.0,
           city->datacenter()->energy().facility_total().kwh(), vertical};

@@ -60,8 +60,8 @@ int main() {
   std::printf("district: 12 Q.rad buildings + 1 digital boiler, Mar 15-29\n\n");
   std::printf("cloud requests  : %llu (%.1f%% served on DF servers, rest offloaded)\n",
               static_cast<unsigned long long>(cloud.total()),
-              100.0 * (1.0 - static_cast<double>(city.flow_metrics().served_by_prefix(
-                                 "vertical:")) /
+              100.0 * (1.0 - static_cast<double>(city.flow_metrics().served(
+                                 workload::ServedBy::kVertical)) /
                                  static_cast<double>(std::max<std::uint64_t>(1, cloud.total()))));
   std::printf("edge requests   : %llu, success %.1f%%, p99 %.0f ms\n",
               static_cast<unsigned long long>(edge.total()), 100.0 * edge.success_rate(),

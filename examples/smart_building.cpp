@@ -72,7 +72,7 @@ int main() {
               static_cast<unsigned long long>(stats.offloaded_horizontal_out));
   std::printf("privacy         : fall-detection served locally only (%llu vertical offloads)\n",
               static_cast<unsigned long long>(
-                  city.flow_metrics().served_by_prefix("vertical:")));
+                  city.flow_metrics().served(workload::ServedBy::kVertical)));
   std::printf("comfort         : %.2f K mean deviation; mean room %.1f degC\n",
               city.comfort(0).mean_abs_deviation_k(city.now()),
               city.comfort(0).mean_temperature_c(city.now()));

@@ -49,7 +49,6 @@ class Datacenter : public sim::Entity, public core::ComputeService {
 
   // core::ComputeService
   void submit(workload::Request r, net::NodeId origin, Done done) override;
-  [[nodiscard]] std::string label() const override { return config_.label; }
 
   [[nodiscard]] const DatacenterConfig& config() const { return config_; }
   [[nodiscard]] int busy_cores() const { return busy_cores_; }

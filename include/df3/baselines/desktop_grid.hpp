@@ -46,7 +46,6 @@ class DesktopGrid : public sim::Entity, public core::ComputeService {
   DesktopGrid(sim::Simulation& sim, DesktopGridConfig config, std::uint64_t seed);
 
   void submit(workload::Request r, net::NodeId origin, Done done) override;
-  [[nodiscard]] std::string label() const override { return config_.label; }
 
   [[nodiscard]] int available_hosts() const;
   [[nodiscard]] std::uint64_t restarts() const { return restarts_; }

@@ -62,9 +62,6 @@ class ComputeService {
   /// Execute `r` on behalf of a client at `origin`; `done` fires with the
   /// completion record (network round trip included).
   virtual void submit(workload::Request r, net::NodeId origin, Done done) = 0;
-
-  /// Label recorded in CompletionRecord::served_by.
-  [[nodiscard]] virtual std::string label() const = 0;
 };
 
 struct ClusterConfig {
@@ -204,12 +201,6 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
   [[nodiscard]] net::NodeId gateway_node() const { return gateway_node_; }
 
-  /// Replace the peer set with a single peer (nullptr clears). Kept for
-  /// the pre-federation call sites; equivalent to clear_peers + add_peer.
-  void set_peer(Cluster* peer) {
-    peers_.clear();
-    if (peer != nullptr) add_peer(peer);
-  }
   /// Append a federation peer. Horizontal offload picks among the peers via
   /// the configured selector; add them in ring order (next neighbor first)
   /// so the default "ring" selector reproduces the classic ring.
@@ -369,7 +360,7 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   [[nodiscard]] workload::Request take(RequestRef ref);
   /// Build the terminal record, give the state back, then hand the record
   /// to the request's sink (the cluster's own one unless foreign/pinned).
-  void finish(RequestRef ref, workload::Outcome outcome, std::string served_by);
+  void finish(RequestRef ref, workload::Outcome outcome, workload::ServedBy served_by);
   [[nodiscard]] double slowdown_for(const workload::Request& r) const;
   [[nodiscard]] bool worker_eligible(std::size_t widx, Priority p) const;
   [[nodiscard]] bool place(Task& t);

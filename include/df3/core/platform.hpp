@@ -321,7 +321,6 @@ class Df3Platform {
   /// Aggregate regulator tracking error across all room servers, as of the
   /// last tick: O(1), from the sums the tick's drain folds.
   [[nodiscard]] double regulator_relative_error() const;
-  [[nodiscard]] std::uint64_t total_preemptions() const;
 
   /// Room temperature of one room (tests).
   [[nodiscard]] util::Celsius room_temperature(std::size_t b, std::size_t r) const;
@@ -485,7 +484,7 @@ class Df3Platform {
   /// the Internet -> gateway transport.
   void deliver_cloud(Cluster& target, workload::Request r);
   /// Terminal for a request lost on its intake transport.
-  void drop_in_transport(RequestRef ref, const char* where);
+  void drop_in_transport(RequestRef ref, workload::ServedBy where);
   /// Single funnel for terminal completion records: auditor first, then the
   /// flow metrics. Every sink and drop callback the platform installs must
   /// come through here so no terminal can bypass conservation accounting.

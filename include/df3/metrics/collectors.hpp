@@ -3,7 +3,9 @@
 /// \brief Experiment metric collectors: response times per flow/app,
 ///        outcome counts, energy ledger and PUE accounting.
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -37,20 +39,22 @@ class FlowMetrics {
     }
   };
 
-  [[nodiscard]] const Slice& by_flow(workload::Flow f) const;
+  [[nodiscard]] const Slice& by_flow(workload::Flow f) const {
+    return by_flow_[static_cast<std::size_t>(f)];
+  }
   [[nodiscard]] const Slice& by_app(const std::string& app) const;
   [[nodiscard]] const Slice& overall() const { return overall_; }
-  [[nodiscard]] const std::map<std::string, Slice>& apps() const { return by_app_; }
 
-  /// Count of completions whose served_by starts with the given prefix
-  /// ("vertical:", "horizontal:", ...), for offload accounting.
-  [[nodiscard]] std::uint64_t served_by_prefix(const std::string& prefix) const;
+  /// Terminal records (any outcome) of one kind, for offload accounting.
+  [[nodiscard]] std::uint64_t served(workload::ServedBy s) const {
+    return served_by_[static_cast<std::size_t>(s)];
+  }
 
  private:
   Slice overall_;
-  std::map<workload::Flow, Slice> by_flow_;
+  std::array<Slice, 3> by_flow_{};  // indexed by workload::Flow
   std::map<std::string, Slice> by_app_;
-  std::map<std::string, std::uint64_t> served_by_;
+  std::array<std::uint64_t, workload::kServedByCount> served_by_{};
   static const Slice kEmpty;
 };
 

@@ -17,6 +17,7 @@
 /// downclocked or throttled server — this is the coupling between heat
 /// demand and computing capacity the whole model is about.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -107,13 +108,52 @@ enum class Outcome : std::uint8_t {
   return "?";
 }
 
+/// Which lever or facility produced a terminal record (paper §III-B's peak
+/// management: local run, horizontal/vertical offload, or a loss on the
+/// way). One value per terminal site, so a record carries no label string.
+enum class ServedBy : std::uint8_t {
+  kLocal,            ///< ran on its own cluster, result delivered
+  kPinned,           ///< composition stage run on its pinned worker
+  kExpired,          ///< edge shard abandoned at dispatch past its deadline
+  kNoWorkers,        ///< the cluster has no workers to take it
+  kPartition,        ///< lost staging input, or on the hand-off hop to a peer
+  kReturnPartition,  ///< ran locally, result lost on the way back
+  kHorizontal,       ///< handed to a peer cluster (any outcome there)
+  kVertical,         ///< offloaded to the datacenter
+  kGrid,             ///< served by the desktop-grid baseline
+  kNowhere,          ///< cloud request with no cluster and no datacenter
+  kLanPartition,     ///< lost on the building LAN before intake
+  kUplinkPartition,  ///< lost on the Internet uplink before intake
+};
+
+inline constexpr std::size_t kServedByCount =
+    static_cast<std::size_t>(ServedBy::kUplinkPartition) + 1;
+
+[[nodiscard]] constexpr const char* served_by_name(ServedBy s) {
+  switch (s) {
+    case ServedBy::kLocal: return "local";
+    case ServedBy::kPinned: return "pinned";
+    case ServedBy::kExpired: return "expired";
+    case ServedBy::kNoWorkers: return "no-workers";
+    case ServedBy::kPartition: return "partition";
+    case ServedBy::kReturnPartition: return "return-partition";
+    case ServedBy::kHorizontal: return "horizontal";
+    case ServedBy::kVertical: return "vertical";
+    case ServedBy::kGrid: return "grid";
+    case ServedBy::kNowhere: return "nowhere";
+    case ServedBy::kLanPartition: return "lan-partition";
+    case ServedBy::kUplinkPartition: return "uplink-partition";
+  }
+  return "?";
+}
+
 /// Completion record produced by whichever platform served the request.
 struct CompletionRecord {
   Request request;
   Outcome outcome = Outcome::kCompleted;
   sim::Time completed_at = 0.0;
-  /// Where it ran: "local", "horizontal:<cluster>", "vertical:datacenter".
-  std::string served_by = "local";
+  /// Terminal site that produced it; every record of a handed-off request reads kHorizontal.
+  ServedBy served_by = ServedBy::kLocal;
 
   [[nodiscard]] double response_time() const { return completed_at - request.arrival; }
 };

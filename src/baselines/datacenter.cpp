@@ -113,7 +113,7 @@ void Datacenter::finish_shard(const std::shared_ptr<Job>& job) {
     rec.outcome = (deadline && rec.completed_at > *deadline)
                       ? workload::Outcome::kDeadlineMissed
                       : workload::Outcome::kCompleted;
-    rec.served_by = "vertical:" + config_.label;
+    rec.served_by = workload::ServedBy::kVertical;
     job->done(std::move(rec));
   });
 }

@@ -153,7 +153,7 @@ void DesktopGrid::finish_job(const std::shared_ptr<Job>& job) {
     rec.outcome = (deadline && rec.completed_at > *deadline)
                       ? workload::Outcome::kDeadlineMissed
                       : workload::Outcome::kCompleted;
-    rec.served_by = "grid:" + config_.label;
+    rec.served_by = workload::ServedBy::kGrid;
     job->done(std::move(rec));
   });
 }

@@ -174,7 +174,7 @@ void Cluster::stage_and_enqueue(RequestRef ref, net::NodeId origin, bool foreign
   ref->sink = std::move(sink);
   if (workers_.empty()) {
     ++stats_.rejected;
-    finish(ref, workload::Outcome::kRejected, name() + ":no-workers");
+    finish(ref, workload::Outcome::kRejected, workload::ServedBy::kNoWorkers);
     return;
   }
   ref->origin = origin;
@@ -194,7 +194,7 @@ void Cluster::stage_and_enqueue(RequestRef ref, net::NodeId origin, bool foreign
         // Partitioned from our own workers: the request is lost.
         untrack(*ref);
         ++stats_.dropped;
-        finish(ref, workload::Outcome::kDropped, name() + ":partition");
+        finish(ref, workload::Outcome::kDropped, workload::ServedBy::kPartition);
       });
 }
 
@@ -227,14 +227,10 @@ workload::Request Cluster::take(RequestRef ref) {
   return r;
 }
 
-void Cluster::finish(RequestRef ref, workload::Outcome outcome, std::string served_by) {
-  workload::CompletionRecord rec;
-  rec.outcome = outcome;
-  rec.completed_at = now();
-  rec.served_by = std::move(served_by);
+void Cluster::finish(RequestRef ref, workload::Outcome outcome, workload::ServedBy served_by) {
   const CompletionSink sink = std::move(ref->sink);
-  rec.request = take(ref);
-  (sink ? sink : sink_)(std::move(rec));
+  (sink ? sink : sink_)({.request = take(ref), .outcome = outcome, .completed_at = now(),
+                         .served_by = served_by});
 }
 
 bool Cluster::worker_eligible(std::size_t widx, Priority p) const {
@@ -387,12 +383,10 @@ policy::RungOutcome Cluster::relieve_by_horizontal(Task& t) {
                    obs::HopKind::kHandoff},
       [this, peer, ref = t.request] {
         const net::NodeId origin = ref->origin;
-        peer->submit_offloaded(take(ref), origin,
-                               [this, via = "horizontal:" + peer->name()](
-                                   workload::CompletionRecord rec) {
-                                 rec.served_by = via;
-                                 sink_(std::move(rec));
-                               });
+        peer->submit_offloaded(take(ref), origin, [this](workload::CompletionRecord rec) {
+          rec.served_by = workload::ServedBy::kHorizontal;
+          sink_(std::move(rec));
+        });
       },
       [this, ref = t.request] {
         // No counter here: responsibility already left this cluster
@@ -403,10 +397,10 @@ policy::RungOutcome Cluster::relieve_by_horizontal(Task& t) {
         //
         // Report straight through our own sink, not the peer's wrapper:
         // the peer never saw this request, so a record claiming it was
-        // served "horizontal:<peer>" misattributes the loss in every
-        // served_by metric slice. Flushed by the model checker as a
+        // served kHorizontal misattributes the loss in every served_by
+        // metric slice. Flushed by the model checker as a
         // flap-before-hand-off interleaving (DESIGN.md §13).
-        finish(ref, workload::Outcome::kDropped, name() + ":partition");
+        finish(ref, workload::Outcome::kDropped, workload::ServedBy::kPartition);
       });
   return policy::RungOutcome::kResolved;
 }
@@ -527,7 +521,7 @@ void Cluster::abandon_expired(Task t) {
     }
   }
   sim().schedule_in(0.0, [this, ref = t.request] {
-    finish(ref, workload::Outcome::kDeadlineMissed, name() + ":expired");
+    finish(ref, workload::Outcome::kDeadlineMissed, workload::ServedBy::kExpired);
   });
 }
 
@@ -544,7 +538,7 @@ void Cluster::complete(RequestRef ref) {
   if (s.local_only) {
     // Composition stage: the caller owns all transfers.
     sim().schedule_in(0.0, [this, ref] {
-      finish(ref, outcome_at(ref->request, now()), name() + ":pinned");
+      finish(ref, outcome_at(ref->request, now()), workload::ServedBy::kPinned);
     });
     return;
   }
@@ -559,14 +553,12 @@ void Cluster::complete(RequestRef ref) {
   network_.send(
       net::Message{from, s.origin, s.request.output_size, s.request.id, obs::HopKind::kReturn},
       [this, ref] {
-        finish(ref, outcome_at(ref->request, now()),
-               name() + (ref->foreign ? ":foreign" : ":local"));
+        finish(ref, outcome_at(ref->request, now()), workload::ServedBy::kLocal);
       },
       [this, ref] {
         // The work was done (stats_.completed already counted it); only
         // the result transport was lost, so no further cluster counter.
-        finish(ref, workload::Outcome::kDropped,
-               name() + (ref->foreign ? ":foreign" : ":local") + ":return-partition");
+        finish(ref, workload::Outcome::kDropped, workload::ServedBy::kReturnPartition);
       });
 }
 

@@ -354,12 +354,9 @@ void Df3Platform::add_cloud_source(workload::RequestFactory factory,
         Cluster* target = route_cloud_target();
         if (target == nullptr) {
           if (!datacenter_) {
-            workload::CompletionRecord rec;
-            rec.request = std::move(r);
-            rec.outcome = workload::Outcome::kRejected;
-            rec.completed_at = sim_.now();
-            rec.served_by = "nowhere";
-            record_completion(rec);
+            record_completion({.request = std::move(r), .outcome = workload::Outcome::kRejected,
+                               .completed_at = sim_.now(),
+                               .served_by = workload::ServedBy::kNowhere});
             return;
           }
           datacenter_->submit(std::move(r), internet_node_,
@@ -489,7 +486,7 @@ void Df3Platform::deliver_to_cluster(workload::Request r, std::size_t b, bool di
           cluster->submit(ref, origin);
         }
       },
-      [this, ref] { drop_in_transport(ref, "lan-partition"); });
+      [this, ref] { drop_in_transport(ref, workload::ServedBy::kLanPartition); });
 }
 
 void Df3Platform::deliver_cloud(Cluster& target, workload::Request r) {
@@ -498,15 +495,13 @@ void Df3Platform::deliver_cloud(Cluster& target, workload::Request r) {
       net::Message{internet_node_, target.gateway_node(), ref->request.input_size,
                    ref->request.id, obs::HopKind::kTransport},
       [this, ref, cluster = &target] { cluster->submit(ref, internet_node_); },
-      [this, ref] { drop_in_transport(ref, "uplink-partition"); });
+      [this, ref] { drop_in_transport(ref, workload::ServedBy::kUplinkPartition); });
 }
 
-void Df3Platform::drop_in_transport(RequestRef ref, const char* where) {
-  workload::CompletionRecord rec;
-  rec.request = std::move(ref->request);
-  rec.outcome = workload::Outcome::kDropped;
-  rec.completed_at = sim_.now();
-  rec.served_by = where;
+void Df3Platform::drop_in_transport(RequestRef ref, workload::ServedBy where) {
+  const workload::CompletionRecord rec{.request = std::move(ref->request),
+                                       .outcome = workload::Outcome::kDropped,
+                                       .completed_at = sim_.now(), .served_by = where};
   requests_.release(ref);
   record_completion(rec);
 }
@@ -1185,12 +1180,6 @@ std::vector<std::string> Df3Platform::verify_tick_caches() const {
     }
   }
   return out;
-}
-
-std::uint64_t Df3Platform::total_preemptions() const {
-  std::uint64_t n = 0;
-  for (const auto& b : buildings_) n += b->cluster->stats().preemptions;
-  return n;
 }
 
 util::Celsius Df3Platform::room_temperature(std::size_t b, std::size_t r) const {

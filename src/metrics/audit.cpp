@@ -6,7 +6,7 @@ namespace {
 std::string describe(const workload::CompletionRecord& rec, const char* what) {
   return std::string(what) + " terminal for request id " + std::to_string(rec.request.id) +
          " (app " + rec.request.app + ", outcome " + workload::outcome_name(rec.outcome) +
-         ", served_by " + rec.served_by + ")";
+         ", served_by " + workload::served_by_name(rec.served_by) + ")";
 }
 }  // namespace
 

@@ -29,27 +29,14 @@ void record_into(FlowMetrics::Slice& s, const workload::CompletionRecord& rec) {
 
 void FlowMetrics::record(const workload::CompletionRecord& rec) {
   record_into(overall_, rec);
-  record_into(by_flow_[rec.request.flow], rec);
+  record_into(by_flow_[static_cast<std::size_t>(rec.request.flow)], rec);
   record_into(by_app_[rec.request.app], rec);
-  ++served_by_[rec.served_by];
-}
-
-const FlowMetrics::Slice& FlowMetrics::by_flow(workload::Flow f) const {
-  const auto it = by_flow_.find(f);
-  return it == by_flow_.end() ? kEmpty : it->second;
+  ++served_by_[static_cast<std::size_t>(rec.served_by)];
 }
 
 const FlowMetrics::Slice& FlowMetrics::by_app(const std::string& app) const {
   const auto it = by_app_.find(app);
   return it == by_app_.end() ? kEmpty : it->second;
-}
-
-std::uint64_t FlowMetrics::served_by_prefix(const std::string& prefix) const {
-  std::uint64_t n = 0;
-  for (const auto& [key, count] : served_by_) {
-    if (key.rfind(prefix, 0) == 0) n += count;
-  }
-  return n;
 }
 
 void EnergyLedger::throw_negative(const char* what) {

@@ -116,7 +116,7 @@ TEST(DesktopGrid, CompletesBatchWorkEventually) {
   sim.run_until(2.0 * 86400.0);
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].outcome, wl::Outcome::kCompleted);
-  EXPECT_EQ(recs[0].served_by, "grid:desktop-grid");
+  EXPECT_EQ(recs[0].served_by, wl::ServedBy::kGrid);
   EXPECT_EQ(grid.completed_requests(), 1u);
 }
 

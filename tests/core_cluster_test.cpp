@@ -75,7 +75,7 @@ struct ClusterFixture {
         sim, "c1", core::ClusterConfig{}, netw, gw2,
         [this](wl::CompletionRecord rec) { records.push_back(std::move(rec)); });
     peer->add_worker(hw::qrad_spec(), w2);
-    cluster->set_peer(peer.get());
+    cluster->add_peer(peer.get());
   }
 
   void attach_datacenter() {
@@ -93,7 +93,7 @@ TEST(Cluster, CompletesCloudRequestWithTransport) {
   ASSERT_EQ(f.records.size(), 1u);
   const auto& rec = f.records[0];
   EXPECT_EQ(rec.outcome, wl::Outcome::kCompleted);
-  EXPECT_EQ(rec.served_by, "c0:local");
+  EXPECT_EQ(rec.served_by, wl::ServedBy::kLocal);
   // 320 Gc at 3.2 GHz = 100 s of compute plus staging + return transport.
   // 64 KiB of results return over ZigBee: ~2.7 s of serialization.
   EXPECT_GT(rec.response_time(), 100.0);
@@ -186,6 +186,7 @@ TEST(Cluster, DelayLadderQueuesEdgeWhenNothingPreemptible) {
   for (const auto& rec : f.records) {
     if (wl::is_edge(rec.request.flow)) {
       saw_missed_edge = rec.outcome == wl::Outcome::kDeadlineMissed;
+      EXPECT_EQ(rec.served_by, wl::ServedBy::kExpired);
     } else {
       EXPECT_EQ(rec.outcome, wl::Outcome::kCompleted);
     }
@@ -208,7 +209,7 @@ TEST(Cluster, HorizontalOffloadToPeer) {
   EXPECT_EQ(f.cluster->stats().offloaded_horizontal_out, 1u);
   EXPECT_EQ(f.peer->stats().offloaded_horizontal_in, 1u);
   ASSERT_GE(f.records.size(), 1u);
-  EXPECT_EQ(f.records[0].served_by, "horizontal:c1");
+  EXPECT_EQ(f.records[0].served_by, wl::ServedBy::kHorizontal);
   EXPECT_EQ(f.records[0].outcome, wl::Outcome::kCompleted);
 }
 
@@ -227,7 +228,7 @@ TEST(Cluster, VerticalOffloadToDatacenter) {
   f.sim.run_until(30.0);
   EXPECT_EQ(f.cluster->stats().offloaded_vertical, 1u);
   ASSERT_GE(f.records.size(), 1u);
-  EXPECT_EQ(f.records[0].served_by, "vertical:datacenter");
+  EXPECT_EQ(f.records[0].served_by, wl::ServedBy::kVertical);
 }
 
 TEST(Cluster, PrivacySensitiveNeverGoesVertical) {
@@ -248,7 +249,7 @@ TEST(Cluster, PrivacySensitiveNeverGoesVertical) {
   // It completed locally after the blockade cleared.
   bool local_edge = false;
   for (const auto& rec : f.records) {
-    if (wl::is_edge(rec.request.flow)) local_edge = rec.served_by == "c0:local";
+    if (wl::is_edge(rec.request.flow)) local_edge = rec.served_by == wl::ServedBy::kLocal;
   }
   EXPECT_TRUE(local_edge);
 }
@@ -267,7 +268,7 @@ TEST(Cluster, CloudBacklogOffloadsVertically) {
   ASSERT_EQ(f.records.size(), 2u);
   std::uint64_t vertical = 0;
   for (const auto& rec : f.records) {
-    if (rec.served_by.rfind("vertical:", 0) == 0) ++vertical;
+    if (rec.served_by == wl::ServedBy::kVertical) ++vertical;
   }
   EXPECT_EQ(vertical, 1u);
 }
@@ -325,6 +326,7 @@ TEST(Cluster, RejectsWhenNoWorkers) {
   sim.run();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].outcome, wl::Outcome::kRejected);
+  EXPECT_EQ(records[0].served_by, wl::ServedBy::kNoWorkers);
   EXPECT_EQ(empty.stats().rejected, 1u);
 }
 
@@ -339,6 +341,7 @@ TEST(Cluster, PartitionDropsRequest) {
   f.sim.run();
   ASSERT_EQ(f.records.size(), 1u);
   EXPECT_EQ(f.records[0].outcome, wl::Outcome::kDropped);
+  EXPECT_EQ(f.records[0].served_by, wl::ServedBy::kPartition);
 }
 
 TEST(Cluster, StatsCountFlows) {
@@ -456,7 +459,7 @@ TEST(Cluster, ReturnPartitionRecordsDrop) {
   f.sim.run();
   ASSERT_EQ(f.records.size(), 1u);
   EXPECT_EQ(f.records[0].outcome, wl::Outcome::kDropped);
-  EXPECT_EQ(f.records[0].served_by, "c0:local:return-partition");
+  EXPECT_EQ(f.records[0].served_by, wl::ServedBy::kReturnPartition);
   // The cluster did the work: completed counts it, and only the record
   // carries the transport loss. The identity still balances.
   EXPECT_EQ(f.cluster->stats().completed, 1u);
@@ -583,7 +586,7 @@ TEST(Cluster, PinnedStageWaitsForItsGatedWorker) {
   f.sim.run();
   ASSERT_EQ(pinned_recs.size(), 1u);
   EXPECT_EQ(pinned_recs[0].outcome, wl::Outcome::kCompleted);
-  EXPECT_EQ(pinned_recs[0].served_by, "c0:pinned");
+  EXPECT_EQ(pinned_recs[0].served_by, wl::ServedBy::kPinned);
   EXPECT_EQ(f.cluster->worker(0).tasks_completed(), 1u);
   EXPECT_EQ(f.cluster->worker(1).tasks_completed(), 0u);
   EXPECT_EQ(f.cluster->stats().intake(),
@@ -615,7 +618,7 @@ TEST(Cluster, PinnedStageNeverOffloadsHorizontallyOrVertically) {
   f.cluster->sync_workers();
   f.sim.run();
   ASSERT_EQ(pinned_recs.size(), 1u);
-  EXPECT_EQ(pinned_recs[0].served_by, "c0:pinned");
+  EXPECT_EQ(pinned_recs[0].served_by, wl::ServedBy::kPinned);
   EXPECT_EQ(f.cluster->worker(0).tasks_completed(), 1u);
 }
 
@@ -671,7 +674,7 @@ TEST(Cluster, HandoffPartitionDropIsAccountedToTheOffloader) {
     return rec.outcome == wl::Outcome::kDropped;
   });
   ASSERT_NE(drop, f.records.end());
-  EXPECT_EQ(drop->served_by, "c0:partition");
+  EXPECT_EQ(drop->served_by, wl::ServedBy::kPartition);
   EXPECT_EQ(f.cluster->stats().offloaded_horizontal_out, 1u);
   EXPECT_EQ(f.cluster->stats().dropped, 0u);  // responsibility left via the hand-off
   EXPECT_EQ(f.peer->stats().offloaded_horizontal_in, 0u);

@@ -39,6 +39,12 @@ TEST(FailureInjection, UplinkPartitionDropsCloudThenRecovers) {
   city.run(u::hours(6.0));
   const auto during = city.flow_metrics().by_flow(wl::Flow::kCloud);
   EXPECT_GT(during.dropped, dropped_before);
+  // Lost on the Internet -> gateway intake hop, or (in flight at the cut)
+  // on the result's way back out.
+  EXPECT_GT(city.flow_metrics().served(wl::ServedBy::kUplinkPartition), 0u);
+  EXPECT_EQ(city.flow_metrics().served(wl::ServedBy::kUplinkPartition) +
+                city.flow_metrics().served(wl::ServedBy::kReturnPartition),
+            during.dropped);
 
   city.network().set_link_up(2, true);
   const auto completed_at_restore = during.completed;
@@ -68,6 +74,10 @@ TEST(FailureInjection, EdgeSurvivesLanPartitionViaDrop) {
   city.run(u::hours(2.0));
   const auto partitioned = city.flow_metrics().by_flow(wl::Flow::kEdgeIndirect);
   EXPECT_GT(partitioned.dropped, 0u);
+  EXPECT_GT(city.flow_metrics().served(wl::ServedBy::kLanPartition), 0u);
+  EXPECT_EQ(city.flow_metrics().served(wl::ServedBy::kLanPartition) +
+                city.flow_metrics().served(wl::ServedBy::kReturnPartition),
+            partitioned.dropped);
   EXPECT_GT(partitioned.total(), total_before);
 }
 
@@ -147,7 +157,7 @@ TEST(FailureInjection, HorizontalOffloadPartitionFallsBackToDrop) {
   core::Cluster c2(sim, "c2", {}, netw, gw2,
                    [&](wl::CompletionRecord r) { records.push_back(std::move(r)); });
   c2.add_worker(df3::hw::qrad_spec(), w2);
-  c1.set_peer(&c2);
+  c1.add_peer(&c2);
 
   // Saturate c1 with non-preemptible work, partition the inter-gateway
   // link, then submit an edge request that wants to offload.

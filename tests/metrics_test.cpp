@@ -11,24 +11,28 @@ using df3::sim::Simulation;
 
 namespace {
 wl::CompletionRecord record(wl::Flow flow, wl::Outcome outcome, double response,
-                            std::string served = "local", std::string app = "a") {
+                            wl::ServedBy served = wl::ServedBy::kLocal, std::string app = "a") {
   wl::CompletionRecord rec;
   rec.request.flow = flow;
   rec.request.app = std::move(app);
   rec.request.arrival = 0.0;
   rec.completed_at = response;
   rec.outcome = outcome;
-  rec.served_by = std::move(served);
+  rec.served_by = served;
   return rec;
 }
 }  // namespace
 
 TEST(FlowMetrics, SlicesByFlowAndApp) {
   m::FlowMetrics fm;
-  fm.record(record(wl::Flow::kCloud, wl::Outcome::kCompleted, 10.0, "local", "render"));
-  fm.record(record(wl::Flow::kEdgeIndirect, wl::Outcome::kCompleted, 0.5, "local", "alarm"));
-  fm.record(record(wl::Flow::kEdgeIndirect, wl::Outcome::kDeadlineMissed, 5.0, "local", "alarm"));
-  fm.record(record(wl::Flow::kEdgeDirect, wl::Outcome::kDropped, 0.0, "partition", "alarm"));
+  fm.record(record(wl::Flow::kCloud, wl::Outcome::kCompleted, 10.0, wl::ServedBy::kLocal,
+                   "render"));
+  fm.record(record(wl::Flow::kEdgeIndirect, wl::Outcome::kCompleted, 0.5, wl::ServedBy::kLocal,
+                   "alarm"));
+  fm.record(record(wl::Flow::kEdgeIndirect, wl::Outcome::kDeadlineMissed, 5.0,
+                   wl::ServedBy::kLocal, "alarm"));
+  fm.record(record(wl::Flow::kEdgeDirect, wl::Outcome::kDropped, 0.0, wl::ServedBy::kPartition,
+                   "alarm"));
 
   EXPECT_EQ(fm.overall().total(), 4u);
   EXPECT_EQ(fm.by_flow(wl::Flow::kCloud).completed, 1u);
@@ -42,38 +46,57 @@ TEST(FlowMetrics, SlicesByFlowAndApp) {
   EXPECT_DOUBLE_EQ(fm.by_app("nope").success_rate(), 1.0);
 }
 
-TEST(FlowMetrics, ServedByPrefix) {
+TEST(FlowMetrics, ServedByKind) {
   m::FlowMetrics fm;
-  fm.record(record(wl::Flow::kCloud, wl::Outcome::kCompleted, 1.0, "vertical:dc"));
-  fm.record(record(wl::Flow::kCloud, wl::Outcome::kCompleted, 1.0, "vertical:dc"));
-  fm.record(record(wl::Flow::kCloud, wl::Outcome::kCompleted, 1.0, "horizontal:c1"));
-  EXPECT_EQ(fm.served_by_prefix("vertical:"), 2u);
-  EXPECT_EQ(fm.served_by_prefix("horizontal:"), 1u);
-  EXPECT_EQ(fm.served_by_prefix("local"), 0u);
+  fm.record(record(wl::Flow::kCloud, wl::Outcome::kCompleted, 1.0, wl::ServedBy::kVertical));
+  fm.record(record(wl::Flow::kCloud, wl::Outcome::kCompleted, 1.0, wl::ServedBy::kVertical));
+  fm.record(record(wl::Flow::kCloud, wl::Outcome::kCompleted, 1.0, wl::ServedBy::kHorizontal));
+  EXPECT_EQ(fm.served(wl::ServedBy::kVertical), 2u);
+  EXPECT_EQ(fm.served(wl::ServedBy::kHorizontal), 1u);
+  EXPECT_EQ(fm.served(wl::ServedBy::kLocal), 0u);
 }
 
-TEST(FlowMetrics, ServedByPrefixEdgeCases) {
+TEST(FlowMetrics, ServedByKindEdgeCases) {
   m::FlowMetrics fm;
-  EXPECT_EQ(fm.served_by_prefix(""), 0u);  // empty metrics, empty prefix
-  fm.record(record(wl::Flow::kCloud, wl::Outcome::kCompleted, 1.0, "vertical:dc"));
-  fm.record(record(wl::Flow::kEdgeIndirect, wl::Outcome::kDropped, 0.0, "partition"));
-  // The empty prefix matches every served_by label, any outcome included.
-  EXPECT_EQ(fm.served_by_prefix(""), 2u);
-  // Exact-label and longer-than-label prefixes.
-  EXPECT_EQ(fm.served_by_prefix("vertical:dc"), 1u);
-  EXPECT_EQ(fm.served_by_prefix("vertical:dc:extra"), 0u);
-  // A prefix must anchor at the start, not match mid-string.
-  EXPECT_EQ(fm.served_by_prefix("dc"), 0u);
-  EXPECT_EQ(fm.served_by_prefix("partition"), 1u);
+  EXPECT_EQ(fm.served(wl::ServedBy::kVertical), 0u);  // empty metrics
+  fm.record(record(wl::Flow::kCloud, wl::Outcome::kCompleted, 1.0, wl::ServedBy::kVertical));
+  fm.record(record(wl::Flow::kEdgeIndirect, wl::Outcome::kDropped, 0.0, wl::ServedBy::kPartition));
+  // Every outcome counts under its kind, drops included.
+  EXPECT_EQ(fm.served(wl::ServedBy::kVertical), 1u);
+  EXPECT_EQ(fm.served(wl::ServedBy::kPartition), 1u);
+  // Neighbouring kinds stay apart.
+  EXPECT_EQ(fm.served(wl::ServedBy::kReturnPartition), 0u);
+  EXPECT_EQ(fm.served(wl::ServedBy::kLanPartition), 0u);
+}
+
+TEST(FlowMetrics, ServedByCountsSumToTotal) {
+  m::FlowMetrics fm;
+  const wl::Outcome outcomes[] = {wl::Outcome::kCompleted, wl::Outcome::kDeadlineMissed,
+                                  wl::Outcome::kRejected, wl::Outcome::kDropped};
+  for (std::size_t k = 0; k < wl::kServedByCount; ++k) {
+    for (std::size_t i = 0; i <= k % 3; ++i) {
+      fm.record(record(wl::Flow::kCloud, outcomes[(k + i) % 4], 1.0,
+                       static_cast<wl::ServedBy>(k)));
+    }
+  }
+  std::uint64_t sum = 0;
+  for (std::size_t k = 0; k < wl::kServedByCount; ++k) {
+    sum += fm.served(static_cast<wl::ServedBy>(k));
+  }
+  EXPECT_EQ(sum, fm.overall().total());
+  EXPECT_EQ(sum, 24u);  // 4 kinds each of 1, 2 and 3 records
 }
 
 TEST(FlowMetrics, PerAppSlicesTrackOffloadServingIndependently) {
   m::FlowMetrics fm;
-  fm.record(record(wl::Flow::kEdgeIndirect, wl::Outcome::kCompleted, 0.2, "local", "alarm"));
-  fm.record(
-      record(wl::Flow::kEdgeIndirect, wl::Outcome::kCompleted, 0.8, "horizontal:b1", "alarm"));
-  fm.record(record(wl::Flow::kCloud, wl::Outcome::kCompleted, 30.0, "vertical:dc", "render"));
-  fm.record(record(wl::Flow::kCloud, wl::Outcome::kRejected, 0.0, "reject", "render"));
+  fm.record(record(wl::Flow::kEdgeIndirect, wl::Outcome::kCompleted, 0.2, wl::ServedBy::kLocal,
+                   "alarm"));
+  fm.record(record(wl::Flow::kEdgeIndirect, wl::Outcome::kCompleted, 0.8,
+                   wl::ServedBy::kHorizontal, "alarm"));
+  fm.record(record(wl::Flow::kCloud, wl::Outcome::kCompleted, 30.0, wl::ServedBy::kVertical,
+                   "render"));
+  fm.record(record(wl::Flow::kCloud, wl::Outcome::kRejected, 0.0, wl::ServedBy::kNoWorkers,
+                   "render"));
 
   // Per-app slices aggregate across flows and serving locations...
   EXPECT_EQ(fm.by_app("alarm").completed, 2u);
@@ -82,14 +105,15 @@ TEST(FlowMetrics, PerAppSlicesTrackOffloadServingIndependently) {
   EXPECT_EQ(fm.by_app("render").rejected, 1u);
   EXPECT_NEAR(fm.by_app("render").success_rate(), 0.5, 1e-12);
   // ...while the served_by ledger slices the same records by location.
-  EXPECT_EQ(fm.served_by_prefix("horizontal:"), 1u);
-  EXPECT_EQ(fm.served_by_prefix("vertical:"), 1u);
-  EXPECT_EQ(fm.served_by_prefix("local"), 1u);
+  EXPECT_EQ(fm.served(wl::ServedBy::kHorizontal), 1u);
+  EXPECT_EQ(fm.served(wl::ServedBy::kVertical), 1u);
+  EXPECT_EQ(fm.served(wl::ServedBy::kLocal), 1u);
   // Rejected requests completed nowhere: they must not inflate any
   // offload-serving bucket.
-  EXPECT_EQ(fm.served_by_prefix("horizontal:") + fm.served_by_prefix("vertical:") +
-                fm.served_by_prefix("local"),
+  EXPECT_EQ(fm.served(wl::ServedBy::kHorizontal) + fm.served(wl::ServedBy::kVertical) +
+                fm.served(wl::ServedBy::kLocal),
             3u);
+  EXPECT_EQ(fm.served(wl::ServedBy::kNoWorkers), 1u);
 }
 
 TEST(EnergyLedger, PueComposition) {
@@ -143,7 +167,7 @@ TEST(Datacenter, ExecutesAndMeasuresLatency) {
   sim.run();
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].outcome, wl::Outcome::kCompleted);
-  EXPECT_EQ(recs[0].served_by, "vertical:datacenter");
+  EXPECT_EQ(recs[0].served_by, wl::ServedBy::kVertical);
   // 10 s compute + 2x (WAN latency 8 ms + extra 12 ms + serialization).
   EXPECT_GT(recs[0].response_time(), 10.04);
   EXPECT_LT(recs[0].response_time(), 10.1);

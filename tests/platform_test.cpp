@@ -152,7 +152,7 @@ TEST(Platform, AggressiveGatingSendsSummerCloudToDatacenter) {
   city.add_cloud_source(wl::risk_simulation_factory(), 1.0 / 1800.0);
   city.run(u::days(1.0));
   // With heaters gated, usable cores ~0 -> backlog rule ships work to the DC.
-  EXPECT_GT(city.flow_metrics().served_by_prefix("vertical:"), 0u);
+  EXPECT_GT(city.flow_metrics().served(wl::ServedBy::kVertical), 0u);
 }
 
 TEST(Platform, HeatRegulatorTracksDemandInWinter)
@@ -182,7 +182,21 @@ TEST(Platform, SeasonAwareRoutingSwitchesTarget) {
   const auto& cloud = city.flow_metrics().by_flow(wl::Flow::kCloud);
   ASSERT_GT(cloud.completed, 10u);
   // Everything went straight to the datacenter in summer.
-  EXPECT_EQ(city.flow_metrics().served_by_prefix("vertical:"), cloud.completed);
+  EXPECT_EQ(city.flow_metrics().served(wl::ServedBy::kVertical), cloud.completed);
+}
+
+TEST(Platform, CloudRoutedToAMissingDatacenterIsRejectedNowhere) {
+  auto cfg = winter_config();
+  cfg.with_datacenter = false;
+  core::Df3Platform city(cfg);
+  city.add_building(small_building("b0"));
+  city.set_cloud_routing("dc-only");
+  city.add_cloud_source(wl::risk_simulation_factory(), 1.0 / 1800.0);
+  city.run(u::days(1.0));
+  const auto& cloud = city.flow_metrics().by_flow(wl::Flow::kCloud);
+  ASSERT_GT(cloud.total(), 10u);
+  EXPECT_EQ(cloud.rejected, cloud.total());
+  EXPECT_EQ(city.flow_metrics().served(wl::ServedBy::kNowhere), cloud.total());
 }
 
 TEST(Platform, CapacityAndDemandSeriesAreSampled) {

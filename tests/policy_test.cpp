@@ -335,7 +335,7 @@ TEST(PolicyFederation, RingSelectorOffloadsToNextNeighborWithoutPingPong) {
     if (wl::is_edge(rec.request.flow)) {
       ++edge_done;
       EXPECT_EQ(rec.outcome, wl::Outcome::kCompleted);
-      EXPECT_EQ(rec.served_by, "horizontal:c1");
+      EXPECT_EQ(rec.served_by, wl::ServedBy::kHorizontal);
     }
   }
   EXPECT_EQ(edge_done, 3u);
@@ -360,7 +360,7 @@ TEST(PolicyFederation, LeastLoadedSelectorSkipsTheBackloggedNeighbor) {
     if (wl::is_edge(rec.request.flow)) {
       saw_edge = true;
       EXPECT_EQ(rec.outcome, wl::Outcome::kCompleted);
-      EXPECT_EQ(rec.served_by, "horizontal:c2");
+      EXPECT_EQ(rec.served_by, wl::ServedBy::kHorizontal);
     }
   }
   EXPECT_TRUE(saw_edge);

@@ -19,6 +19,8 @@
 //                     JSON, anything else CSV
 //   --report json     append a machine-readable JSON summary (service /
 //                     energy / comfort) to stdout after the human report
+// An unknown flag, a flag without a value, or a value starting with "--"
+// prints the usage line and exits 2.
 //
 // `df3run --list-policies` (no scenario) prints every policy name known to
 // the registry — one line per seam — and exits.
@@ -311,6 +313,8 @@ int run(const std::string& config_path, const Options& opts) {
   const std::string region_list = cfg.get_string("region", "");
   const std::string grid_events = cfg.get_string("grid_events", "");
   cfg.check_exhausted();
+  if (buildings <= 0) throw std::invalid_argument("buildings must be > 0");
+  if (rooms <= 0) throw std::invalid_argument("rooms must be > 0");
   if (trace_capacity < 0) throw std::invalid_argument("trace_capacity must be >= 0");
   if (slo_window_s <= 0.0) throw std::invalid_argument("slo_window_s must be > 0");
   if (threads < 0) throw std::invalid_argument("threads must be >= 0");
@@ -568,16 +572,18 @@ int run(const std::string& config_path, const Options& opts) {
   return 0;
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: df3run <scenario.cfg> [--csv <path>] [--trace <path>]\n"
+               "              [--metrics <path>] [--report json]\n"
+               "       df3run --list-policies\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: df3run <scenario.cfg> [--csv <path>] [--trace <path>]\n"
-                 "              [--metrics <path>] [--report json]\n"
-                 "       df3run --list-policies\n");
-    return 2;
-  }
+  if (argc < 2) return usage();
   if (std::string(argv[1]) == "--list-policies") {
     const auto& reg = policy::Registry::global();
     const auto print = [](const char* seam, const std::vector<std::string>& names) {
@@ -591,13 +597,25 @@ int main(int argc, char** argv) {
     print("placement", reg.placement_names());
     return 0;
   }
+  // Flags come in flag/value pairs; an unknown flag, a missing value or a
+  // value that is itself a flag is a usage error, not a silent no-op.
   Options opts;
-  for (int i = 2; i + 1 < argc; ++i) {
+  for (int i = 2; i < argc; i += 2) {
     const std::string flag(argv[i]);
-    if (flag == "--csv") opts.csv = argv[i + 1];
-    if (flag == "--trace") opts.trace = argv[i + 1];
-    if (flag == "--metrics") opts.metrics = argv[i + 1];
-    if (flag == "--report") opts.report = argv[i + 1];
+    std::string* const slot = flag == "--csv"       ? &opts.csv
+                              : flag == "--trace"   ? &opts.trace
+                              : flag == "--metrics" ? &opts.metrics
+                              : flag == "--report"  ? &opts.report
+                                                    : nullptr;
+    if (slot == nullptr) {
+      std::fprintf(stderr, "df3run: unknown flag '%s'\n", flag.c_str());
+      return usage();
+    }
+    if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
+      std::fprintf(stderr, "df3run: flag '%s' needs a value\n", flag.c_str());
+      return usage();
+    }
+    *slot = argv[i + 1];
   }
   try {
     return run(argv[1], opts);
