@@ -2,10 +2,11 @@
 /// \file fleet_kernel.hpp
 /// \brief SIMD-friendly room-update kernels for the fleet-physics sweep.
 ///
-/// The Df3Platform tick stages every per-room input (net heat input, RC
-/// parameters, precomputed decay factors / substep schedules) into the
-/// contiguous FleetState arrays, then hands a building's slice to these
-/// kernels. Each kernel is a pure element-wise update over `__restrict`
+/// The Df3Platform tick stages each room's net heat input into a
+/// contiguous lane array and hands a building's slice of the FleetState
+/// temperatures to these kernels. A building's rooms share one room model,
+/// so the RC parameters, the decay factor and the substep schedule come in
+/// as scalars. Each kernel is a pure element-wise update over `__restrict`
 /// double arrays with no branches in the inner loop, so the compiler
 /// auto-vectorizes it at -O3 without intrinsics (CI greps the
 /// vectorization report to keep it that way, see .github/workflows/ci.yml).
@@ -32,10 +33,8 @@ inline constexpr std::size_t kKernelStride = 8;
 /// with `decay = exp(-tick/tau)` precomputed at add_building. Mirrors
 /// thermal::Room::advance term for term.
 void step_rooms_1r1c(std::size_t n, double t_out_c,
-                     const double* __restrict q_total_w,
-                     const double* __restrict resistance_k_per_w,
-                     const double* __restrict decay,
-                     double* __restrict temp_c);
+                     const double* __restrict q_total_w, double resistance_k_per_w,
+                     double decay, double* __restrict temp_c);
 
 /// Substep accounting for one 2R2C kernel invocation (activity gating
 /// telemetry): how many full substeps ran and how many were provably
@@ -45,13 +44,13 @@ struct Substeps2R2C {
   std::uint64_t full_steps_skipped = 0;
 };
 
-/// Advance `n` 2R2C rooms by one tick of explicit-Euler substeps. The
-/// substep schedule (`n_full` steps of `max_step_s`, then one `h_last_s`
-/// step when positive) is uniform across the slice — Df3Platform builds it
-/// per building from one Room2R2CParams. The substeps run substep-major
-/// (every room advances step k before any room takes step k+1); rooms are
-/// independent, so this reorders nothing within a room and keeps every bit
-/// identical to the room-major scalar loop.
+/// Advance `n` 2R2C rooms by one tick of explicit-Euler substeps. The RC
+/// parameters and the substep schedule (`n_full` steps of `max_step_s`,
+/// then one `h_last_s` step when positive) are uniform across the slice —
+/// Df3Platform builds them per building from one Room2R2CParams. The
+/// substeps run substep-major (every room advances step k before any room
+/// takes step k+1); rooms are independent, so this reorders nothing within
+/// a room and keeps every bit identical to the room-major scalar loop.
 ///
 /// With `allow_early_exit` (an activity-gated district), the kernel watches
 /// for a bitwise fixed point: when one full substep leaves every t_air and
@@ -60,12 +59,8 @@ struct Substeps2R2C {
 /// identities. The trailing `h_last_s` step always runs (a fixed point of
 /// step(max_step) need not be one of step(h_last)).
 Substeps2R2C step_rooms_2r2c(std::size_t n, double t_out_c,
-                             const double* __restrict q_total_w,
-                             const double* __restrict r_air_env,
-                             const double* __restrict r_env_out,
-                             const double* __restrict c_air,
-                             const double* __restrict c_env,
-                             double max_step_s, double h_last_s, std::uint32_t n_full,
+                             const double* __restrict q_total_w, double r_air_env,
+                             double r_env_out, double c_air, double c_env, double max_step_s, double h_last_s, std::uint32_t n_full,
                              bool allow_early_exit,
                              double* __restrict t_air_c,
                              double* __restrict t_env_c);

@@ -15,10 +15,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "df3/hw/server.hpp"
 #include "df3/thermal/thermostat.hpp"
-#include "df3/util/stats.hpp"
 #include "df3/util/units.hpp"
 
 namespace df3::core {
@@ -97,14 +97,11 @@ class HeatRegulator {
   /// the demand that was in force.
   void record(util::Seconds dt, util::Watts delivered, util::Watts requested) {
     if (dt.value() < 0.0) throw std::invalid_argument("HeatRegulator::record: negative dt");
-    abs_error_w_.add(std::abs(delivered.value() - requested.value()));
     delivered_ += delivered * dt;
     requested_ += requested * dt;
     abs_error_ += util::Watts{std::abs(delivered.value() - requested.value())} * dt;
   }
 
-  /// Mean absolute tracking error (W) over everything recorded.
-  [[nodiscard]] double mean_abs_error_w() const;
   /// Energy-weighted relative error: |delivered-requested| integral over
   /// requested integral. 0 == perfect tracking.
   [[nodiscard]] double relative_error() const;
@@ -115,7 +112,6 @@ class HeatRegulator {
 
  private:
   RegulatorConfig config_;
-  util::StreamingStats abs_error_w_;
   util::Joules delivered_{0.0};
   util::Joules requested_{0.0};
   util::Joules abs_error_{0.0};

@@ -334,32 +334,17 @@ class Df3Platform {
   void export_series_csv(std::ostream& os) const;
 
  private:
-  /// Struct-of-arrays per-room hot state — the *fleet*. Everything the
-  /// physics tick touches per room lives in these contiguous arrays in
-  /// building-major order, so the sweep streams through memory instead of
-  /// chasing Building -> Cluster -> Worker pointer chains. Servers stay
-  /// owned by their Worker (heap-stable behind a unique_ptr); the fleet
-  /// keeps raw pointers as an index table.
+  /// Struct-of-arrays per-room hot state — the *fleet*. The state each room
+  /// owns lives in these contiguous arrays in building-major order (what a
+  /// building's rooms share lives once, in Building), so the sweep streams
+  /// through memory instead of chasing Building -> Cluster -> Worker
+  /// pointer chains. Servers stay owned by their Worker (heap-stable behind
+  /// a unique_ptr); the fleet keeps raw pointers as an index table.
   struct FleetState {
-    // Static per-room bindings and parameters, frozen at add_building.
     std::vector<hw::DfServer*> server;
-    std::vector<std::uint8_t> high_fidelity;  ///< 0 = 1R1C, 1 = 2R2C
-    std::vector<std::uint8_t> dual_pipe;      ///< heat vents outdoors off-season
-    std::vector<double> gains_w;              ///< internal gains (W)
-    std::vector<double> hold_r;               ///< resistance for holding_power (K/W)
-    std::vector<double> kp_w_per_k;           ///< thermostat proportional gain
-    std::vector<double> rating_w;             ///< thermostat clamp (chassis rating)
-    std::vector<double> r1_resistance;        ///< 1R1C envelope R
-    std::vector<double> r1_decay;             ///< 1R1C exp(-tick/tau), precomputed
-    std::vector<double> r2_r_ae, r2_r_eo, r2_c_air, r2_c_env;  ///< 2R2C params
-    std::vector<double> r2_max_step;          ///< 2R2C stability bound (s)
-    std::vector<double> r2_h_last;            ///< 2R2C final substep (s)
-    std::vector<std::uint32_t> r2_n_full;     ///< 2R2C full substeps per tick
-    // Mutable per-room state.
     std::vector<double> temp_c;               ///< room (air) temperature
     std::vector<double> env_c;                ///< 2R2C envelope temperature
     std::vector<double> last_demand_w;
-    std::vector<std::uint8_t> last_season;
     std::vector<double> energy_mark_j;        ///< server energy at last tick
     std::vector<HeatRegulator> regulator;
     // Per-tick scratch: written by the (parallel) physics phase, consumed
@@ -367,7 +352,6 @@ class Df3Platform {
     // exact accumulation order of the old single-threaded sweep.
     std::vector<double> delta_j;
     std::vector<double> useful_j;
-    std::vector<std::uint8_t> indoors;
     /// Regulator mirrors, written right after record() (the only writer of
     /// the accumulators they copy): requested_total() and
     /// relative_error() * requested_total(). The drain folds them so
@@ -378,6 +362,19 @@ class Df3Platform {
     std::vector<double> reg_weighted_err_j;
 
     [[nodiscard]] std::size_t size() const { return server.size(); }
+  };
+
+  /// What a building's rooms share, derived once at add_building; the RC
+  /// parameters, thermostat gain and fidelity are read from Building::cfg.
+  struct RoomModel {
+    double gains_w = 0.0;       ///< internal gains (W) of the configured model
+    double hold_r = 0.0;        ///< resistance for holding_power (K/W)
+    double rating_w = 0.0;      ///< thermostat clamp (chassis rating)
+    double r1_decay = 0.0;      ///< 1R1C exp(-tick/tau)
+    double r2_max_step = 0.0;   ///< 2R2C stability bound (s)
+    double r2_h_last = 0.0;     ///< 2R2C final substep (s)
+    std::uint32_t r2_n_full = 0;  ///< 2R2C full substeps per tick
+    bool dual_pipe = false;     ///< heat vents outdoors off-season
   };
 
   struct TankUnit {
@@ -405,6 +402,10 @@ class Df3Platform {
     std::unique_ptr<Cluster> cluster;
     std::size_t room_begin = 0;  ///< [room_begin, room_end) in the fleet arrays
     std::size_t room_end = 0;
+    RoomModel model;
+    /// Season of the last stepped control pass: the next physics pass runs
+    /// the servers under it (a dual-pipe chassis vents outdoors when off).
+    bool last_season = true;
     std::optional<TankUnit> tank_unit;
     metrics::ComfortMetrics comfort_metrics;
   };

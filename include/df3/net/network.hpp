@@ -74,10 +74,11 @@ class Network : public sim::Entity {
   [[nodiscard]] std::size_t node_count() const { return node_names_.size(); }
 
   /// Join two nodes with a bidirectional link; returns the link index.
-  /// Throws std::invalid_argument, naming the field, when the profile's
-  /// bandwidth is not > 0, its duty cycle is outside (0, 1] or its base
-  /// latency is negative or not finite.
+  /// Throws like check_link_profile for a bad profile.
   std::size_t add_link(NodeId a, NodeId b, const LinkProfile& profile);
+  /// Throws std::invalid_argument, naming the field, unless the bandwidth is
+  /// > 0, the duty cycle in (0, 1] and the base latency finite and >= 0.
+  static void check_link_profile(const LinkProfile& profile);
 
   /// Enable/disable a link (network partition injection).
   void set_link_up(std::size_t link, bool up);

@@ -80,7 +80,7 @@ class Simulation {
   [[nodiscard]] Time now() const { return now_; }
 
   /// Schedule `cb` to run at absolute time `t` (>= now). Throws
-  /// std::invalid_argument on scheduling in the past.
+  /// std::invalid_argument on a time in the past, NaN or infinite.
   EventHandle schedule_at(Time t, Callback cb);
 
   /// Schedule `cb` to run `dt` seconds from now (dt >= 0).
@@ -92,6 +92,7 @@ class Simulation {
 
   /// Run all events with timestamp <= `t`, then advance the clock to exactly
   /// `t` (even if the calendar still holds later events). Returns events run.
+  /// Throws std::invalid_argument on a time in the past, NaN or infinite.
   std::size_t run_until(Time t);
 
   /// Request that the current `run`/`run_until` stops after the current

@@ -15,8 +15,8 @@ namespace df3::util {
 /// Welford online mean/variance accumulator. O(1) memory, numerically stable.
 class StreamingStats {
  public:
-  // Header-inline: this accumulator sits on the per-room-tick hot path of
-  // the platform (regulator error tracking), ~1e8 calls per simulated year.
+  // Header-inline: every PercentileSampler sample (flow metrics, registry
+  // histograms, the SLO window) passes through here, once per request.
   void add(double x) {
     if (n_ == 0) {
       min_ = max_ = x;

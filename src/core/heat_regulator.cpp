@@ -1,7 +1,5 @@
 #include "df3/core/heat_regulator.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace df3::core {
@@ -11,8 +9,6 @@ HeatRegulator::HeatRegulator(RegulatorConfig config) : config_(config) {
     throw std::invalid_argument("HeatRegulator: negative demand epsilon");
   }
 }
-
-double HeatRegulator::mean_abs_error_w() const { return abs_error_w_.mean(); }
 
 double HeatRegulator::relative_error() const {
   if (requested_.value() <= 0.0) return 0.0;

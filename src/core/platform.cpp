@@ -84,8 +84,50 @@ Df3Platform::Df3Platform(PlatformConfig config)
 
 std::size_t Df3Platform::add_building(const BuildingConfig& cfg) {
   if (cfg.rooms <= 0) throw std::invalid_argument("add_building: rooms must be positive");
+  // Every check that can reject the config runs before the first node goes
+  // in, so a throw leaves the platform as it was (an unknown policy name
+  // still throws from the Cluster constructor, after the gateway exists).
+  for (const net::LinkProfile* p : {&cfg.device_link, &cfg.wifi_link, &cfg.uplink, &cfg.lan}) {
+    net::Network::check_link_profile(*p);
+  }
+  // Validates the spec; held so the workers below reuse this model.
+  const std::shared_ptr<const hw::ServerModel> server_model = hw::ServerModel::shared(cfg.server);
+  const util::Watts rating = cfg.server.rated_power();
+  const HeatRegulator fresh_regulator(config_.regulator);
   auto b = std::make_unique<Building>();
   b->cfg = cfg;
+  std::optional<thermal::WaterTank> tank;
+  if (cfg.water_tank) {
+    tank.emplace(*cfg.water_tank, cfg.water_tank->setpoint);
+  } else {
+    // The room model every room shares, validated through the model
+    // constructors and derived once.
+    (void)thermal::ModulatingThermostat(cfg.comfort.day_target, cfg.thermostat_gain_w_per_k,
+                                        rating);
+    RoomModel& m = b->model;
+    m.rating_w = rating.value();
+    m.dual_pipe = cfg.server.routing == hw::HeatRouting::kDualPipe;
+    if (cfg.high_fidelity_rooms) {
+      const thermal::Room2R2C model(cfg.room_2r2c, cfg.initial_temperature);
+      m.gains_w = cfg.room_2r2c.internal_gains.value();
+      m.hold_r = cfg.room_2r2c.r_air_env_k_per_w + cfg.room_2r2c.r_env_out_k_per_w;
+      // Memoize the substep schedule for the fixed tick by replaying the
+      // integrator's subtractive chain (bit-exact step sequence).
+      m.r2_max_step = model.max_step_s();
+      double rem = config_.tick_s;
+      while (rem > m.r2_max_step) {
+        ++m.r2_n_full;
+        rem -= m.r2_max_step;
+      }
+      m.r2_h_last = rem;
+    } else {
+      (void)thermal::Room(cfg.room, cfg.initial_temperature);
+      m.gains_w = cfg.room.internal_gains.value();
+      m.hold_r = cfg.room.resistance_k_per_w;
+      m.r1_decay = std::exp(-config_.tick_s / cfg.room.tau_s());
+    }
+  }
+
   b->gateway_node = network_->add_node(cfg.name + "/gw");
   b->device_node = network_->add_node(cfg.name + "/dev");
   b->wifi_node = network_->add_node(cfg.name + "/wifi");
@@ -101,26 +143,18 @@ std::size_t Df3Platform::add_building(const BuildingConfig& cfg) {
   if (datacenter_) b->cluster->set_datacenter(datacenter_.get());
   if (obs_) b->cluster->bind_city_counters(&feed_.city);
 
-  const util::Watts rating = cfg.server.rated_power();
-  if (cfg.water_tank) {
+  if (tank) {
     // Digital-boiler plant: one chassis charging the hot-water store.
     const net::NodeId node = network_->add_node(cfg.name + "/boiler");
     network_->add_link(b->gateway_node, node, cfg.lan);
     const std::size_t widx = b->cluster->add_worker(cfg.server, node);
-    thermal::WaterTank tank(*cfg.water_tank, cfg.water_tank->setpoint);
-    b->tank_unit.emplace(std::move(tank), HeatRegulator(config_.regulator), widx);
+    b->tank_unit.emplace(std::move(*tank), fresh_regulator, widx);
     b->tank_unit->server = &b->cluster->worker(widx).server();
     b->tank_unit->rating = rating;
     b->tank_unit->server->set_inlet_temperature(cfg.water_tank->setpoint);
     b->room_begin = b->room_end = fleet_.size();
     return push_building(std::move(b));
   }
-  // Validate the thermal/control parameters through the model constructors
-  // (same exceptions as before the SoA refactor), then flatten the per-room
-  // state into the contiguous fleet arrays.
-  thermal::ModulatingThermostat thermostat(cfg.comfort.day_target, cfg.thermostat_gain_w_per_k,
-                                           rating);
-  (void)thermostat;
   b->room_begin = fleet_.size();
   for (int i = 0; i < cfg.rooms; ++i) {
     const net::NodeId node = network_->add_node(cfg.name + "/srv" + std::to_string(i));
@@ -135,56 +169,13 @@ std::size_t Df3Platform::add_building(const BuildingConfig& cfg) {
     server.set_inlet_temperature(cfg.initial_temperature);
 
     fleet_.server.push_back(&server);
-    fleet_.high_fidelity.push_back(cfg.high_fidelity_rooms ? 1 : 0);
-    fleet_.dual_pipe.push_back(cfg.server.routing == hw::HeatRouting::kDualPipe ? 1 : 0);
-    fleet_.kp_w_per_k.push_back(cfg.thermostat_gain_w_per_k);
-    fleet_.rating_w.push_back(rating.value());
-    if (cfg.high_fidelity_rooms) {
-      const thermal::Room2R2C model(cfg.room_2r2c, cfg.initial_temperature);
-      fleet_.gains_w.push_back(cfg.room_2r2c.internal_gains.value());
-      fleet_.hold_r.push_back(cfg.room_2r2c.r_air_env_k_per_w + cfg.room_2r2c.r_env_out_k_per_w);
-      fleet_.r1_resistance.push_back(0.0);
-      fleet_.r1_decay.push_back(0.0);
-      fleet_.r2_r_ae.push_back(cfg.room_2r2c.r_air_env_k_per_w);
-      fleet_.r2_r_eo.push_back(cfg.room_2r2c.r_env_out_k_per_w);
-      fleet_.r2_c_air.push_back(cfg.room_2r2c.c_air_j_per_k);
-      fleet_.r2_c_env.push_back(cfg.room_2r2c.c_env_j_per_k);
-      // Memoize the substep schedule for the fixed tick by replaying the
-      // integrator's subtractive chain (bit-exact step sequence).
-      const double max_step = model.max_step_s();
-      double rem = config_.tick_s;
-      std::uint32_t n_full = 0;
-      while (rem > max_step) {
-        ++n_full;
-        rem -= max_step;
-      }
-      fleet_.r2_max_step.push_back(max_step);
-      fleet_.r2_h_last.push_back(rem);
-      fleet_.r2_n_full.push_back(n_full);
-    } else {
-      const thermal::Room model(cfg.room, cfg.initial_temperature);
-      (void)model;
-      fleet_.gains_w.push_back(cfg.room.internal_gains.value());
-      fleet_.hold_r.push_back(cfg.room.resistance_k_per_w);
-      fleet_.r1_resistance.push_back(cfg.room.resistance_k_per_w);
-      fleet_.r1_decay.push_back(std::exp(-config_.tick_s / cfg.room.tau_s()));
-      fleet_.r2_r_ae.push_back(0.0);
-      fleet_.r2_r_eo.push_back(0.0);
-      fleet_.r2_c_air.push_back(0.0);
-      fleet_.r2_c_env.push_back(0.0);
-      fleet_.r2_max_step.push_back(0.0);
-      fleet_.r2_h_last.push_back(0.0);
-      fleet_.r2_n_full.push_back(0);
-    }
     fleet_.temp_c.push_back(cfg.initial_temperature.value());
     fleet_.env_c.push_back(cfg.initial_temperature.value());
     fleet_.last_demand_w.push_back(0.0);
-    fleet_.last_season.push_back(1);
     fleet_.energy_mark_j.push_back(0.0);
-    fleet_.regulator.emplace_back(config_.regulator);
+    fleet_.regulator.push_back(fresh_regulator);
     fleet_.delta_j.push_back(0.0);
     fleet_.useful_j.push_back(0.0);
-    fleet_.indoors.push_back(0);
   }
   b->room_end = fleet_.size();
   return push_building(std::move(b));
@@ -593,6 +584,9 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
   const double solar_w = bd.cfg.solar_gain_peak_w * solar_frac;
   const std::size_t begin = bd.room_begin;
   const std::size_t end = bd.room_end;
+  const RoomModel& m = bd.model;
+  const bool last_season = bd.last_season;
+  const bool indoors = !m.dual_pipe || last_season;
   fleet::Substeps2R2C sub;
 
   // Pass A (scalar, per room): integrate the interval that just elapsed at
@@ -604,18 +598,15 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
   // so the split is bit-free.
   for (std::size_t i = begin; i < end; ++i) {
     hw::DfServer& server = *fleet_.server[i];
-    const bool last_season = fleet_.last_season[i] != 0;
     server.advance(dts, last_season);
     const double delta_j = server.energy_consumed().value() - fleet_.energy_mark_j[i];
     fleet_.energy_mark_j[i] = server.energy_consumed().value();
     const double emitted_w = delta_j / dt;
-    const bool indoors = fleet_.dual_pipe[i] == 0 || last_season;
     const double q_heat = (indoors ? emitted_w : 0.0) + solar_w;
-    q_scratch[i - begin] = q_heat + fleet_.gains_w[i];
+    q_scratch[i - begin] = q_heat + m.gains_w;
     const double wanted_j = fleet_.last_demand_w[i] * dt;
     fleet_.delta_j[i] = delta_j;
     fleet_.useful_j[i] = std::min(delta_j, wanted_j);
-    fleet_.indoors[i] = indoors ? 1 : 0;
     HeatRegulator& reg = fleet_.regulator[i];
     reg.record(dts, util::Watts{emitted_w}, util::Watts{fleet_.last_demand_w[i]});
     const double requested_j = reg.requested_total().value();
@@ -624,24 +615,21 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
   }
 
   // Pass B (vector): the room-temperature update over the whole contiguous
-  // slice. Fidelity and the 2R2C substep schedule are per-building uniform
-  // (one BuildingConfig), so the first room's parameters describe them all.
-  // The kernels mirror Room/Room2R2C::advance term for term (bit-exact),
-  // with decay factors / substep schedules precomputed at add_building.
+  // slice, under the building's one room model. The kernels mirror
+  // Room/Room2R2C::advance term for term (bit-exact), with the decay factor
+  // and substep schedule precomputed at add_building.
   if (const std::size_t n = end - begin; n > 0) {
-    if (fleet_.high_fidelity[begin] == 0) {
-      fleet::step_rooms_1r1c(n, t_out.value(), q_scratch,
-                             fleet_.r1_resistance.data() + begin,
-                             fleet_.r1_decay.data() + begin, fleet_.temp_c.data() + begin);
+    if (!bd.cfg.high_fidelity_rooms) {
+      fleet::step_rooms_1r1c(n, t_out.value(), q_scratch, bd.cfg.room.resistance_k_per_w,
+                             m.r1_decay, fleet_.temp_c.data() + begin);
     } else {
       // A gated (quiescent) district may stop substepping at a bitwise
       // fixed point — provably identical to running every substep.
+      const thermal::Room2R2CParams& p = bd.cfg.room_2r2c;
       sub = fleet::step_rooms_2r2c(
-          n, t_out.value(), q_scratch, fleet_.r2_r_ae.data() + begin,
-          fleet_.r2_r_eo.data() + begin, fleet_.r2_c_air.data() + begin,
-          fleet_.r2_c_env.data() + begin, fleet_.r2_max_step[begin], fleet_.r2_h_last[begin],
-          fleet_.r2_n_full[begin], /*allow_early_exit=*/gated, fleet_.temp_c.data() + begin,
-          fleet_.env_c.data() + begin);
+          n, t_out.value(), q_scratch, p.r_air_env_k_per_w, p.r_env_out_k_per_w, p.c_air_j_per_k,
+          p.c_env_j_per_k, m.r2_max_step, m.r2_h_last, m.r2_n_full, /*allow_early_exit=*/gated,
+          fleet_.temp_c.data() + begin, fleet_.env_c.data() + begin);
     }
   }
 
@@ -710,6 +698,8 @@ void Df3Platform::control_building_math(std::size_t b, double t_out_c,
   } else {
     const bool heating_season = bld_season_[b] != 0;
     const double target_c = bld_target_c_[b];
+    const RoomModel& m = bd.model;
+    const double kp_w_per_k = bd.cfg.thermostat_gain_w_per_k;
     // Per-building demand accumulates separately from the city total so the
     // city_demand_w addition chain (and thus the golden digests) is
     // untouched; heat-aware routing reads this between ticks.
@@ -719,20 +709,19 @@ void Df3Platform::control_building_math(std::size_t b, double t_out_c,
       // ModulatingThermostat::demand + holding_power of the room model).
       double demand_w = 0.0;
       if (heating_season) {
-        const double needed =
-            (target_c - t_out_c) / fleet_.hold_r[i] - fleet_.gains_w[i];
+        const double needed = (target_c - t_out_c) / m.hold_r - m.gains_w;
         const double hold = std::max(0.0, needed);
-        const double raw = hold + fleet_.kp_w_per_k[i] * (target_c - fleet_.temp_c[i]);
-        demand_w = std::clamp(raw, 0.0, fleet_.rating_w[i]);
+        const double raw = hold + kp_w_per_k * (target_c - fleet_.temp_c[i]);
+        demand_w = std::clamp(raw, 0.0, m.rating_w);
       }
       hw::DfServer& server = *fleet_.server[i];
       fleet_.regulator[i].regulate(server,
                                    thermal::HeatDemand{util::Watts{demand_w}, heating_season});
       server.set_inlet_temperature(util::Celsius{fleet_.temp_c[i]});
       fleet_.last_demand_w[i] = demand_w;
-      fleet_.last_season[i] = heating_season ? 1 : 0;
       bld_demand_w += demand_w;
     }
+    bd.last_season = heating_season;
     if (bd.tank_unit) {
       TankUnit& tu = *bd.tank_unit;
       const auto demand = tu.tank.demand(tu.scratch_draw_lps, tu.rating);
@@ -814,13 +803,12 @@ void Df3Platform::control_building_reduce(std::size_t b,
       const util::Joules delta{fleet_.delta_j[i]};
       energy.add_it(delta);
       energy.add_overhead(delta * kDfOverheadFraction);
+      // A dual-pipe chassis vents outdoors only after an off-season control
+      // pass, whose demand was zero: useful_j is then +0.0, so this split
+      // books the whole delta as waste.
       const util::Joules useful{fleet_.useful_j[i]};
-      if (fleet_.indoors[i] != 0) {
-        energy.add_useful_heat(useful);
-        energy.add_waste_heat(delta - useful);
-      } else {
-        energy.add_waste_heat(delta);
-      }
+      energy.add_useful_heat(useful);
+      energy.add_waste_heat(delta - useful);
       // last_demand_w was written by the lane stage this tick, so this is
       // the same value (and the same accumulation order) the fused sweep
       // added.

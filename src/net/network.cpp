@@ -48,8 +48,20 @@ std::size_t Network::add_link(NodeId a, NodeId b, const LinkProfile& profile) {
   if (a == b) throw std::invalid_argument("Network::add_link: self loop");
   // Searches weigh each distinct profile once, so a bad one is rejected
   // here rather than by whichever search first scans it.
+  check_link_profile(profile);
+  const auto known = std::find(profiles_.begin(), profiles_.end(), profile);
+  const auto p = static_cast<std::uint32_t>(known - profiles_.begin());
+  if (known == profiles_.end()) profiles_.push_back(profile);
+  links_.push_back(Link{a, b, p});
+  arcs_stale_ = true;
+  min_peer_latency_cache_ = -1.0;
+  clear_routes();
+  return links_.size() - 1;
+}
+
+void Network::check_link_profile(const LinkProfile& profile) {
   const auto bad = [&](const char* field) {
-    return std::invalid_argument("Network::add_link: profile '" + profile.name + "' has " + field);
+    return std::invalid_argument("Network: link profile '" + profile.name + "' has " + field);
   };
   if (!(profile.bandwidth.value() > 0.0)) throw bad("bandwidth <= 0");
   if (!(profile.duty_cycle > 0.0 && profile.duty_cycle <= 1.0)) {
@@ -59,14 +71,6 @@ std::size_t Network::add_link(NodeId a, NodeId b, const LinkProfile& profile) {
   if (!std::isfinite(latency) || latency < 0.0) {
     throw bad("base_latency negative or not finite");
   }
-  const auto known = std::find(profiles_.begin(), profiles_.end(), profile);
-  const auto p = static_cast<std::uint32_t>(known - profiles_.begin());
-  if (known == profiles_.end()) profiles_.push_back(profile);
-  links_.push_back(Link{a, b, p});
-  arcs_stale_ = true;
-  min_peer_latency_cache_ = -1.0;
-  clear_routes();
-  return links_.size() - 1;
 }
 
 void Network::set_link_up(std::size_t link, bool up) {

@@ -1,10 +1,13 @@
 #include "df3/sim/engine.hpp"
 
+#include <cmath>
 #include <utility>
 
 namespace df3::sim {
 
 namespace {
+constexpr const char* kBadTime = "Simulation: time is in the past or not finite";
+
 /// Compaction is only worthwhile once the heap is non-trivial; below this
 /// size the lazy-deletion pops are cheaper than a rebuild.
 constexpr std::size_t kCompactMinHeap = 64;
@@ -176,8 +179,9 @@ void Simulation::maybe_compact() {
 // ---------------------------------------------------------------------------
 // Scheduling and dispatch
 
+// Time guards are written so that NaN (every comparison false) and inf fail.
 EventHandle Simulation::schedule_at(Time t, Callback cb) {
-  if (t < now_) throw std::invalid_argument("Simulation::schedule_at: time is in the past");
+  if (!(t >= now_) || !std::isfinite(t)) throw std::invalid_argument(kBadTime);
   if (!cb) throw std::invalid_argument("Simulation::schedule_at: empty callback");
   const std::uint32_t slot = alloc_record();
   Record& rec = record(slot);
@@ -195,7 +199,7 @@ std::uint32_t Simulation::acquire_persistent(Callback cb) {
 }
 
 EventHandle Simulation::arm_slot(std::uint32_t slot, Time t) {
-  if (t < now_) throw std::invalid_argument("Simulation::schedule_at: time is in the past");
+  if (!(t >= now_) || !std::isfinite(t)) throw std::invalid_argument(kBadTime);
   Record& rec = record(slot);
   rec.armed = true;
   heap_push(HeapEntry{key_of(t), next_seq_++, slot, rec.gen});
@@ -245,7 +249,7 @@ std::size_t Simulation::run(std::size_t max_events) {
 }
 
 std::size_t Simulation::run_until(Time t) {
-  if (t < now_) throw std::invalid_argument("Simulation::run_until: time is in the past");
+  if (!(t >= now_) || !std::isfinite(t)) throw std::invalid_argument(kBadTime);
   stop_requested_ = false;
   std::size_t n = 0;
   while (!stop_requested_) {
@@ -268,11 +272,11 @@ std::size_t Simulation::run_until(Time t) {
 PeriodicProcess::PeriodicProcess(Simulation& sim, Time start, Time period,
                                  util::UniqueFunction<void(Time)> tick)
     : sim_(sim), start_(start), period_(period), tick_(std::move(tick)) {
-  if (period_ <= 0.0) throw std::invalid_argument("PeriodicProcess: period must be positive");
-  if (!tick_) throw std::invalid_argument("PeriodicProcess: empty tick callback");
-  if (start_ < sim_.now()) {
-    throw std::invalid_argument("Simulation::schedule_at: time is in the past");
+  if (!(period_ > 0.0) || !std::isfinite(period_)) {
+    throw std::invalid_argument("PeriodicProcess: period must be positive and finite");
   }
+  if (!tick_) throw std::invalid_argument("PeriodicProcess: empty tick callback");
+  if (!(start_ >= sim_.now()) || !std::isfinite(start_)) throw std::invalid_argument(kBadTime);
   slot_ = sim_.acquire_persistent([this] { on_fire(); });
   next_ = sim_.arm_slot(slot_, start_);
 }

@@ -7,8 +7,17 @@
 
 namespace df3::workload {
 
+namespace {
+// Guards state what must hold, so NaN (every comparison false) and inf fail.
+bool positive_finite(double x) { return x > 0.0 && std::isfinite(x); }
+bool non_negative_finite(double x) { return x >= 0.0 && std::isfinite(x); }
+void require(bool ok, const char* what) {
+  if (!ok) throw std::invalid_argument(what);
+}
+}  // namespace
+
 PoissonArrivals::PoissonArrivals(double rate_per_s) : rate_(rate_per_s) {
-  if (rate_ <= 0.0) throw std::invalid_argument("PoissonArrivals: rate must be positive");
+  require(positive_finite(rate_), "PoissonArrivals: rate must be positive and finite");
 }
 
 sim::Time PoissonArrivals::next_after(sim::Time t, util::RngStream& rng) {
@@ -21,12 +30,10 @@ MmppArrivals::MmppArrivals(double rate_low, double rate_high, double mean_low_so
       rate_high_(rate_high),
       mean_low_s_(mean_low_sojourn_s),
       mean_high_s_(mean_high_sojourn_s) {
-  if (rate_low_ < 0.0 || rate_high_ <= 0.0 || rate_high_ < rate_low_) {
-    throw std::invalid_argument("MmppArrivals: need 0 <= rate_low <= rate_high, rate_high > 0");
-  }
-  if (mean_low_s_ <= 0.0 || mean_high_s_ <= 0.0) {
-    throw std::invalid_argument("MmppArrivals: sojourn means must be positive");
-  }
+  require(non_negative_finite(rate_low_) && positive_finite(rate_high_) && rate_low_ <= rate_high_,
+          "MmppArrivals: need finite rates, 0 <= rate_low <= rate_high, rate_high > 0");
+  require(positive_finite(mean_low_s_) && positive_finite(mean_high_s_),
+          "MmppArrivals: sojourn means must be positive and finite");
 }
 
 void MmppArrivals::advance_state(sim::Time t, util::RngStream& rng) {
@@ -65,8 +72,8 @@ double MmppArrivals::mean_rate() const {
 
 FixedIntervalArrivals::FixedIntervalArrivals(double period_s, double phase_s)
     : period_(period_s), phase_(phase_s) {
-  if (period_ <= 0.0) throw std::invalid_argument("FixedIntervalArrivals: period must be positive");
-  if (phase_ < 0.0) throw std::invalid_argument("FixedIntervalArrivals: negative phase");
+  require(positive_finite(period_), "FixedIntervalArrivals: period must be positive and finite");
+  require(non_negative_finite(phase_), "FixedIntervalArrivals: phase must be >= 0 and finite");
 }
 
 sim::Time FixedIntervalArrivals::next_after(sim::Time t, util::RngStream&) {
@@ -82,8 +89,9 @@ sim::Time FixedIntervalArrivals::next_after(sim::Time t, util::RngStream&) {
 ModulatedArrivals::ModulatedArrivals(std::function<double(sim::Time)> rate_fn, double rate_max,
                                      double mean_rate_hint)
     : rate_fn_(std::move(rate_fn)), rate_max_(rate_max), mean_rate_hint_(mean_rate_hint) {
-  if (!rate_fn_) throw std::invalid_argument("ModulatedArrivals: empty rate function");
-  if (rate_max_ <= 0.0) throw std::invalid_argument("ModulatedArrivals: rate_max must be positive");
+  require(static_cast<bool>(rate_fn_), "ModulatedArrivals: empty rate function");
+  require(positive_finite(rate_max_), "ModulatedArrivals: rate_max must be positive and finite");
+  require(non_negative_finite(mean_rate_hint_), "ModulatedArrivals: mean rate must be >= 0");
 }
 
 sim::Time ModulatedArrivals::next_after(sim::Time t, util::RngStream& rng) {
@@ -101,9 +109,8 @@ sim::Time ModulatedArrivals::next_after(sim::Time t, util::RngStream& rng) {
 
 std::unique_ptr<ModulatedArrivals> business_hours_arrivals(double base_rate,
                                                            double business_factor) {
-  if (base_rate <= 0.0 || business_factor < 1.0) {
-    throw std::invalid_argument("business_hours_arrivals: need base_rate > 0, factor >= 1");
-  }
+  require(positive_finite(base_rate) && business_factor >= 1.0 && std::isfinite(business_factor),
+          "business_hours_arrivals: need finite base_rate > 0, finite factor >= 1");
   auto fn = [base_rate, business_factor](sim::Time t) {
     return thermal::is_business_hours(t) ? base_rate * business_factor : base_rate;
   };
@@ -114,9 +121,8 @@ std::unique_ptr<ModulatedArrivals> business_hours_arrivals(double base_rate,
 
 std::unique_ptr<ModulatedArrivals> diurnal_arrivals(double base_rate, double depth,
                                                     double peak_hour) {
-  if (base_rate <= 0.0 || depth < 0.0 || depth > 1.0) {
-    throw std::invalid_argument("diurnal_arrivals: need base_rate > 0, depth in [0,1]");
-  }
+  require(positive_finite(base_rate) && depth >= 0.0 && depth <= 1.0 && std::isfinite(peak_hour),
+          "diurnal_arrivals: need finite base_rate > 0, depth in [0,1], finite peak_hour");
   constexpr double kPi = 3.14159265358979323846;
   auto fn = [base_rate, depth, peak_hour](sim::Time t) {
     const double h = thermal::hour_of_day(t);

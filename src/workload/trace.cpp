@@ -1,5 +1,6 @@
 #include "df3/workload/trace.hpp"
 
+#include <charconv>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -13,11 +14,27 @@ constexpr char kHeader[] =
     "id,flow,arrival,app,work_gigacycles,tasks,comm_fraction,input_bytes,output_bytes,"
     "deadline_s,preemptible,privacy_sensitive";
 
-Flow flow_from_name(const std::string& s) {
+[[noreturn]] void bad_field(std::size_t lineno, const char* field, const std::string& text) {
+  throw std::invalid_argument("Trace::load: line " + std::to_string(lineno) + ": field " + field +
+                              " '" + text + "' is malformed or out of range");
+}
+
+/// One field parsed as a whole number in [lo, hi]. A finite `hi` rejects
+/// inf, and NaN fails the range test.
+template <class T>
+T parse_field(const std::string& text, std::size_t lineno, const char* field, T lo, T hi) {
+  T v{};
+  const char* const last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc{} || ptr != last || !(v >= lo && v <= hi)) bad_field(lineno, field, text);
+  return v;
+}
+
+Flow flow_from_name(const std::string& s, std::size_t lineno) {
   if (s == "cloud") return Flow::kCloud;
   if (s == "edge-direct") return Flow::kEdgeDirect;
   if (s == "edge-indirect") return Flow::kEdgeIndirect;
-  throw std::invalid_argument("Trace: unknown flow '" + s + "'");
+  bad_field(lineno, "flow", s);
 }
 }  // namespace
 
@@ -43,15 +60,21 @@ double Trace::total_work() const {
 }
 
 void Trace::save(std::ostream& os) const {
+  for (const auto& r : requests_) {
+    if (r.app.find_first_of(",\n") != std::string::npos) {
+      throw std::invalid_argument("Trace::save: request " + std::to_string(r.id) +
+                                  ": app contains ',' or a newline");
+    }
+  }
   // max_digits10 keeps the round trip bit-exact for doubles.
   const auto old_precision = os.precision(std::numeric_limits<double>::max_digits10);
   os << kHeader << '\n';
   for (const auto& r : requests_) {
     os << r.id << ',' << flow_name(r.flow) << ',' << r.arrival << ',' << r.app << ','
        << r.work_gigacycles << ',' << r.tasks << ',' << r.comm_fraction << ','
-       << r.input_size.value() << ',' << r.output_size.value() << ','
-       << (r.deadline_s ? std::to_string(*r.deadline_s) : std::string("-")) << ','
-       << (r.preemptible ? 1 : 0) << ',' << (r.privacy_sensitive ? 1 : 0) << '\n';
+       << r.input_size.value() << ',' << r.output_size.value() << ',';
+    (r.deadline_s ? os << *r.deadline_s : os << '-')
+        << ',' << (r.preemptible ? 1 : 0) << ',' << (r.privacy_sensitive ? 1 : 0) << '\n';
   }
   os.precision(old_precision);
 }
@@ -61,6 +84,8 @@ Trace Trace::load(std::istream& is) {
   if (!std::getline(is, line) || line != kHeader) {
     throw std::invalid_argument("Trace::load: missing or wrong header");
   }
+  constexpr double kMin = std::numeric_limits<double>::denorm_min();  // deadlines are > 0
+  constexpr double kMax = std::numeric_limits<double>::max();
   std::vector<Request> requests;
   std::size_t lineno = 1;
   while (std::getline(is, line)) {
@@ -74,25 +99,20 @@ Trace Trace::load(std::istream& is) {
       throw std::invalid_argument("Trace::load: line " + std::to_string(lineno) +
                                   ": expected 12 fields");
     }
-    try {
-      Request r;
-      r.id = std::stoull(fields[0]);
-      r.flow = flow_from_name(fields[1]);
-      r.arrival = std::stod(fields[2]);
-      r.app = fields[3];
-      r.work_gigacycles = std::stod(fields[4]);
-      r.tasks = std::stoi(fields[5]);
-      r.comm_fraction = std::stod(fields[6]);
-      r.input_size = util::Bytes{std::stod(fields[7])};
-      r.output_size = util::Bytes{std::stod(fields[8])};
-      if (fields[9] != "-") r.deadline_s = std::stod(fields[9]);
-      r.preemptible = fields[10] == "1";
-      r.privacy_sensitive = fields[11] == "1";
-      requests.push_back(std::move(r));
-    } catch (const std::invalid_argument&) {
-      throw std::invalid_argument("Trace::load: line " + std::to_string(lineno) +
-                                  ": malformed field");
-    }
+    Request r;
+    r.id = parse_field(fields[0], lineno, "id", std::uint64_t{0}, ~std::uint64_t{0});
+    r.flow = flow_from_name(fields[1], lineno);
+    r.arrival = parse_field(fields[2], lineno, "arrival", 0.0, kMax);
+    r.app = fields[3];
+    r.work_gigacycles = parse_field(fields[4], lineno, "work_gigacycles", 0.0, kMax);
+    r.tasks = parse_field(fields[5], lineno, "tasks", 1, std::numeric_limits<int>::max());
+    r.comm_fraction = parse_field(fields[6], lineno, "comm_fraction", 0.0, 1.0);
+    r.input_size = util::Bytes{parse_field(fields[7], lineno, "input_bytes", 0.0, kMax)};
+    r.output_size = util::Bytes{parse_field(fields[8], lineno, "output_bytes", 0.0, kMax)};
+    if (fields[9] != "-") r.deadline_s = parse_field(fields[9], lineno, "deadline_s", kMin, kMax);
+    r.preemptible = parse_field(fields[10], lineno, "preemptible", 0, 1) == 1;
+    r.privacy_sensitive = parse_field(fields[11], lineno, "privacy_sensitive", 0, 1) == 1;
+    requests.push_back(std::move(r));
   }
   return Trace(std::move(requests));
 }

@@ -12,6 +12,7 @@
 ///     physics and control math touch only building-owned state and the
 ///     order-sensitive drain replays serially in building order.
 
+#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -42,6 +43,10 @@ struct Digest {
 constexpr Digest kWinterGolden{0xfe042866dfbd421dULL, 0x6e074eaca1700288ULL};
 constexpr Digest kBoilerGolden{0x1eb523add7ae3c8cULL, 0x7497ea34bee83b0fULL};
 constexpr Digest kSummerGolden{0x9914fb3a47381825ULL, 0x9e1211637984f73dULL};
+// Captured on the per-room fleet layout, before the building-uniform room
+// parameters and flags moved to one record per building.
+constexpr Digest kEradiatorSpringGolden{0x02e3a1383c3dd34aULL, 0x89cb067397d76ed0ULL};
+constexpr std::uint64_t kEradiatorSpringUsefulHeatBits = 0x4148cf1727e0d063ULL;
 
 // Scenario builders mirror scenarios/*.cfg through the df3run key mapping.
 // Df3Platform is populated in place (its event sources capture `this`).
@@ -113,9 +118,36 @@ void populate_summer_city(core::Df3Platform& city) {
   city.add_cloud_source(workload::risk_simulation_factory(), 1.0 / 900.0);
 }
 
+// Dual-pipe eradiators (heat vents outdoors off-season) in a mixed
+// 1R1C/2R2C city, run across the spring end of the heating season: pins
+// the per-building season flag, which decides where a chassis's heat goes.
+core::PlatformConfig eradiator_spring_config() {
+  core::PlatformConfig pc;
+  pc.seed = 77;
+  pc.start_time = thermal::start_of_month(4) + util::days(19.0).value();
+  pc.climate = thermal::paris_climate();
+  pc.regulator.gating = core::GatingPolicy::kKeepWarm;
+  return pc;
+}
+
+void populate_eradiator_spring(core::Df3Platform& city) {
+  for (int i = 0; i < 4; ++i) {
+    core::BuildingConfig b;
+    b.name = "e" + std::to_string(i);
+    b.rooms = 4;
+    b.server = hw::eradiator_spec();
+    b.high_fidelity_rooms = i % 2 == 1;
+    city.add_building(b);
+  }
+  city.set_cloud_routing("df-first");
+  city.add_edge_source(1, workload::alarm_detection_factory(), 0.02);
+  city.add_cloud_source(workload::risk_simulation_factory(), 1.0 / 900.0);
+}
+
 template <class Populate>
 Digest run_scenario(core::PlatformConfig pc, Populate populate, std::size_t threads,
-                    obs::TraceLevel obs_level = obs::TraceLevel::kOff) {
+                    obs::TraceLevel obs_level = obs::TraceLevel::kOff,
+                    double* useful_heat_j = nullptr) {
   pc.threads = threads;
   // The default shard map puts each multi-building city in one shard,
   // which clamps the pool to the serial walk. Parallel runs split the
@@ -153,6 +185,7 @@ Digest run_scenario(core::PlatformConfig pc, Populate populate, std::size_t thre
   }
   put(city.df_energy().it().value());
   put(city.regulator_relative_error());
+  if (useful_heat_j != nullptr) *useful_heat_j = city.df_energy().useful_heat().value();
   return Digest{fnv1a(csv.str()), fnv1a(raw)};
 }
 
@@ -180,6 +213,27 @@ TEST(PlatformDeterminism, BoilerPlantMatchesGoldenAtAnyThreadCount) {
 TEST(PlatformDeterminism, SummerCityMatchesGoldenAtAnyThreadCount) {
   expect_golden_across_threads("summer_city", summer_city_config, populate_summer_city,
                                kSummerGolden);
+}
+
+TEST(PlatformDeterminism, EradiatorSpringMatchesGoldenAtAnyThreadCount) {
+  // The run really crosses the season end: heating at the start, not at
+  // the end, so both values of the season flag are exercised.
+  const core::PlatformConfig pc = eradiator_spring_config();
+  const thermal::WeatherModel weather(pc.climate, pc.seed);
+  const util::Celsius cutoff = thermal::ComfortProfile{}.heating_cutoff_outdoor;
+  ASSERT_LT(weather.seasonal_component(pc.start_time), cutoff);
+  ASSERT_GE(weather.seasonal_component(pc.start_time + util::days(7.0).value()), cutoff);
+  // The ledger's useful/waste heat split is not in the digests: pin the
+  // useful-heat bits as well.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("eradiator_spring threads=" + std::to_string(threads));
+    double useful_j = 0.0;
+    const Digest d = run_scenario(eradiator_spring_config(), populate_eradiator_spring, threads,
+                                  obs::TraceLevel::kOff, &useful_j);
+    EXPECT_EQ(d.csv_hash, kEradiatorSpringGolden.csv_hash);
+    EXPECT_EQ(d.raw_hash, kEradiatorSpringGolden.raw_hash);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(useful_j), kEradiatorSpringUsefulHeatBits);
+  }
 }
 
 // Observation must not perturb the simulation: recording metrics or a full

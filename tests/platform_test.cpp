@@ -303,3 +303,54 @@ TEST(Platform, Validation) {
   EXPECT_THROW(core::Df3Platform{bad}, std::invalid_argument);
   EXPECT_THROW(city.run(u::seconds(nan)), std::invalid_argument);
 }
+
+// Every kind of bad building parameter is rejected before the first
+// network node goes in: the platform keeps its buildings, nodes and links,
+// and a valid retry under the same name succeeds.
+TEST(Platform, RejectedBuildingLeavesThePlatformUnchanged) {
+  struct Case {
+    const char* what;
+    void (*spoil)(core::BuildingConfig&);
+  };
+  const Case cases[] = {
+      {"1R1C room", [](core::BuildingConfig& b) { b.room.resistance_k_per_w = -1.0; }},
+      {"2R2C room",
+       [](core::BuildingConfig& b) {
+         b.high_fidelity_rooms = true;
+         b.room_2r2c.c_env_j_per_k = 0.0;
+       }},
+      {"thermostat gain", [](core::BuildingConfig& b) { b.thermostat_gain_w_per_k = -1.0; }},
+      {"water tank",
+       [](core::BuildingConfig& b) {
+         b.server = df3::hw::stimergy_boiler_spec();
+         th::WaterTankParams tank;
+         tank.volume_l = -1.0;
+         b.water_tank = tank;
+       }},
+      {"server spec", [](core::BuildingConfig& b) { b.server.cpu_count = 0; }},
+      {"device link", [](core::BuildingConfig& b) { b.device_link.bandwidth = u::bps(0.0); }},
+      {"wifi link", [](core::BuildingConfig& b) { b.wifi_link.duty_cycle = 2.0; }},
+      {"uplink", [](core::BuildingConfig& b) { b.uplink.base_latency = u::seconds(-1.0); }},
+      {"lan",
+       [](core::BuildingConfig& b) {
+         b.lan.bandwidth = u::bps(std::numeric_limits<double>::quiet_NaN());
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    core::Df3Platform city(winter_config());
+    city.add_building(small_building("b0"));
+    const std::size_t buildings = city.building_count();
+    const std::size_t nodes = city.network().node_count();
+    const std::size_t links = city.network().link_count();
+    core::BuildingConfig bad = small_building("b1");
+    c.spoil(bad);
+    EXPECT_THROW(city.add_building(bad), std::invalid_argument);
+    EXPECT_EQ(city.building_count(), buildings);
+    EXPECT_EQ(city.network().node_count(), nodes);
+    EXPECT_EQ(city.network().link_count(), links);
+    EXPECT_EQ(city.add_building(small_building("b1")), buildings);
+    city.run(u::hours(1.0));
+    EXPECT_EQ(city.building_count(), buildings + 1);
+  }
+}

@@ -3,6 +3,7 @@
 
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,20 @@ TEST(Engine, SchedulingInPastThrows) {
   EXPECT_THROW(sim.schedule_in(-1.0, [] {}), std::invalid_argument);
 }
 
+// NaN passes every "t < now" test and +inf is never reached: both are
+// rejected, and the clock stays where it was.
+TEST(Engine, ScheduleAtRejectsNanAndInfinity) {
+  Simulation sim;
+  for (const double t : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(sim.schedule_at(t, [] {}), std::invalid_argument);
+    EXPECT_THROW(sim.schedule_in(t, [] {}), std::invalid_argument);
+  }
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run();
+  EXPECT_EQ(sim.now(), 0.0);
+}
+
 TEST(Engine, EmptyCallbackThrows) {
   Simulation sim;
   EXPECT_THROW(sim.schedule_at(1.0, nullptr), std::invalid_argument);
@@ -91,6 +106,18 @@ TEST(Engine, RunUntilPastThrows) {
   sim.schedule_at(3.0, [] {});
   sim.run();
   EXPECT_THROW(sim.run_until(1.0), std::invalid_argument);
+}
+
+TEST(Engine, RunUntilRejectsNanAndInfinity) {
+  Simulation sim;
+  bool fired = false;
+  sim.schedule_at(3.0, [&] { fired = true; });
+  for (const double t : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(sim.run_until(t), std::invalid_argument);
+  }
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(sim.now(), 0.0);
 }
 
 TEST(Engine, CancelPreventsExecution) {
@@ -267,6 +294,28 @@ TEST(PeriodicProcessTest, RejectsNonPositivePeriod) {
   Simulation sim;
   EXPECT_THROW(PeriodicProcess(sim, 0.0, 0.0, [](double) {}), std::invalid_argument);
   EXPECT_THROW(PeriodicProcess(sim, 0.0, -1.0, [](double) {}), std::invalid_argument);
+}
+
+TEST(PeriodicProcessTest, RejectsNanAndInfiniteStartOrPeriod) {
+  Simulation sim;
+  for (const double x : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(PeriodicProcess(sim, x, 60.0, [](double) {}), std::invalid_argument);
+    EXPECT_THROW(PeriodicProcess(sim, 0.0, x, [](double) {}), std::invalid_argument);
+  }
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// The re-arm goes through arm_slot: a tick whose successor overflows the
+// clock to +inf throws there instead of parking an event at infinity.
+TEST(PeriodicProcessTest, ReArmPastTheLargestTimeThrows) {
+  Simulation sim;
+  const double big = std::numeric_limits<double>::max();
+  int ticks = 0;
+  PeriodicProcess p(sim, big, big, [&](double) { ++ticks; });
+  EXPECT_THROW(sim.run(), std::invalid_argument);
+  EXPECT_EQ(ticks, 1);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(PeriodicProcessTest, DestructorCancelsCleanly) {

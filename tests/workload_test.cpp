@@ -2,6 +2,8 @@
 // workload sources, trace persistence and replay.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
 #include <sstream>
 
 #include "df3/thermal/calendar.hpp"
@@ -74,6 +76,48 @@ TEST(MmppArrivals, BurstsAreBursty) {
 TEST(MmppArrivals, Validation) {
   EXPECT_THROW(wl::MmppArrivals(2.0, 1.0, 10.0, 10.0), std::invalid_argument);
   EXPECT_THROW(wl::MmppArrivals(0.1, 1.0, 0.0, 10.0), std::invalid_argument);
+}
+
+// NaN passes every "<= 0" test, and an infinite rate draws zero gaps (the
+// same-instant livelock): every arrival process and helper rejects both.
+namespace {
+const double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()};
+}  // namespace
+
+TEST(PoissonArrivals, RejectsNanAndInfinity) {
+  for (const double x : kNonFinite) {
+    EXPECT_THROW(wl::PoissonArrivals{x}, std::invalid_argument);
+  }
+}
+
+TEST(MmppArrivals, RejectsNanAndInfinity) {
+  for (const double x : kNonFinite) {
+    EXPECT_THROW(wl::MmppArrivals(x, 1.0, 10.0, 10.0), std::invalid_argument);
+    EXPECT_THROW(wl::MmppArrivals(0.1, x, 10.0, 10.0), std::invalid_argument);
+    EXPECT_THROW(wl::MmppArrivals(0.1, 1.0, x, 10.0), std::invalid_argument);
+    EXPECT_THROW(wl::MmppArrivals(0.1, 1.0, 10.0, x), std::invalid_argument);
+  }
+}
+
+TEST(FixedIntervalArrivals, RejectsNanAndInfinity) {
+  for (const double x : kNonFinite) {
+    EXPECT_THROW(wl::FixedIntervalArrivals{x}, std::invalid_argument);
+    EXPECT_THROW(wl::FixedIntervalArrivals(60.0, x), std::invalid_argument);
+  }
+}
+
+TEST(ModulatedArrivals, RejectsNanAndInfinity) {
+  const auto flat = [](double) { return 1.0; };
+  for (const double x : kNonFinite) {
+    EXPECT_THROW(wl::ModulatedArrivals(flat, x, 1.0), std::invalid_argument);
+    EXPECT_THROW(wl::ModulatedArrivals(flat, 1.0, x), std::invalid_argument);
+    EXPECT_THROW((void)wl::business_hours_arrivals(x, 2.0), std::invalid_argument);
+    EXPECT_THROW((void)wl::business_hours_arrivals(0.01, x), std::invalid_argument);
+    EXPECT_THROW((void)wl::diurnal_arrivals(x, 0.5), std::invalid_argument);
+    EXPECT_THROW((void)wl::diurnal_arrivals(0.01, x), std::invalid_argument);
+    EXPECT_THROW((void)wl::diurnal_arrivals(0.01, 0.5, x), std::invalid_argument);
+  }
 }
 
 TEST(ModulatedArrivals, BusinessHoursSkew) {
@@ -291,6 +335,102 @@ TEST(Trace, RejectsOutOfOrderAndMalformed) {
 
   std::stringstream bad("not,a,header\n");
   EXPECT_THROW((void)wl::Trace::load(bad), std::invalid_argument);
+}
+
+TEST(Trace, DeadlinesRoundTripBitForBit) {
+  wl::Trace trace;
+  for (const double deadline : {1.0 / 3.0, 2.5e-7}) {
+    wl::Request r;
+    r.deadline_s = deadline;
+    trace.add(r);
+  }
+  std::stringstream ss;
+  trace.save(ss);
+  const wl::Trace back = wl::Trace::load(ss);
+  ASSERT_EQ(back.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(back.requests()[i].deadline_s.has_value());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*back.requests()[i].deadline_s),
+              std::bit_cast<std::uint64_t>(*trace.requests()[i].deadline_s));
+  }
+}
+
+TEST(Trace, SaveRejectsAnAppThatBreaksTheCsv) {
+  for (const char* app : {"render,4k", "render\n4k"}) {
+    wl::Trace trace;
+    wl::Request r;
+    r.id = 42;
+    r.app = app;
+    trace.add(r);
+    std::stringstream ss;
+    try {
+      trace.save(ss);
+      ADD_FAILURE() << "saved app '" << app << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("request 42"), std::string::npos) << e.what();
+    }
+  }
+}
+
+// Each malformed field is rejected with its line and its name, never read
+// as a nearby value or escaped as a bare std::out_of_range.
+TEST(Trace, LoadRejectsEveryMalformedFieldByName) {
+  const std::string header =
+      "id,flow,arrival,app,work_gigacycles,tasks,comm_fraction,input_bytes,output_bytes,"
+      "deadline_s,preemptible,privacy_sensitive\n";
+  const std::string good = "7,cloud,1.5,render,2,3,0.25,1024,2048,0.5,1,0";
+  {
+    std::stringstream ss(header + good + "\n");
+    const wl::Trace t = wl::Trace::load(ss);
+    ASSERT_EQ(t.size(), 1u);
+    EXPECT_EQ(t.requests()[0].tasks, 3);
+  }
+  struct Case {
+    std::size_t field;
+    const char* text;
+    const char* name;
+  };
+  const Case cases[] = {
+      {0, "-1", "id"},
+      {0, "10x", "id"},
+      {0, "99999999999999999999", "id"},
+      {1, "fog", "flow"},
+      {2, "nan", "arrival"},
+      {2, "inf", "arrival"},
+      {2, "1e999", "arrival"},
+      {2, "-1", "arrival"},
+      {4, "-2", "work_gigacycles"},
+      {4, "2x", "work_gigacycles"},
+      {5, "0", "tasks"},
+      {5, "99999999999", "tasks"},
+      {5, "2.5", "tasks"},
+      {6, "7", "comm_fraction"},
+      {7, "-1", "input_bytes"},
+      {8, "nan", "output_bytes"},
+      {9, "0", "deadline_s"},
+      {9, "inf", "deadline_s"},
+      {10, "yes", "preemptible"},
+      {11, "2", "privacy_sensitive"},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::string> fields;
+    std::stringstream row(good);
+    for (std::string f; std::getline(row, f, ',');) fields.push_back(f);
+    fields[c.field] = c.text;
+    std::string line;
+    for (std::size_t i = 0; i < fields.size(); ++i) line += (i ? "," : "") + fields[i];
+    // The broken row is the second data row: line 3 of the file.
+    std::stringstream ss(header + good + "\n" + line + "\n");
+    SCOPED_TRACE(line);
+    try {
+      (void)wl::Trace::load(ss);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("field ") + c.name), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(TraceReplayer, DeliversEveryRequestAtItsArrival) {
