@@ -26,7 +26,18 @@
 // Heap bytes are glibc's mallinfo2() in-use figure (uordblks + hblkhd,
 // summed over arenas) at the end of warm-up minus its value before the
 // first add_building: what the city's buildings, rooms and servers cost.
+// `heap_by_part` splits them by the platform's setup parts (network,
+// cluster, workers, fleet; Df3Platform::SetupPart), each the sum of
+// mallinfo2 deltas over the spans the platform's setup probe brackets.
+// The bench allocates nothing itself between the readings, so the parts
+// add up to heap_bytes_per_room but for the chunks glibc's per-thread cache
+// holds (freed, yet counted in use), which is what CI bounds at 2 %.
+// `heap_by_part` splits them by the platform's setup parts (network,
+// cluster, workers, fleet; Df3Platform::SetupPart), each the sum of
+// mallinfo2 deltas across the spans the platform's setup probe brackets,
+// so the four add up to heap_bytes_per_room when nothing else allocates.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -72,7 +83,11 @@ struct Row {
   std::size_t shards;
   std::size_t threads;
   double heap_bytes_per_room;
+  std::array<double, 4> part_bytes_per_room;  ///< indexed by SetupPart
 };
+
+using Part = core::Df3Platform::SetupPart;
+constexpr std::array<const char*, 4> kPartNames = {"network", "cluster", "workers", "fleet"};
 
 /// Bytes the allocator has handed out and not taken back.
 double heap_in_use() {
@@ -80,9 +95,24 @@ double heap_in_use() {
   return static_cast<double>(mi.uordblks + mi.hblkhd);
 }
 
+/// Heap bytes per setup part, summed by the probe below.
+std::array<double, 4> part_bytes;
+double part_mark = 0.0;
+
+void heap_probe(Part part, bool begin) {
+  const double now = heap_in_use();
+  if (begin) {
+    part_mark = now;
+  } else {
+    part_bytes[static_cast<std::size_t>(part)] += now - part_mark;
+  }
+}
+
 Row run_row(std::size_t rooms, int month, const char* season, std::size_t threads) {
   const std::size_t buildings = std::max<std::size_t>(1, rooms / kRoomsPerBuilding);
   core::Df3Platform city(scale_config(month, threads));
+  part_bytes = {};
+  core::Df3Platform::set_setup_probe(heap_probe);
   const double heap0 = heap_in_use();
   for (std::size_t i = 0; i < buildings; ++i) {
     core::BuildingConfig b;
@@ -95,6 +125,8 @@ Row run_row(std::size_t rooms, int month, const char* season, std::size_t thread
   city.run(util::Seconds{static_cast<double>(kWarmupTicks) * tick_s});
   const std::size_t total_rooms = buildings * kRoomsPerBuilding;
   const double heap_per_room = (heap_in_use() - heap0) / static_cast<double>(total_rooms);
+  core::Df3Platform::set_setup_probe(nullptr);
+  core::Df3Platform::set_setup_probe(nullptr);
 
   const std::uint64_t ticks =
       std::clamp(kTargetItems / std::max<std::uint64_t>(1, total_rooms), kMinTicks, kMaxTicks);
@@ -120,6 +152,9 @@ Row run_row(std::size_t rooms, int month, const char* season, std::size_t thread
   // count, so a 4-thread request over 3 shards runs (and is recorded as) 3.
   r.threads = std::min(threads, std::max<std::size_t>(1, r.shards));
   r.heap_bytes_per_room = heap_per_room;
+  for (std::size_t p = 0; p < part_bytes.size(); ++p) {
+    r.part_bytes_per_room[p] = part_bytes[p] / static_cast<double>(total_rooms);
+  }
   return r;
 }
 
@@ -129,8 +164,9 @@ int main() {
   std::printf("bench_city_scale: sharded fleet kernel, %zu rooms/building, "
               "timed window ~%llu room-ticks\n\n",
               kRoomsPerBuilding, static_cast<unsigned long long>(kTargetItems));
-  std::printf("%9s %7s %12s %14s %8s %7s %8s %11s\n", "rooms", "season", "ns/room-tick",
-              "items/s", "gated", "shards", "threads", "heap B/room");
+  std::printf("%9s %7s %12s %14s %8s %7s %8s %11s %8s %8s %8s %8s\n", "rooms", "season",
+              "ns/room-tick", "items/s", "gated", "shards", "threads", "heap B/room",
+              kPartNames[0], kPartNames[1], kPartNames[2], kPartNames[3]);
 
   std::vector<Row> rows;
   std::vector<std::size_t> thread_counts = bench::env_counts("DF3_SCALE_THREADS", "1,2,4");
@@ -151,9 +187,11 @@ int main() {
         shards = std::max<std::size_t>(1, r.shards);
         effective.push_back(r.threads);
         rows.push_back(r);
-        std::printf("%9zu %7s %12.1f %14.3e %7.1f%% %7zu %8zu %11.0f\n", r.rooms, r.season,
-                    r.ns_per_room_tick, r.items_per_s, 100.0 * r.gated_fraction, r.shards,
-                    r.threads, r.heap_bytes_per_room);
+        std::printf("%9zu %7s %12.1f %14.3e %7.1f%% %7zu %8zu %11.0f %8.0f %8.0f %8.0f %8.0f\n",
+                    r.rooms, r.season, r.ns_per_room_tick, r.items_per_s,
+                    100.0 * r.gated_fraction, r.shards, r.threads, r.heap_bytes_per_room,
+                    r.part_bytes_per_room[0], r.part_bytes_per_room[1],
+                    r.part_bytes_per_room[2], r.part_bytes_per_room[3]);
       }
     }
   }
@@ -171,8 +209,11 @@ int main() {
         << ", \"items_per_s\": " << r.items_per_s
         << ", \"gated_fraction\": " << r.gated_fraction << ", \"shards\": " << r.shards
         << ", \"threads\": " << r.threads
-        << ", \"heap_bytes_per_room\": " << r.heap_bytes_per_room << '}'
-        << (i + 1 < rows.size() ? "," : "") << '\n';
+        << ", \"heap_bytes_per_room\": " << r.heap_bytes_per_room << ", \"heap_by_part\": {";
+    for (std::size_t p = 0; p < kPartNames.size(); ++p) {
+      out << (p > 0 ? ", " : "") << '"' << kPartNames[p] << "\": " << r.part_bytes_per_room[p];
+    }
+    out << "}}" << (i + 1 < rows.size() ? "," : "") << '\n';
   }
   out << "  ]\n}\n";
   if (!out) {

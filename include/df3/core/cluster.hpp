@@ -43,6 +43,7 @@
 #include "df3/net/network.hpp"
 #include "df3/obs/metrics.hpp"
 #include "df3/policy/policy.hpp"
+#include "df3/util/stable_vector.hpp"
 #include "df3/workload/request.hpp"
 
 namespace df3::grid {
@@ -153,7 +154,7 @@ struct CityCounters {
   std::vector<obs::MetricId> rung;
 };
 
-class Cluster : public sim::Entity, private policy::LadderMechanism {
+class Cluster : public WorkerHost, private policy::LadderMechanism {
  public:
   /// Per-seam decision counters (obs feeds these into the metric registry).
   struct PolicyCounters {
@@ -176,10 +177,23 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   Cluster(sim::Simulation& sim, std::string name, ClusterConfig config, net::Network& network,
           net::NodeId gateway_node, CompletionSink sink, RequestPool* requests = nullptr);
 
+  /// Throws std::invalid_argument, as the constructor does, for a config it
+  /// would reject: a negative dedicated_edge_workers or preemption
+  /// overhead, a fabric bandwidth that is not positive, or a rung,
+  /// placement or peer-selector name the policy registry does not know.
+  static void check_config(const ClusterConfig& config);
+
   /// Create and register a worker on `node` with the given chassis.
   /// Returns its index. Workers added first are the dedicated-edge ones
-  /// under architecture class B.
-  std::size_t add_worker(hw::ServerSpec spec, net::NodeId node);
+  /// under architecture class B. A worker keeps its address for the
+  /// cluster's life.
+  std::size_t add_worker(hw::ServerSpec spec, net::NodeId node) {
+    return add_worker(hw::ServerModel::intern(std::move(spec)), node);
+  }
+  std::size_t add_worker(const hw::ServerModel& model, net::NodeId node);
+  /// Room for `n` workers in all, stored back to back (add_building knows
+  /// its room count up front).
+  void reserve_workers(std::size_t n) { workers_.reserve(n); }
 
   /// Mutable worker access can reach the server control plane (fault
   /// injectors and tests power chassis on/off through here), so it bumps
@@ -188,9 +202,9 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   /// servers. Use the const overload for pure reads.
   [[nodiscard]] Worker& worker(std::size_t i) {
     ++control_epoch_;
-    return *workers_.at(i);
+    return workers_.at(i);
   }
-  [[nodiscard]] const Worker& worker(std::size_t i) const { return *workers_.at(i); }
+  [[nodiscard]] const Worker& worker(std::size_t i) const { return workers_.at(i); }
 
   /// Monotonic count of exogenous control-plane touches: mutable worker()
   /// access and pinned (composition) executions. The platform's activity
@@ -258,7 +272,7 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   /// Header-inline: the physics tick calls this once per building per tick;
   /// pumping an empty queue is a no-op, so the common case stays cheap.
   void sync_workers() {
-    for (auto& w : workers_) w->sync_speed();
+    for (auto& w : workers_) w.sync_speed();
     if (queue_.size() > 0) pump();
   }
 
@@ -334,13 +348,13 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   [[nodiscard]] bool control_quiescent() const {
     if (queue_.size() > 0) return false;
     for (const auto& w : workers_) {
-      if (w->busy_cores() != 0) return false;
+      if (w.busy_cores() != 0) return false;
     }
     return true;
   }
   [[nodiscard]] int usable_cores() const {
     int n = 0;
-    for (const auto& w : workers_) n += w->server().usable_cores();
+    for (const auto& w : workers_) n += w.server().usable_cores();
     return n;
   }
   [[nodiscard]] int free_cores() const;
@@ -366,7 +380,7 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   [[nodiscard]] bool place(Task& t);
   bool handle_unplaceable_edge(Task t);
   void abandon_expired(Task t);
-  void on_task_done(Task t);
+  void on_task_done(std::size_t worker, Task t) override;
   void complete(RequestRef ref);
 
   // policy::LadderMechanism — the relief levers the peak rungs pull.
@@ -392,7 +406,7 @@ class Cluster : public sim::Entity, private policy::LadderMechanism {
   CompletionSink sink_;
   std::unique_ptr<RequestPool> own_requests_;  ///< set when no pool was given
   RequestPool* requests_;
-  std::vector<std::unique_ptr<Worker>> workers_;
+  util::StableVector<Worker> workers_;
   TaskQueue queue_;
   /// Federation peers in ring order (next neighbor first).
   std::vector<Cluster*> peers_;

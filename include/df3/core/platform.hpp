@@ -144,8 +144,22 @@ class Df3Platform {
   explicit Df3Platform(PlatformConfig config);
 
   /// Add a building with its rooms, servers, cluster and network segment.
-  /// Returns the building index. Call before `run`.
+  /// Returns the building index. Call before `run`. A config that throws
+  /// leaves the platform as it was.
   std::size_t add_building(const BuildingConfig& cfg);
+
+  /// The parts of a city's setup that heap use is accounted to
+  /// (`bench_city_scale`, DESIGN.md §8): the network segment; the cluster
+  /// with its building record and peer wiring; the workers with their
+  /// servers; the fleet's per-room and per-building tick state with the
+  /// tick process.
+  enum class SetupPart : std::uint8_t { kNetwork, kCluster, kWorkers, kFleet };
+  /// Measurement seam: while set, add_building and the setup the first run
+  /// does (peer wiring, tick process, shard map) call `probe(part, true)`
+  /// before and `probe(part, false)` after each part of their work, on the
+  /// calling thread. nullptr, the default, calls nothing. Process-wide.
+  using SetupProbe = void (*)(SetupPart part, bool begin);
+  static void set_setup_probe(SetupProbe probe) { setup_probe_ = probe; }
 
   /// Attach an edge workload source to building `b`: Poisson arrivals at
   /// `rate_per_s` from the building's device node (ZigBee sensors) or,
@@ -334,6 +348,7 @@ class Df3Platform {
   void export_series_csv(std::ostream& os) const;
 
  private:
+  static SetupProbe setup_probe_;  ///< see set_setup_probe
   /// Struct-of-arrays per-room hot state — the *fleet*. The state each room
   /// owns lives in these contiguous arrays in building-major order (what a
   /// building's rooms share lives once, in Building), so the sweep streams

@@ -23,16 +23,33 @@
 
 namespace df3::core {
 
-/// Executes tasks on one hw::DfServer.
-class Worker : public sim::Entity {
+/// The owner of a set of workers (a Cluster, or a test harness): the
+/// simulation they run on, the name theirs derive from, and the hook their
+/// completions go to.
+class WorkerHost : public sim::Entity {
  public:
-  /// `on_task_done(task)` fires when a shard completes. The worker frees
-  /// the core before invoking it, so the callback may immediately dispatch
-  /// new work to this worker.
-  using TaskDone = std::function<void(Task)>;
+  using sim::Entity::Entity;
 
-  Worker(sim::Simulation& sim, std::string name, hw::ServerSpec spec, net::NodeId node,
-         TaskDone on_task_done);
+  /// Fires when worker `worker` completes a shard. The worker frees the
+  /// core before invoking it, so the hook may immediately dispatch new work
+  /// to that worker.
+  virtual void on_task_done(std::size_t worker, Task task) = 0;
+};
+
+/// Executes tasks on one hw::DfServer. A worker reaches its simulation,
+/// completion hook and name through its host and its index there, so it
+/// stores no callback and no name; the host keeps it at a fixed address
+/// (completion events point at it).
+class Worker {
+ public:
+  /// Worker `index` of `host`, named "<host name>/w<index>".
+  Worker(WorkerHost& host, std::size_t index, const hw::ServerModel& model, net::NodeId node);
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
+
+  /// "<host name>/w<index>", built on each call: only audit findings and
+  /// kFull trace tracks print it.
+  [[nodiscard]] std::string name() const;
 
   [[nodiscard]] hw::DfServer& server() { return server_; }
   [[nodiscard]] const hw::DfServer& server() const { return server_; }
@@ -105,6 +122,8 @@ class Worker : public sim::Entity {
     sim::EventHandle completion;
   };
 
+  [[nodiscard]] sim::Simulation& sim() const { return host_->sim(); }
+  [[nodiscard]] sim::Time now() const { return host_->now(); }
   void arm_completion(Running& r);
   void settle(Running& r);  ///< fold elapsed progress into remaining work
   void finish(std::size_t idx);
@@ -115,14 +134,15 @@ class Worker : public sim::Entity {
   /// never diverge from the running set, even across gate/ungate cycles.
   void sync_busy_cores() { server_.set_busy_cores(std::min(busy_cores(), server_.usable_cores())); }
 
+  WorkerHost* host_;
   hw::DfServer server_;
-  net::NodeId node_;
-  TaskDone on_task_done_;
   std::vector<Running> running_;
   std::uint64_t completed_ = 0;
   std::uint64_t preempted_ = 0;
   double busy_core_seconds_ = 0.0;
   sim::Time busy_accum_mark_ = 0.0;
+  net::NodeId node_;
+  std::uint32_t index_;  ///< position in the host
 };
 
 }  // namespace df3::core

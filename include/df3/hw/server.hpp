@@ -21,7 +21,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -99,42 +98,66 @@ struct ServerSpec {
 [[nodiscard]] ServerSpec asperitas_boiler_spec(); ///< AIC24, ~20 kW, 200 CPUs
 [[nodiscard]] ServerSpec stimergy_boiler_spec();  ///< oil-immersed, ~4 kW
 
-/// Immutable catalogue data of one chassis family: the spec, its CPU model
-/// and the merged per-P-state table the operating-point math reads. A city
-/// has a handful of families and up to millions of chassis, so every
-/// `DfServer` of an equal spec shares one model (`ServerModel::shared`).
+/// Immutable catalogue data of one chassis family: the spec, its CPU model,
+/// the merged per-P-state table the operating-point math reads and the
+/// spec scalars in the form the per-tick path reads them. A city has a
+/// handful of families and up to millions of chassis, so every `DfServer`
+/// of an equal spec reads one model (`ServerModel::intern`).
 class ServerModel {
  public:
   /// Throws std::invalid_argument for a bad CPU spec, a non-positive
   /// cpu_count or an empty throttle window.
   explicit ServerModel(ServerSpec spec);
 
-  /// The live model equal to `spec`, or a new one. Thread-safe; a model
-  /// lives while some server holds it.
-  [[nodiscard]] static std::shared_ptr<const ServerModel> shared(ServerSpec spec);
+  /// The model equal to `spec`, made on first use and kept for the life of
+  /// the process, so a server holds it by plain pointer whatever outlives
+  /// what. Thread-safe.
+  [[nodiscard]] static const ServerModel& intern(ServerSpec spec);
 
   [[nodiscard]] const ServerSpec& spec() const { return spec_; }
   [[nodiscard]] const CpuModel& cpu_model() const { return cpu_model_; }
-  [[nodiscard]] std::size_t pstate_count() const { return spec_.cpu.pstates.size(); }
+  [[nodiscard]] std::size_t pstate_count() const { return n_pstates_; }
 
   /// Merged per-P-state tables, stride pstate_count():
   /// [full-power chassis W | idle-power chassis W | freq ratio |
   ///  per-CPU dynamic coefficient | core speed gcps].
   [[nodiscard]] const double* tables() const { return tables_.data(); }
 
+  // Spec scalars, read by every server of the family on the per-tick path.
+  [[nodiscard]] double standby_power_w() const { return standby_power_w_; }
+  [[nodiscard]] double throttle_start_c() const { return throttle_start_c_; }
+  [[nodiscard]] double shutdown_temp_c() const { return shutdown_temp_c_; }
+  [[nodiscard]] double aging_reference_c() const { return aging_reference_c_; }
+  /// Per-CPU static power (the power-law replay's constant term).
+  [[nodiscard]] double static_power_w() const { return static_power_w_; }
+  [[nodiscard]] int total_cores() const { return total_cores_; }
+  [[nodiscard]] int cpu_count() const { return cpu_count_; }
+  [[nodiscard]] HeatRouting routing() const { return routing_; }
+
  private:
+  // The per-tick fields first: one cache line serves the whole family.
+  std::vector<double> tables_;
+  std::size_t n_pstates_;
+  double standby_power_w_;
+  double throttle_start_c_;
+  double shutdown_temp_c_;
+  double aging_reference_c_;
+  double static_power_w_;
+  int total_cores_;
+  int cpu_count_;
+  HeatRouting routing_;
   ServerSpec spec_;
   CpuModel cpu_model_;
-  std::vector<double> tables_;
 };
 
 /// Runtime state of one chassis. The middleware sets the P-state and the
 /// number of busy cores; the physics coupling reads power/heat and feeds
-/// back the room (inlet) temperature. The catalogue data is the shared
+/// back the room (inlet) temperature. The catalogue data is the interned
 /// `ServerModel` of the spec; the server itself carries only operating state.
 class DfServer {
  public:
-  explicit DfServer(ServerSpec spec);
+  explicit DfServer(const ServerModel& model);
+  explicit DfServer(ServerSpec spec) : DfServer(ServerModel::intern(std::move(spec))) {}
 
   [[nodiscard]] const ServerSpec& spec() const { return model_->spec(); }
   [[nodiscard]] const CpuModel& cpu_model() const { return model_->cpu_model(); }
@@ -155,16 +178,16 @@ class DfServer {
 
   /// Select the DVFS P-state for all CPUs (index into the CPU spec).
   void set_pstate(std::size_t ps) {
-    if (ps >= n_pstates_) throw std::out_of_range("DfServer::set_pstate");
+    if (ps >= model_->pstate_count()) throw std::out_of_range("DfServer::set_pstate");
     if (ps == pstate_) return;
-    pstate_ = ps;
+    pstate_ = static_cast<std::uint32_t>(ps);
     refresh_operating();
   }
   [[nodiscard]] std::size_t pstate() const { return pstate_; }
 
   /// Report how many cores are currently executing work (0..usable cores).
   void set_busy_cores(int cores) {
-    if (cores < 0 || cores > total_cores_) {
+    if (cores < 0 || cores > total_cores()) {
       throw std::invalid_argument("DfServer::set_busy_cores: out of range");
     }
     if (cores == busy_cores_) return;
@@ -178,7 +201,7 @@ class DfServer {
   /// requested heat. Filler yields to real work: the effective load is
   /// min(total, busy + filler).
   void set_filler_cores(int cores) {
-    if (cores < 0 || cores > total_cores_) {
+    if (cores < 0 || cores > total_cores()) {
       throw std::invalid_argument("DfServer::set_filler_cores: out of range");
     }
     if (cores == filler_cores_) return;
@@ -187,17 +210,18 @@ class DfServer {
   }
   [[nodiscard]] int filler_cores() const { return filler_cores_; }
 
-  /// Total core count across all CPUs (== spec().total_cores(), cached so
-  /// the per-tick control path stays off the cold spec block).
-  [[nodiscard]] int total_cores() const { return total_cores_; }
+  /// Total core count across all CPUs (== spec().total_cores()).
+  [[nodiscard]] int total_cores() const { return model_->total_cores(); }
 
-  /// Standby draw when gated off (== spec().standby_power, cached).
-  [[nodiscard]] util::Watts standby_power() const { return util::Watts{standby_power_w_}; }
+  /// Standby draw when gated off (== spec().standby_power).
+  [[nodiscard]] util::Watts standby_power() const {
+    return util::Watts{model_->standby_power_w()};
+  }
 
   /// Cores drawing dynamic power right now (real + filler, capped).
   [[nodiscard]] int loaded_cores() const {
     if (!powered_ || shut_down_) return 0;
-    return std::min(total_cores_, busy_cores_ + filler_cores_);
+    return std::min(total_cores(), busy_cores_ + filler_cores_);
   }
 
   // --- physics coupling ---
@@ -232,7 +256,7 @@ class DfServer {
   /// Cores usable right now (0 when gated or thermally shut down).
   [[nodiscard]] int usable_cores() const {
     if (!powered_ || shut_down_) return 0;
-    return total_cores_;
+    return total_cores();
   }
 
   /// Per-core speed in gigacycles/s at the effective P-state.
@@ -244,14 +268,14 @@ class DfServer {
   /// Highest chassis power achievable right now (all usable cores busy at
   /// the effective P-state) — the ceiling the heat regulator can reach.
   [[nodiscard]] util::Watts max_power_now() const {
-    if (!powered_ || shut_down_) return util::Watts{standby_power_w_};
-    return util::Watts{tables_[eff_pstate_]};
+    if (!powered_ || shut_down_) return standby_power();
+    return util::Watts{model_->tables()[eff_pstate_]};
   }
 
   /// Lowest active chassis power (powered, zero busy cores).
   [[nodiscard]] util::Watts idle_power() const {
-    if (!powered_ || shut_down_) return util::Watts{standby_power_w_};
-    return util::Watts{tables_[n_pstates_ + eff_pstate_]};
+    if (!powered_ || shut_down_) return standby_power();
+    return util::Watts{model_->tables()[model_->pstate_count() + eff_pstate_]};
   }
 
   /// Choose the highest P-state so that full-chassis-busy power stays
@@ -268,7 +292,7 @@ class DfServer {
     if (dt.value() < 0.0) throw std::invalid_argument("DfServer::advance: negative dt");
     const util::Joules e = util::Watts{power_w_} * dt;
     energy_ += e;
-    switch (routing_) {
+    switch (model_->routing()) {
       case HeatRouting::kIndoor:
       case HeatRouting::kWaterLoop:
         heat_indoor_ += e;
@@ -283,7 +307,7 @@ class DfServer {
     // ~1e-11-relative-error 2^x is more than accurate enough and avoids a
     // libm call per room-tick.
     const double tj = junction_temperature().value();
-    const double accel = detail::fast_exp2((tj - aging_reference_c_) / 10.0);
+    const double accel = detail::fast_exp2((tj - model_->aging_reference_c()) / 10.0);
     stress_hours_ += accel * dt.value() / 3600.0;
   }
 
@@ -308,15 +332,16 @@ class DfServer {
   /// max_power_now). Lets the heat regulator scan the ladder without
   /// mutating the server.
   [[nodiscard]] util::Watts max_power_at(std::size_t ps) const {
-    if (!powered_ || shut_down_) return util::Watts{standby_power_w_};
-    return util::Watts{tables_[std::min(ps, thermal_cap_)]};
+    if (!powered_ || shut_down_) return standby_power();
+    return util::Watts{model_->tables()[std::min<std::size_t>(ps, thermal_cap_)]};
   }
 
   /// Idle (zero busy cores) chassis power if the P-state were `ps`, with
   /// the same thermal capping as idle_power() after set_pstate(ps).
   [[nodiscard]] util::Watts idle_power_at(std::size_t ps) const {
-    if (!powered_ || shut_down_) return util::Watts{standby_power_w_};
-    return util::Watts{tables_[n_pstates_ + std::min(ps, thermal_cap_)]};
+    if (!powered_ || shut_down_) return standby_power();
+    return util::Watts{
+        model_->tables()[model_->pstate_count() + std::min<std::size_t>(ps, thermal_cap_)]};
   }
 
   /// Apply a P-state and filler-core choice as one control action with a
@@ -326,12 +351,12 @@ class DfServer {
   /// refresh changes nothing observable. This is the heat regulator's
   /// per-room-per-tick fast path.
   void set_pstate_and_filler(std::size_t ps, int filler) {
-    if (ps >= n_pstates_) throw std::out_of_range("DfServer::set_pstate");
-    if (filler < 0 || filler > total_cores_) {
+    if (ps >= model_->pstate_count()) throw std::out_of_range("DfServer::set_pstate");
+    if (filler < 0 || filler > total_cores()) {
       throw std::invalid_argument("DfServer::set_filler_cores: out of range");
     }
     if (ps == pstate_ && filler == filler_cores_) return;
-    pstate_ = ps;
+    pstate_ = static_cast<std::uint32_t>(ps);
     filler_cores_ = filler;
     refresh_operating();
   }
@@ -341,11 +366,12 @@ class DfServer {
   /// top state when none qualifies. Candidates above the thermal cap repeat
   /// the capped entry, so the scan stops at the cap.
   [[nodiscard]] std::size_t min_pstate_for(util::Watts want) const {
-    const std::size_t last = n_pstates_ - 1;
-    if (!powered_ || shut_down_) return standby_power_w_ >= want.value() ? 0 : last;
-    const std::size_t top = std::min(last, thermal_cap_);
+    const std::size_t last = model_->pstate_count() - 1;
+    if (!powered_ || shut_down_) return model_->standby_power_w() >= want.value() ? 0 : last;
+    const std::size_t top = std::min<std::size_t>(last, thermal_cap_);
+    const double* const full_w = model_->tables();
     for (std::size_t ps = 0; ps <= top; ++ps) {
-      if (tables_[ps] >= want.value()) return ps;
+      if (full_w[ps] >= want.value()) return ps;
     }
     return last;
   }
@@ -356,19 +382,20 @@ class DfServer {
   /// Header-inline: runs on every set_inlet_temperature, i.e. once per
   /// room per physics tick.
   void refresh_thermal() {
-    shut_down_ = inlet_.value() >= shutdown_temp_c_;
-    if (inlet_.value() <= throttle_start_c_) {
-      thermal_cap_ = n_pstates_ - 1;  // throttle inactive
+    const ServerModel& m = *model_;
+    shut_down_ = inlet_.value() >= m.shutdown_temp_c();
+    if (inlet_.value() <= m.throttle_start_c()) {
+      thermal_cap_ = static_cast<std::uint32_t>(m.pstate_count() - 1);  // throttle inactive
     } else if (shut_down_) {
       thermal_cap_ = 0;
     } else {
       // Linear derating across the throttle window: the available fraction
       // of the P-state ladder shrinks as the inlet approaches shutdown.
-      const double window = shutdown_temp_c_ - throttle_start_c_;
-      const double excess = inlet_.value() - throttle_start_c_;
+      const double window = m.shutdown_temp_c() - m.throttle_start_c();
+      const double excess = inlet_.value() - m.throttle_start_c();
       const double fraction = 1.0 - excess / window;
-      const auto ladder = static_cast<double>(n_pstates_ - 1);
-      thermal_cap_ = static_cast<std::size_t>(std::floor(ladder * fraction));
+      const auto ladder = static_cast<double>(m.pstate_count() - 1);
+      thermal_cap_ = static_cast<std::uint32_t>(std::floor(ladder * fraction));
     }
   }
 
@@ -377,28 +404,29 @@ class DfServer {
   /// power law is replayed from the cached static/dynamic coefficients —
   /// the same doubles CpuModel::power reads — so results stay bit-exact.
   void refresh_operating() {
+    const ServerModel& m = *model_;
+    // Sections of the merged per-P-state table (see ServerModel::tables).
+    const std::size_t n = m.pstate_count();
+    const double* const freq_ratio = m.tables() + 2 * n;
+    const double* const dyn_coeff = m.tables() + 3 * n;
+    const double* const core_speed = m.tables() + 4 * n;
     eff_pstate_ = std::min(pstate_, thermal_cap_);
-    core_speed_gcps_ = core_speed_table_()[eff_pstate_];
+    core_speed_gcps_ = core_speed[eff_pstate_];
     if (!powered_ || shut_down_) {
-      power_w_ = standby_power_w_;
+      power_w_ = m.standby_power_w();
       rise_k_ = 0.0;  // junction_temperature falls back to the inlet
       return;
     }
-    const int loaded = std::min(total_cores_, busy_cores_ + filler_cores_);
-    const double util_frac = static_cast<double>(loaded) / static_cast<double>(total_cores_);
-    power_w_ = (static_power_w_ + dyn_coeff_table_()[eff_pstate_] * util_frac) *
-               static_cast<double>(cpu_count_);
-    rise_k_ = 20.0 * util_frac * freq_ratio_table_()[eff_pstate_];
+    const int loaded = std::min(m.total_cores(), busy_cores_ + filler_cores_);
+    const double util_frac = static_cast<double>(loaded) / static_cast<double>(m.total_cores());
+    power_w_ = (m.static_power_w() + dyn_coeff[eff_pstate_] * util_frac) *
+               static_cast<double>(m.cpu_count());
+    rise_k_ = 20.0 * util_frac * freq_ratio[eff_pstate_];
   }
 
-  // Sections of the merged per-P-state table (see ServerModel::tables).
-  [[nodiscard]] const double* freq_ratio_table_() const { return tables_ + 2 * n_pstates_; }
-  [[nodiscard]] const double* dyn_coeff_table_() const { return tables_ + 3 * n_pstates_; }
-  [[nodiscard]] const double* core_speed_table_() const { return tables_ + 4 * n_pstates_; }
-
-  // --- hot state: everything the per-room physics/control tick touches,
-  // packed at the front of the object so a fleet sweep pulls two or three
-  // cache lines per server instead of walking the shared model.
+  /// The family's catalogue data (interned, never freed); every spec
+  /// constant the tick reads comes from here.
+  const ServerModel* model_;
 
   // advance() path.
   double power_w_ = 0.0;         ///< == power().value()
@@ -408,28 +436,16 @@ class DfServer {
   double stress_hours_ = 0.0;
   util::Celsius inlet_{20.0};
   double rise_k_ = 0.0;          ///< junction rise beyond inlet + 25 K
-  double aging_reference_c_;     ///< == spec().aging_reference_junction
 
   // Control/throttle path (regulate -> set_* -> refresh_*).
   double core_speed_gcps_ = 0.0; ///< core speed at eff_pstate_
-  double standby_power_w_;       ///< == spec().standby_power
-  double throttle_start_c_;      ///< == spec().throttle_start
-  double shutdown_temp_c_;       ///< == spec().shutdown_temp
-  double static_power_w_;        ///< per-CPU static power (power-law replay)
-  std::size_t pstate_ = 0;
-  std::size_t thermal_cap_ = 0;  ///< P-state cap from the free-cooling throttle
-  std::size_t eff_pstate_ = 0;
-  std::size_t n_pstates_;        ///< ladder length (== model_->pstate_count())
+  std::uint32_t pstate_ = 0;
+  std::uint32_t thermal_cap_ = 0;  ///< P-state cap from the free-cooling throttle
+  std::uint32_t eff_pstate_ = 0;
   int busy_cores_ = 0;
   int filler_cores_ = 0;
-  int total_cores_;              ///< == spec().total_cores()
-  int cpu_count_;                ///< == spec().cpu_count
   bool powered_ = true;
   bool shut_down_ = false;
-  HeatRouting routing_;          ///< == spec().routing
-  const double* tables_;         ///< == model_->tables()
-
-  std::shared_ptr<const ServerModel> model_;
 };
 
 }  // namespace df3::hw

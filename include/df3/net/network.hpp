@@ -26,7 +26,7 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -65,13 +65,16 @@ class Network : public sim::Entity {
  public:
   explicit Network(sim::Simulation& sim, std::string name = "net");
 
-  /// Add a node; returns its id. Node names must be unique.
-  NodeId add_node(const std::string& node_name);
+  /// Add a node; returns its id. Node names must be unique
+  /// (std::invalid_argument otherwise).
+  NodeId add_node(std::string_view node_name);
 
-  /// Node lookup by name; throws if unknown.
-  [[nodiscard]] NodeId node(const std::string& node_name) const;
-  [[nodiscard]] const std::string& node_name(NodeId id) const;
-  [[nodiscard]] std::size_t node_count() const { return node_names_.size(); }
+  /// Node lookup by name, O(1) on average; std::out_of_range if unknown.
+  [[nodiscard]] NodeId node(std::string_view node_name) const;
+  /// The name of node `id`, valid until the next add_node; std::out_of_range
+  /// for an unknown id.
+  [[nodiscard]] std::string_view node_name(NodeId id) const;
+  [[nodiscard]] std::size_t node_count() const { return name_end_.size(); }
 
   /// Join two nodes with a bidirectional link; returns the link index.
   /// Throws like check_link_profile for a bad profile.
@@ -161,6 +164,16 @@ class Network : public sim::Entity {
   /// parent).
   static constexpr std::uint32_t kNoIndex = std::numeric_limits<std::uint32_t>::max();
 
+  [[nodiscard]] std::string_view name_of(NodeId id) const {
+    const std::uint32_t begin = id == 0 ? 0 : name_end_[id - 1];
+    return std::string_view(name_chars_).substr(begin, name_end_[id] - begin);
+  }
+  /// The name index slot holding `node_name`, or the empty slot where it
+  /// belongs. The index must not be empty.
+  [[nodiscard]] std::size_t name_slot(std::string_view node_name) const;
+  /// Doubles the name index (at least 16 slots) and re-places every node.
+  void grow_name_index();
+
   [[nodiscard]] static std::size_t direction(const Link& l, NodeId from) {
     return from == l.a ? 0 : 1;
   }
@@ -233,8 +246,15 @@ class Network : public sim::Entity {
   /// Drops dead route_store_ slices.
   void compact_routes() const;
 
-  std::vector<std::string> node_names_;
-  std::unordered_map<std::string, NodeId> by_name_;
+  /// Node names back to back: node u's name ends at name_end_[u] and
+  /// starts where node u-1's ends.
+  std::string name_chars_;
+  std::vector<std::uint32_t> name_end_;
+  /// Name index: node ids by name hash, open addressing with linear
+  /// probing, a power-of-two size and at most half its slots full;
+  /// kNoIndex marks an empty slot. Nodes are never removed, so there are
+  /// no tombstones.
+  std::vector<NodeId> name_slots_;
   std::vector<Link> links_;
   /// Distinct link profiles; links refer to them by index.
   std::vector<LinkProfile> profiles_;

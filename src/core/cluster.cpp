@@ -29,7 +29,7 @@ bool Cluster::test_skip_reslot_ = false;
 Cluster::Cluster(sim::Simulation& sim, std::string name, ClusterConfig config,
                  net::Network& network, net::NodeId gateway_node, CompletionSink sink,
                  RequestPool* requests)
-    : sim::Entity(sim, std::move(name)),
+    : WorkerHost(sim, std::move(name)),
       config_(std::move(config)),
       network_(network),
       gateway_node_(gateway_node),
@@ -38,17 +38,7 @@ Cluster::Cluster(sim::Simulation& sim, std::string name, ClusterConfig config,
       requests_(requests == nullptr ? own_requests_.get() : requests),
       queue_(config_.discipline) {
   if (!sink_) throw std::invalid_argument("Cluster: null completion sink");
-  if (config_.dedicated_edge_workers < 0) {
-    throw std::invalid_argument("Cluster: negative dedicated_edge_workers");
-  }
-  if (config_.fabric_gbps <= 0.0 || config_.reference_fabric_gbps <= 0.0) {
-    throw std::invalid_argument("Cluster: fabric bandwidths must be positive");
-  }
-  if (config_.preemption_overhead_gc < 0.0) {
-    throw std::invalid_argument("Cluster: negative preemption overhead");
-  }
-  // Resolve the decision plane from the configured names; unknown names
-  // throw here (listing the known ones) rather than silently defaulting.
+  check_config(config_);
   const auto& registry = policy::Registry::global();
   ladder_ = registry.make_ladder(config_.edge_peak_ladder);
   placement_ = registry.make_placement(config_.placement);
@@ -56,6 +46,24 @@ Cluster::Cluster(sim::Simulation& sim, std::string name, ClusterConfig config,
   policy_counters_.rung_hits.assign(ladder_.size(), 0);
   for (const auto& rung : ladder_) ladder_needs_grid_ = ladder_needs_grid_ || rung->needs_grid();
   peer_needs_grid_ = peer_selector_->needs_grid();
+}
+
+void Cluster::check_config(const ClusterConfig& config) {
+  if (config.dedicated_edge_workers < 0) {
+    throw std::invalid_argument("Cluster: negative dedicated_edge_workers");
+  }
+  if (config.fabric_gbps <= 0.0 || config.reference_fabric_gbps <= 0.0) {
+    throw std::invalid_argument("Cluster: fabric bandwidths must be positive");
+  }
+  if (config.preemption_overhead_gc < 0.0) {
+    throw std::invalid_argument("Cluster: negative preemption overhead");
+  }
+  // Resolve the decision plane's names; unknown ones throw here (listing
+  // the known ones) rather than silently defaulting.
+  const auto& registry = policy::Registry::global();
+  (void)registry.make_ladder(config.edge_peak_ladder);
+  (void)registry.make_placement(config.placement);
+  (void)registry.make_peer_selector(config.peer_select);
 }
 
 void Cluster::add_peer(Cluster* peer) {
@@ -67,17 +75,15 @@ void Cluster::add_peer(Cluster* peer) {
   peers_.push_back(peer);
 }
 
-std::size_t Cluster::add_worker(hw::ServerSpec spec, net::NodeId node) {
+std::size_t Cluster::add_worker(const hw::ServerModel& model, net::NodeId node) {
   const auto idx = workers_.size();
-  workers_.push_back(std::make_unique<Worker>(
-      sim(), name() + "/w" + std::to_string(idx), std::move(spec), node,
-      [this](Task t) { on_task_done(std::move(t)); }));
+  workers_.emplace_back(*this, idx, model, node);
   return idx;
 }
 
 int Cluster::free_cores() const {
   int n = 0;
-  for (const auto& w : workers_) n += w->free_cores();
+  for (const auto& w : workers_) n += w.free_cores();
   return n;
 }
 
@@ -149,7 +155,7 @@ void Cluster::run_pinned(workload::Request r, std::size_t widx, CompletionSink d
                                journey_flow_attr(r.flow));
   }
   const RequestRef ref = requests_->acquire(std::move(r));
-  ref->origin = workers_[widx]->node();
+  ref->origin = workers_[widx].node();
   ref->preferred_worker = widx;
   ref->local_only = true;
   ref->sink = std::move(done);
@@ -182,7 +188,7 @@ void Cluster::stage_and_enqueue(RequestRef ref, net::NodeId origin, bool foreign
   // Stage the input from the gateway to the storage-head worker over the
   // cluster LAN; shards become schedulable on delivery.
   network_.send(
-      net::Message{gateway_node_, workers_[0]->node(), ref->request.input_size,
+      net::Message{gateway_node_, workers_[0].node(), ref->request.input_size,
                    ref->request.id},
       [this, ref, sent = now()] {
         DF3_OBS_TRACE_IF(o) {
@@ -244,7 +250,7 @@ bool Cluster::place(Task& t) {
   // Honor direct-request affinity first.
   if (s.preferred_worker != SIZE_MAX) {
     const std::size_t w = s.preferred_worker;
-    if (w < workers_.size() && workers_[w]->available() && workers_[w]->try_start(t)) {
+    if (w < workers_.size() && workers_[w].available() && workers_[w].try_start(t)) {
       s.served_worker = w;
       return true;
     }
@@ -267,7 +273,7 @@ bool Cluster::place(Task& t) {
   place_scratch_.clear();
   for (std::size_t w = start; w < workers_.size(); ++w) {
     if (!worker_eligible(w, prio)) continue;
-    if (workers_[w]->available()) place_scratch_.push_back({w, workers_[w]->free_cores()});
+    if (workers_[w].available()) place_scratch_.push_back({w, workers_[w].free_cores()});
   }
   while (!place_scratch_.empty()) {
     const std::size_t pos = placement_->pick(policy::PlacementView{place_scratch_});
@@ -277,7 +283,7 @@ bool Cluster::place(Task& t) {
                               "' picked a candidate out of range");
     }
     const std::size_t w = place_scratch_[pos].worker;
-    if (workers_[w]->try_start(t)) {
+    if (workers_[w].try_start(t)) {
       s.served_worker = w;
       return true;
     }
@@ -327,7 +333,7 @@ policy::RungOutcome Cluster::relieve_by_preemption(Task& t) {
   const RequestState& s = *t.request;
   for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
     if (s.local_only && wi != s.preferred_worker) continue;
-    Worker& w = *workers_[wi];
+    Worker& w = workers_[wi];
     if (w.running_below(Priority::kEdge) == 0) continue;
     auto victim = w.preempt_one(Priority::kEdge);
     if (!victim) continue;
@@ -525,7 +531,7 @@ void Cluster::abandon_expired(Task t) {
   });
 }
 
-void Cluster::on_task_done(Task t) {
+void Cluster::on_task_done(std::size_t /*worker*/, Task t) {
   if (--t.request->shards_remaining == 0) complete(t.request);
   pump();
 }
@@ -548,7 +554,7 @@ void Cluster::complete(RequestRef ref) {
   // the shared scan when the preferred worker is busy or gated — and the
   // result lives where the work ran, not where the device first connected.
   const net::NodeId from = (s.preferred_worker != SIZE_MAX && s.served_worker < workers_.size())
-                               ? workers_[s.served_worker]->node()
+                               ? workers_[s.served_worker].node()
                                : gateway_node_;
   network_.send(
       net::Message{from, s.origin, s.request.output_size, s.request.id, obs::HopKind::kReturn},
@@ -591,7 +597,7 @@ void Cluster::audit(std::vector<std::string>& out) const {
     out.push_back(name() + ": request id " + std::to_string(*it) + " is in flight twice");
   }
   queue_.audit(out, name() + "/queue");
-  for (const auto& w : workers_) w->audit(out);
+  for (const auto& w : workers_) w.audit(out);
 }
 
 }  // namespace df3::core

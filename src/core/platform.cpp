@@ -82,16 +82,43 @@ Df3Platform::Df3Platform(PlatformConfig config)
   if (config_.start_time > 0.0) sim_.run_until(config_.start_time);
 }
 
+Df3Platform::SetupProbe Df3Platform::setup_probe_ = nullptr;
+
+namespace {
+/// Brackets one part of the setup work for the heap probe.
+class SetupScope {
+ public:
+  SetupScope(Df3Platform::SetupProbe probe, Df3Platform::SetupPart part)
+      : probe_(probe), part_(part) {
+    if (probe_ != nullptr) probe_(part_, true);
+  }
+  ~SetupScope() {
+    if (probe_ != nullptr) probe_(part_, false);
+  }
+  SetupScope(const SetupScope&) = delete;
+  SetupScope& operator=(const SetupScope&) = delete;
+
+ private:
+  Df3Platform::SetupProbe probe_;
+  Df3Platform::SetupPart part_;
+};
+}  // namespace
+
 std::size_t Df3Platform::add_building(const BuildingConfig& cfg) {
+  // One part is always open, from before the first local to after the last
+  // is destroyed, so every byte the call allocates lands in some part.
+  std::optional<SetupScope> scope(std::in_place, setup_probe_, SetupPart::kCluster);
   if (cfg.rooms <= 0) throw std::invalid_argument("add_building: rooms must be positive");
   // Every check that can reject the config runs before the first node goes
-  // in, so a throw leaves the platform as it was (an unknown policy name
-  // still throws from the Cluster constructor, after the gateway exists).
+  // in, so a throw leaves the platform as it was.
   for (const net::LinkProfile* p : {&cfg.device_link, &cfg.wifi_link, &cfg.uplink, &cfg.lan}) {
     net::Network::check_link_profile(*p);
   }
-  // Validates the spec; held so the workers below reuse this model.
-  const std::shared_ptr<const hw::ServerModel> server_model = hw::ServerModel::shared(cfg.server);
+  ClusterConfig ccfg = config_.cluster;
+  ccfg.fabric_gbps = cfg.lan.bandwidth.value() / 1e9;
+  Cluster::check_config(ccfg);
+  // Validates the spec; the workers below share this model.
+  const hw::ServerModel& server_model = hw::ServerModel::intern(cfg.server);
   const util::Watts rating = cfg.server.rated_power();
   const HeatRegulator fresh_regulator(config_.regulator);
   auto b = std::make_unique<Building>();
@@ -128,54 +155,67 @@ std::size_t Df3Platform::add_building(const BuildingConfig& cfg) {
     }
   }
 
+  scope.emplace(setup_probe_, SetupPart::kNetwork);
   b->gateway_node = network_->add_node(cfg.name + "/gw");
   b->device_node = network_->add_node(cfg.name + "/dev");
   b->wifi_node = network_->add_node(cfg.name + "/wifi");
   network_->add_link(b->device_node, b->gateway_node, cfg.device_link);
   network_->add_link(b->wifi_node, b->gateway_node, cfg.wifi_link);
   network_->add_link(b->gateway_node, internet_node_, cfg.uplink);
+  // Server nodes are consecutive: the boiler's, or one per room.
+  const auto first_server_node = static_cast<net::NodeId>(network_->node_count());
+  if (tank) {
+    const net::NodeId node = network_->add_node(cfg.name + "/boiler");
+    network_->add_link(b->gateway_node, node, cfg.lan);
+  } else {
+    for (int i = 0; i < cfg.rooms; ++i) {
+      const net::NodeId node = network_->add_node(cfg.name + "/srv" + std::to_string(i));
+      network_->add_link(b->gateway_node, node, cfg.lan);
+      if (i == 0) {
+        network_->add_link(b->device_node, node, cfg.device_link);
+        network_->add_link(b->wifi_node, node, cfg.wifi_link);
+      }
+    }
+  }
+  const std::size_t servers = network_->node_count() - first_server_node;
 
-  ClusterConfig ccfg = config_.cluster;
-  ccfg.fabric_gbps = cfg.lan.bandwidth.value() / 1e9;
+  scope.emplace(setup_probe_, SetupPart::kCluster);
   b->cluster = std::make_unique<Cluster>(
       sim_, cfg.name, ccfg, *network_, b->gateway_node,
       [this](workload::CompletionRecord rec) { record_completion(rec); }, &requests_);
   if (datacenter_) b->cluster->set_datacenter(datacenter_.get());
   if (obs_) b->cluster->bind_city_counters(&feed_.city);
 
+  scope.emplace(setup_probe_, SetupPart::kWorkers);
+  Cluster& cluster = *b->cluster;
+  cluster.reserve_workers(servers);
+  for (std::size_t i = 0; i < servers; ++i) {
+    const std::size_t widx =
+        cluster.add_worker(server_model, first_server_node + static_cast<net::NodeId>(i));
+    // Servers start cold-set: inlet = initial room temperature (the
+    // boiler's, the tank setpoint).
+    cluster.worker(widx).server().set_inlet_temperature(tank ? cfg.water_tank->setpoint
+                                                             : cfg.initial_temperature);
+  }
+
+  scope.emplace(setup_probe_, SetupPart::kFleet);
+  b->room_begin = fleet_.size();
   if (tank) {
     // Digital-boiler plant: one chassis charging the hot-water store.
-    const net::NodeId node = network_->add_node(cfg.name + "/boiler");
-    network_->add_link(b->gateway_node, node, cfg.lan);
-    const std::size_t widx = b->cluster->add_worker(cfg.server, node);
-    b->tank_unit.emplace(std::move(*tank), fresh_regulator, widx);
-    b->tank_unit->server = &b->cluster->worker(widx).server();
+    b->tank_unit.emplace(std::move(*tank), fresh_regulator, 0);
+    b->tank_unit->server = &cluster.worker(0).server();
     b->tank_unit->rating = rating;
-    b->tank_unit->server->set_inlet_temperature(cfg.water_tank->setpoint);
-    b->room_begin = b->room_end = fleet_.size();
-    return push_building(std::move(b));
-  }
-  b->room_begin = fleet_.size();
-  for (int i = 0; i < cfg.rooms; ++i) {
-    const net::NodeId node = network_->add_node(cfg.name + "/srv" + std::to_string(i));
-    network_->add_link(b->gateway_node, node, cfg.lan);
-    if (i == 0) {
-      network_->add_link(b->device_node, node, cfg.device_link);
-      network_->add_link(b->wifi_node, node, cfg.wifi_link);
+  } else {
+    for (std::size_t i = 0; i < servers; ++i) {
+      fleet_.server.push_back(&cluster.worker(i).server());
+      fleet_.temp_c.push_back(cfg.initial_temperature.value());
+      fleet_.env_c.push_back(cfg.initial_temperature.value());
+      fleet_.last_demand_w.push_back(0.0);
+      fleet_.energy_mark_j.push_back(0.0);
+      fleet_.regulator.push_back(fresh_regulator);
+      fleet_.delta_j.push_back(0.0);
+      fleet_.useful_j.push_back(0.0);
     }
-    const std::size_t widx = b->cluster->add_worker(cfg.server, node);
-    hw::DfServer& server = b->cluster->worker(widx).server();
-    // Servers start cold-set: inlet = initial room temperature.
-    server.set_inlet_temperature(cfg.initial_temperature);
-
-    fleet_.server.push_back(&server);
-    fleet_.temp_c.push_back(cfg.initial_temperature.value());
-    fleet_.env_c.push_back(cfg.initial_temperature.value());
-    fleet_.last_demand_w.push_back(0.0);
-    fleet_.energy_mark_j.push_back(0.0);
-    fleet_.regulator.push_back(fresh_regulator);
-    fleet_.delta_j.push_back(0.0);
-    fleet_.useful_j.push_back(0.0);
   }
   b->room_end = fleet_.size();
   return push_building(std::move(b));
@@ -212,6 +252,7 @@ void Df3Platform::wire_peers() {
 
 void Df3Platform::ensure_peers_wired() {
   if (!peers_dirty_) return;
+  const SetupScope scope(setup_probe_, SetupPart::kCluster);
   wire_peers();
   peers_dirty_ = false;
 }
@@ -254,6 +295,7 @@ void Df3Platform::bind_building_grid(std::size_t b) {
 
 void Df3Platform::ensure_shards() {
   if (!shards_dirty_) return;
+  const SetupScope scope(setup_probe_, SetupPart::kFleet);
   const std::size_t nb = buildings_.size();
   const std::size_t target = std::max<std::size_t>(1, config_.shard_rooms);
   shards_.clear();
@@ -1093,6 +1135,7 @@ void Df3Platform::run(util::Seconds duration) {
   if (!(duration.value() >= 0.0)) throw std::invalid_argument("run: negative or NaN duration");
   ensure_peers_wired();
   if (!physics_) {
+    const SetupScope scope(setup_probe_, SetupPart::kFleet);
     physics_ = std::make_unique<sim::PeriodicProcess>(
         sim_, sim_.now() + config_.tick_s, config_.tick_s, [this](sim::Time t) { tick(t); });
   }

@@ -1,20 +1,17 @@
 #include "df3/core/worker.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <string>
 
 #include "df3/obs/obs.hpp"
 
 namespace df3::core {
 
-Worker::Worker(sim::Simulation& sim, std::string name, hw::ServerSpec spec, net::NodeId node,
-               TaskDone on_task_done)
-    : sim::Entity(sim, std::move(name)),
-      server_(std::move(spec)),
-      node_(node),
-      on_task_done_(std::move(on_task_done)) {
-  if (!on_task_done_) throw std::invalid_argument("Worker: null completion callback");
-}
+Worker::Worker(WorkerHost& host, std::size_t index, const hw::ServerModel& model,
+               net::NodeId node)
+    : host_(&host), server_(model), node_(node), index_(static_cast<std::uint32_t>(index)) {}
+
+std::string Worker::name() const { return host_->name() + "/w" + std::to_string(index_); }
 
 int Worker::free_cores() const {
   return std::max(0, server_.usable_cores() - busy_cores());
@@ -86,7 +83,7 @@ void Worker::finish(std::size_t idx) {
                     r.task.request->request.id, r.task.shard_index,
                     static_cast<std::uint32_t>(r.task.shard_index));
   }
-  on_task_done_(std::move(r.task));
+  host_->on_task_done(index_, std::move(r.task));
 }
 
 std::optional<Task> Worker::preempt_one(Priority min_keep) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 
@@ -82,43 +83,38 @@ ServerModel::ServerModel(ServerSpec spec) : spec_(std::move(spec)), cpu_model_(s
     tables_[3 * n + ps] = cpu_model_.dyn_coeff(ps);
     tables_[4 * n + ps] = cpu_model_.core_speed_gcps(ps);
   }
+  n_pstates_ = n;
+  standby_power_w_ = spec_.standby_power.value();
+  throttle_start_c_ = spec_.throttle_start.value();
+  shutdown_temp_c_ = spec_.shutdown_temp.value();
+  aging_reference_c_ = spec_.aging_reference_junction.value();
+  static_power_w_ = spec_.cpu.static_power.value();
+  total_cores_ = spec_.total_cores();
+  cpu_count_ = spec_.cpu_count;
+  routing_ = spec_.routing;
 }
 
-std::shared_ptr<const ServerModel> ServerModel::shared(ServerSpec spec) {
+const ServerModel& ServerModel::intern(ServerSpec spec) {
   // Leaked on purpose: servers in other statics may outlive any exit-time
-  // destructor of this list.
+  // destructor of this list, and a model must outlive every server of its
+  // spec.
   static auto* const mutex = new std::mutex;
-  static auto* const models = new std::vector<std::weak_ptr<const ServerModel>>;
+  static auto* const models = new std::vector<std::unique_ptr<const ServerModel>>;
   const std::lock_guard<std::mutex> lock(*mutex);
-  for (const auto& weak : *models) {
-    if (auto model = weak.lock(); model && model->spec() == spec) return model;
+  for (const auto& model : *models) {
+    if (model->spec() == spec) return *model;
   }
-  auto model = std::make_shared<const ServerModel>(std::move(spec));
-  std::erase_if(*models, [](const auto& weak) { return weak.expired(); });
-  models->push_back(model);
-  return model;
+  return *models->emplace_back(std::make_unique<const ServerModel>(std::move(spec)));
 }
 
-DfServer::DfServer(ServerSpec spec) : model_(ServerModel::shared(std::move(spec))) {
-  // Mirror the spec scalars the per-tick path reads into the hot block.
-  const ServerSpec& s = model_->spec();
-  aging_reference_c_ = s.aging_reference_junction.value();
-  standby_power_w_ = s.standby_power.value();
-  throttle_start_c_ = s.throttle_start.value();
-  shutdown_temp_c_ = s.shutdown_temp.value();
-  static_power_w_ = s.cpu.static_power.value();
-  total_cores_ = s.total_cores();
-  cpu_count_ = s.cpu_count;
-  routing_ = s.routing;
-  pstate_ = s.cpu.top_pstate();
-  n_pstates_ = model_->pstate_count();
-  tables_ = model_->tables();
+DfServer::DfServer(const ServerModel& model)
+    : model_(&model), pstate_(static_cast<std::uint32_t>(model.spec().cpu.top_pstate())) {
   refresh_thermal();
   refresh_operating();
 }
 
 util::Watts DfServer::apply_power_cap(util::Watts cap, bool allow_gating) {
-  const double per_cpu_cap = cap.value() / static_cast<double>(cpu_count_);
+  const double per_cpu_cap = cap.value() / static_cast<double>(model_->cpu_count());
   std::size_t ps = 0;
   if (cpu_model().highest_pstate_within(util::Watts{per_cpu_cap}, ps)) {
     set_powered(true);

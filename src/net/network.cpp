@@ -19,13 +19,21 @@ std::size_t Network::RouteKeyHash::operator()(const RouteKey& k) const noexcept 
 
 Network::Network(sim::Simulation& sim, std::string name) : sim::Entity(sim, std::move(name)) {}
 
-NodeId Network::add_node(const std::string& node_name) {
-  if (by_name_.contains(node_name)) {
-    throw std::invalid_argument("Network::add_node: duplicate name " + node_name);
+NodeId Network::add_node(std::string_view node_name) {
+  if (!name_slots_.empty() && name_slots_[name_slot(node_name)] != kNoIndex) {
+    throw std::invalid_argument("Network::add_node: duplicate name " + std::string(node_name));
   }
-  const auto id = static_cast<NodeId>(node_names_.size());
-  node_names_.push_back(node_name);
-  by_name_.emplace(node_name, id);
+  if (name_chars_.size() + node_name.size() > kNoIndex) {
+    throw std::length_error("Network::add_node: node names exceed 4 GiB");
+  }
+  const auto id = static_cast<NodeId>(name_end_.size());
+  name_chars_.append(node_name);
+  name_end_.push_back(static_cast<std::uint32_t>(name_chars_.size()));
+  if (2 * name_end_.size() > name_slots_.size()) {
+    grow_name_index();
+  } else {
+    name_slots_[name_slot(node_name)] = id;
+  }
   arcs_stale_ = true;
   // The next search rebuilds the blocks and zeroes their flip epochs, which
   // would make a route staled by an earlier flip look fresh.
@@ -33,16 +41,34 @@ NodeId Network::add_node(const std::string& node_name) {
   return id;
 }
 
-NodeId Network::node(const std::string& node_name) const {
-  const auto it = by_name_.find(node_name);
-  if (it == by_name_.end()) throw std::out_of_range("Network::node: unknown " + node_name);
-  return it->second;
+std::size_t Network::name_slot(std::string_view node_name) const {
+  const std::size_t mask = name_slots_.size() - 1;
+  for (std::size_t i = std::hash<std::string_view>{}(node_name) & mask;; i = (i + 1) & mask) {
+    const NodeId id = name_slots_[i];
+    if (id == kNoIndex || name_of(id) == node_name) return i;
+  }
 }
 
-const std::string& Network::node_name(NodeId id) const { return node_names_.at(id); }
+void Network::grow_name_index() {
+  name_slots_.assign(std::max<std::size_t>(16, 2 * name_slots_.size()), kNoIndex);
+  for (NodeId id = 0; id < name_end_.size(); ++id) name_slots_[name_slot(name_of(id))] = id;
+}
+
+NodeId Network::node(std::string_view node_name) const {
+  const NodeId id = name_slots_.empty() ? kNoIndex : name_slots_[name_slot(node_name)];
+  if (id == kNoIndex) {
+    throw std::out_of_range("Network::node: unknown " + std::string(node_name));
+  }
+  return id;
+}
+
+std::string_view Network::node_name(NodeId id) const {
+  if (id >= node_count()) throw std::out_of_range("Network::node_name: unknown id");
+  return name_of(id);
+}
 
 std::size_t Network::add_link(NodeId a, NodeId b, const LinkProfile& profile) {
-  if (a >= node_names_.size() || b >= node_names_.size()) {
+  if (a >= node_count() || b >= node_count()) {
     throw std::out_of_range("Network::add_link: unknown node");
   }
   if (a == b) throw std::invalid_argument("Network::add_link: self loop");
@@ -86,12 +112,12 @@ bool Network::link_up(std::size_t link) const { return links_.at(link).up; }
 void Network::build_arcs() const {
   // Counting sort by source node; walking links in index order keeps each
   // node's arcs in insertion order, which fixes Dijkstra's tie-breaks.
-  arc_begin_.assign(node_names_.size() + 1, 0);
+  arc_begin_.assign(node_count() + 1, 0);
   for (const Link& l : links_) {
     ++arc_begin_[l.a + 1];
     ++arc_begin_[l.b + 1];
   }
-  for (std::size_t u = 0; u < node_names_.size(); ++u) arc_begin_[u + 1] += arc_begin_[u];
+  for (std::size_t u = 0; u < node_count(); ++u) arc_begin_[u + 1] += arc_begin_[u];
   arcs_.resize(2 * links_.size());
   std::vector<std::uint32_t> next(arc_begin_.begin(), arc_begin_.end() - 1);
   for (std::size_t li = 0; li < links_.size(); ++li) {
@@ -101,8 +127,8 @@ void Network::build_arcs() const {
     arcs_[next[l.b]++] = Arc{l.a, link, 0};
   }
   build_blocks();
-  dist_.assign(node_names_.size(), std::numeric_limits<double>::infinity());
-  via_link_.resize(node_names_.size());
+  dist_.assign(node_count(), std::numeric_limits<double>::infinity());
+  via_link_.resize(node_count());
   touched_.clear();
   arcs_stale_ = false;
 }
@@ -111,7 +137,10 @@ void Network::build_blocks() const {
   // Iterative Hopcroft-Tarjan. The tree link to the DFS parent is skipped
   // by link index, not by node, so a parallel link counts as a back edge and
   // joins its twin's block.
-  const std::size_t n = node_names_.size();
+  // build_arcs just sized arc_begin_ to node_count() + 1. Reading the count
+  // from it, not from the name offsets, also keeps GCC 12 at -O3 from a
+  // false -Wfree-nonheap-object on the vectors below.
+  const std::size_t n = arc_begin_.size() - 1;
   std::vector<std::uint32_t> disc(n, 0), low(n, 0), up_link(n, kNoIndex);
   std::vector<std::uint32_t> heads(n, 0);      // blocks hanging from each node
   std::vector<std::uint32_t> head_block(n, 0);  // the last of them
@@ -300,7 +329,7 @@ bool Network::route_fresh(const RouteEntry& e) const {
 
 std::span<const std::uint32_t> Network::cached_route(NodeId src, NodeId dst,
                                                      util::Bytes size) const {
-  if (src >= node_names_.size() || dst >= node_names_.size()) {
+  if (src >= node_count() || dst >= node_count()) {
     throw std::out_of_range("Network::route: unknown node");
   }
   if (src == dst) return {};
@@ -428,7 +457,7 @@ std::vector<std::string> Network::verify_route_cache() const {
       for (auto i = first; i != last; ++i) line << (i == first ? "" : " ") << *i;
       line << ']';
     };
-    line << name() << ": cached route " << node_names_[key.src] << " -> " << node_names_[key.dst]
+    line << name() << ": cached route " << name_of(key.src) << " -> " << name_of(key.dst)
          << " (" << size << " B) is ";
     hops(cached, cached + e.hops);
     line << ", a fresh search gives ";

@@ -6,10 +6,16 @@
 
 namespace df3::thermal {
 
+namespace {
+/// False for zero, negative, NaN and infinite values.
+bool positive_finite(double x) { return x > 0.0 && std::isfinite(x); }
+}  // namespace
+
 Room::Room(RoomParams params, util::Celsius initial_temperature)
     : params_(params), temp_(initial_temperature) {
-  if (params_.resistance_k_per_w <= 0.0 || params_.capacitance_j_per_k <= 0.0) {
-    throw std::invalid_argument("Room: R and C must be positive");
+  if (!positive_finite(params_.resistance_k_per_w) ||
+      !positive_finite(params_.capacitance_j_per_k)) {
+    throw std::invalid_argument("Room: R and C must be positive and finite");
   }
 }
 
@@ -39,9 +45,10 @@ util::Watts Room::holding_power(util::Celsius target, util::Celsius t_out) const
 
 Room2R2C::Room2R2C(Room2R2CParams params, util::Celsius initial_temperature)
     : params_(params), t_air_(initial_temperature), t_env_(initial_temperature) {
-  if (params_.r_air_env_k_per_w <= 0.0 || params_.r_env_out_k_per_w <= 0.0 ||
-      params_.c_air_j_per_k <= 0.0 || params_.c_env_j_per_k <= 0.0) {
-    throw std::invalid_argument("Room2R2C: all R and C must be positive");
+  if (!positive_finite(params_.r_air_env_k_per_w) ||
+      !positive_finite(params_.r_env_out_k_per_w) || !positive_finite(params_.c_air_j_per_k) ||
+      !positive_finite(params_.c_env_j_per_k)) {
+    throw std::invalid_argument("Room2R2C: all R and C must be positive and finite");
   }
   // Stability bound for explicit stepping: well below the fast (air) time
   // constant tau_air = R_ae * C_air. Depends only on the parameters, so it

@@ -1,6 +1,7 @@
 #include "df3/thermal/thermostat.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace df3::thermal {
@@ -8,8 +9,13 @@ namespace df3::thermal {
 HysteresisThermostat::HysteresisThermostat(util::Celsius target, util::KelvinDelta halfband,
                                            util::Watts rating)
     : target_(target), halfband_(halfband), rating_(rating) {
-  if (halfband_.value() < 0.0) throw std::invalid_argument("HysteresisThermostat: negative band");
-  if (rating_.value() <= 0.0) throw std::invalid_argument("HysteresisThermostat: rating <= 0");
+  const double band = halfband_.value();
+  if (!(band >= 0.0 && std::isfinite(band))) {
+    throw std::invalid_argument("HysteresisThermostat: band negative or not finite");
+  }
+  if (!(rating_.value() > 0.0 && std::isfinite(rating_.value()))) {
+    throw std::invalid_argument("HysteresisThermostat: rating <= 0 or not finite");
+  }
 }
 
 HeatDemand HysteresisThermostat::demand(util::Celsius room_temperature) {
@@ -24,8 +30,12 @@ HeatDemand HysteresisThermostat::demand(util::Celsius room_temperature) {
 ModulatingThermostat::ModulatingThermostat(util::Celsius target, double kp_w_per_k,
                                            util::Watts rating)
     : target_(target), kp_(kp_w_per_k), rating_(rating) {
-  if (kp_ < 0.0) throw std::invalid_argument("ModulatingThermostat: negative gain");
-  if (rating_.value() <= 0.0) throw std::invalid_argument("ModulatingThermostat: rating <= 0");
+  if (!(kp_ >= 0.0 && std::isfinite(kp_))) {
+    throw std::invalid_argument("ModulatingThermostat: gain negative or not finite");
+  }
+  if (!(rating_.value() > 0.0 && std::isfinite(rating_.value()))) {
+    throw std::invalid_argument("ModulatingThermostat: rating <= 0 or not finite");
+  }
 }
 
 HeatDemand ModulatingThermostat::demand(util::Celsius room_temperature,

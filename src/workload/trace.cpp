@@ -103,6 +103,11 @@ Trace Trace::load(std::istream& is) {
     r.id = parse_field(fields[0], lineno, "id", std::uint64_t{0}, ~std::uint64_t{0});
     r.flow = flow_from_name(fields[1], lineno);
     r.arrival = parse_field(fields[2], lineno, "arrival", 0.0, kMax);
+    if (!requests.empty() && r.arrival < requests.back().arrival) {
+      throw std::invalid_argument("Trace::load: line " + std::to_string(lineno) +
+                                  ": field arrival '" + fields[2] +
+                                  "' precedes the previous row's arrival");
+    }
     r.app = fields[3];
     r.work_gigacycles = parse_field(fields[4], lineno, "work_gigacycles", 0.0, kMax);
     r.tasks = parse_field(fields[5], lineno, "tasks", 1, std::numeric_limits<int>::max());

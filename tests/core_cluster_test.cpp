@@ -86,6 +86,41 @@ struct ClusterFixture {
 
 }  // namespace
 
+// Fleet rooms and boiler units point at worker servers, and completion
+// events at workers, so a worker must not move when more are added.
+TEST(Cluster, WorkersKeepTheirAddressesAsWorkersAreAdded) {
+  ClusterFixture f;
+  const core::Worker* const first = &f.cluster->worker(0);
+  const hw::DfServer* const second_server = &f.cluster->worker(1).server();
+  f.cluster->submit(cloud_request(320.0), f.device);
+  f.sim.run_until(5.0);  // staged and running on worker 0
+  ASSERT_EQ(f.cluster->worker(0).busy_cores(), 1);
+  for (int i = 0; i < 40; ++i) f.cluster->add_worker(hw::qrad_spec(), f.w1);
+  f.cluster->reserve_workers(100);
+  for (int i = 0; i < 58; ++i) f.cluster->add_worker(hw::qrad_spec(), f.w1);
+  ASSERT_EQ(f.cluster->worker_count(), 100u);
+  EXPECT_EQ(&f.cluster->worker(0), first);
+  EXPECT_EQ(&f.cluster->worker(1).server(), second_server);
+  EXPECT_EQ(f.cluster->usable_cores(), 1600);  // walks every worker
+  EXPECT_EQ(f.cluster->free_cores(), 1599);
+  EXPECT_THROW((void)f.cluster->worker(100), std::out_of_range);
+  // The shard started before the adds completes where it ran.
+  f.sim.run();
+  ASSERT_EQ(f.records.size(), 1u);
+  EXPECT_EQ(f.records[0].outcome, wl::Outcome::kCompleted);
+  EXPECT_EQ(f.cluster->worker(0).tasks_completed(), 1u);
+}
+
+TEST(Cluster, AuditNamesAWorkerByClusterAndIndex) {
+  ClusterFixture f;
+  f.cluster->worker(1).server().set_busy_cores(3);
+  std::vector<std::string> out;
+  f.cluster->audit(out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], "c0/w1: server busy-core count 3 inconsistent with running set "
+                    "(0 running, 16 usable)");
+}
+
 TEST(Cluster, CompletesCloudRequestWithTransport) {
   ClusterFixture f;
   f.cluster->submit(cloud_request(320.0), f.device);

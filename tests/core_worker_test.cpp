@@ -49,11 +49,19 @@ wl::Request cloud_request(double work = 100.0, int tasks = 1) {
 /// Backing store for the request states these tests shard by hand.
 core::RequestPool requests;
 
+/// Host of a bare worker: collects the tasks it completes.
+struct TestHost final : core::WorkerHost {
+  TestHost(Simulation& sim, std::vector<core::Task>& sink)
+      : core::WorkerHost(sim, "c"), done(sink) {}
+  void on_task_done(std::size_t, core::Task t) override { done.push_back(std::move(t)); }
+  std::vector<core::Task>& done;
+};
+
 struct WorkerFixture {
   Simulation sim;
   std::vector<core::Task> done;
-  core::Worker worker{sim, "w0", hw::qrad_spec(), 0,
-                      [this](core::Task t) { done.push_back(std::move(t)); }};
+  TestHost host{sim, done};
+  core::Worker worker{host, 0, hw::ServerModel::intern(hw::qrad_spec()), 0};
 };
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Coverage for small public-API corners not exercised elsewhere.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "df3/core/worker.hpp"
 #include "df3/net/network.hpp"
 #include "df3/util/stats.hpp"
@@ -12,9 +14,18 @@ namespace net = df3::net;
 namespace u = df3::util;
 using df3::sim::Simulation;
 
+namespace {
+/// Host of a bare worker; completions go nowhere.
+struct NullHost final : core::WorkerHost {
+  using core::WorkerHost::WorkerHost;
+  void on_task_done(std::size_t, core::Task) override {}
+};
+}  // namespace
+
 TEST(WorkerCoverage, BacklogTracksRemainingWork) {
   Simulation sim;
-  core::Worker worker(sim, "w", hw::qrad_spec(), 0, [](core::Task) {});
+  NullHost host(sim, "c");
+  core::Worker worker(host, 0, hw::ServerModel::intern(hw::qrad_spec()), 0);
   df3::workload::Request r;
   r.work_gigacycles = 64.0;
   r.tasks = 2;
@@ -28,7 +39,12 @@ TEST(WorkerCoverage, BacklogTracksRemainingWork) {
   auto victim = worker.preempt_one(core::Priority::kEdge);
   ASSERT_TRUE(victim.has_value());
   EXPECT_NEAR(victim->remaining_gigacycles, 32.0, 1e-9);
-  EXPECT_THROW(core::Worker(sim, "bad", hw::qrad_spec(), 0, nullptr), std::invalid_argument);
+  // A worker cannot exist without a host to report to, nor on a bad chassis.
+  static_assert(!std::is_constructible_v<core::Worker, std::nullptr_t, std::size_t,
+                                         const hw::ServerModel&, net::NodeId>);
+  hw::ServerSpec bad = hw::qrad_spec();
+  bad.cpu_count = 0;
+  EXPECT_THROW(core::Worker(host, 1, hw::ServerModel::intern(bad), 0), std::invalid_argument);
 }
 
 TEST(NetworkCoverage, LinkUpQueryAndLoopbackStats) {

@@ -378,4 +378,41 @@ TEST(JourneyChurn, JourneyLinksOffRestoresPlainTrace) {
   EXPECT_EQ(o->journeys().open_count(), 0u);
 }
 
+// Worker names are derived, not stored: the kFull tracks and the audit
+// findings still read "<building>/w<index>".
+TEST(JourneyTracing, WorkerTracksAndFindingsNameBuildingAndIndex) {
+  core::PlatformConfig cfg;
+  cfg.seed = 11;
+  cfg.with_datacenter = false;
+  cfg.obs.level = obs::TraceLevel::kFull;
+  core::Df3Platform city(cfg);
+  core::BuildingConfig b;
+  b.name = "b12";
+  b.rooms = 3;
+  city.add_building(b);
+  city.add_edge_source(0, soak_edge_factory(false), 2.0);
+  city.run(u::hours(1.0));
+  const std::vector<std::string>& tracks = city.observability()->trace().track_names();
+  std::set<std::string> worker_tracks;
+  for (const std::string& t : tracks) {
+    if (t.rfind("b12/w", 0) == 0) {
+      EXPECT_TRUE(worker_tracks.insert(t).second) << t;
+    }
+  }
+  ASSERT_FALSE(worker_tracks.empty());
+  EXPECT_EQ(worker_tracks.count("b12/w0"), 1u);
+  for (const std::string& t : worker_tracks) {
+    EXPECT_TRUE(t == "b12/w0" || t == "b12/w1" || t == "b12/w2") << t;
+  }
+
+  core::Df3Platform fresh(cfg);
+  fresh.add_building(b);
+  fresh.cluster(0).worker(2).server().set_busy_cores(1);
+  std::vector<std::string> findings;
+  fresh.cluster(0).audit(findings);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0], "b12/w2: server busy-core count 1 inconsistent with running set "
+                         "(0 running, 16 usable)");
+}
+
 }  // namespace

@@ -94,6 +94,33 @@ TEST(Network, NodeLookup) {
   EXPECT_THROW((void)c.netw.add_node("device"), std::invalid_argument);
 }
 
+// The name arena and its flat index at city scale: every name finds its
+// node through grows of the index, and the lookups' contracts hold.
+TEST(Network, NameIndexRoundTripsTenThousandNodes) {
+  Simulation sim;
+  net::Network n(sim, "city");
+  constexpr std::size_t kNodes = 12'000;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    const std::string name = i % 3 == 0 ? "b" + std::to_string(i / 3) + "/gw"
+                                        : "b" + std::to_string(i / 3) + "/srv" + std::to_string(i % 3);
+    EXPECT_EQ(n.add_node(name), i);
+  }
+  (void)n.add_node("");  // the empty name is a name like any other
+  ASSERT_EQ(n.node_count(), kNodes + 1);
+  for (net::NodeId id = 0; id < n.node_count(); ++id) {
+    ASSERT_EQ(n.node(std::string(n.node_name(id))), id) << n.node_name(id);
+  }
+  EXPECT_EQ(n.node_name(4), "b1/srv1");
+  EXPECT_EQ(n.node_name(static_cast<net::NodeId>(kNodes)), "");
+  EXPECT_THROW((void)n.add_node("b7/srv2"), std::invalid_argument);
+  EXPECT_THROW((void)n.add_node(""), std::invalid_argument);
+  EXPECT_THROW((void)n.node("b7/srv3"), std::out_of_range);
+  EXPECT_THROW((void)n.node("b4000/gw"), std::out_of_range);
+  EXPECT_THROW((void)n.node_name(static_cast<net::NodeId>(kNodes + 1)), std::out_of_range);
+  EXPECT_EQ(n.node_count(), kNodes + 1);
+  EXPECT_EQ(n.node("b3999/srv2"), kNodes - 1);
+}
+
 TEST(Network, RouteFollowsChain) {
   Chain c;
   const auto path = c.netw.route(c.device, c.cloud, u::bytes(64.0));

@@ -319,7 +319,15 @@ TEST(Platform, RejectedBuildingLeavesThePlatformUnchanged) {
          b.high_fidelity_rooms = true;
          b.room_2r2c.c_env_j_per_k = 0.0;
        }},
+      {"NaN room resistance",
+       [](core::BuildingConfig& b) {
+         b.room.resistance_k_per_w = std::numeric_limits<double>::quiet_NaN();
+       }},
       {"thermostat gain", [](core::BuildingConfig& b) { b.thermostat_gain_w_per_k = -1.0; }},
+      {"NaN thermostat gain",
+       [](core::BuildingConfig& b) {
+         b.thermostat_gain_w_per_k = std::numeric_limits<double>::quiet_NaN();
+       }},
       {"water tank",
        [](core::BuildingConfig& b) {
          b.server = df3::hw::stimergy_boiler_spec();
@@ -352,5 +360,27 @@ TEST(Platform, RejectedBuildingLeavesThePlatformUnchanged) {
     EXPECT_EQ(city.add_building(small_building("b1")), buildings);
     city.run(u::hours(1.0));
     EXPECT_EQ(city.building_count(), buildings + 1);
+  }
+  // Policy names live in the platform's cluster config: the first building
+  // is refused before it adds a node.
+  struct PolicyCase {
+    const char* what;
+    void (*spoil)(core::ClusterConfig&);
+  };
+  const PolicyCase policy_cases[] = {
+      {"placement", [](core::ClusterConfig& c) { c.placement = "bogus"; }},
+      {"ladder rung", [](core::ClusterConfig& c) { c.edge_peak_ladder = {"preempt", "bogus"}; }},
+      {"peer selector", [](core::ClusterConfig& c) { c.peer_select = "bogus"; }},
+  };
+  for (const PolicyCase& c : policy_cases) {
+    SCOPED_TRACE(c.what);
+    core::PlatformConfig pc = winter_config();
+    c.spoil(pc.cluster);
+    core::Df3Platform city(pc);
+    const std::size_t nodes = city.network().node_count();
+    EXPECT_THROW(city.add_building(small_building("b0")), std::invalid_argument);
+    EXPECT_EQ(city.building_count(), 0u);
+    EXPECT_EQ(city.network().node_count(), nodes);
+    EXPECT_EQ(city.network().link_count(), 0u);
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "df3/thermal/calendar.hpp"
 #include "df3/thermal/room.hpp"
@@ -187,6 +188,51 @@ TEST(Room, RejectsBadParams) {
       std::invalid_argument);
 }
 
+namespace {
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+}  // namespace
+
+TEST(Room, RejectsNonFiniteResistance) {
+  for (const double bad : {kNaN, kInf}) {
+    th::RoomParams p;
+    p.resistance_k_per_w = bad;
+    EXPECT_THROW(th::Room(p, u::celsius(20.0)), std::invalid_argument) << bad;
+  }
+}
+
+TEST(Room, RejectsNonFiniteCapacitance) {
+  for (const double bad : {kNaN, kInf}) {
+    th::RoomParams p;
+    p.capacitance_j_per_k = bad;
+    EXPECT_THROW(th::Room(p, u::celsius(20.0)), std::invalid_argument) << bad;
+  }
+}
+
+void expect_2r2c_rejects_non_finite(double th::Room2R2CParams::*field) {
+  for (const double bad : {kNaN, kInf}) {
+    th::Room2R2CParams p;
+    p.*field = bad;
+    EXPECT_THROW(th::Room2R2C(p, u::celsius(20.0)), std::invalid_argument) << bad;
+  }
+}
+
+TEST(Room2R2C, RejectsNonFiniteAirEnvelopeResistance) {
+  expect_2r2c_rejects_non_finite(&th::Room2R2CParams::r_air_env_k_per_w);
+}
+
+TEST(Room2R2C, RejectsNonFiniteEnvelopeOutdoorResistance) {
+  expect_2r2c_rejects_non_finite(&th::Room2R2CParams::r_env_out_k_per_w);
+}
+
+TEST(Room2R2C, RejectsNonFiniteAirCapacitance) {
+  expect_2r2c_rejects_non_finite(&th::Room2R2CParams::c_air_j_per_k);
+}
+
+TEST(Room2R2C, RejectsNonFiniteEnvelopeCapacitance) {
+  expect_2r2c_rejects_non_finite(&th::Room2R2CParams::c_env_j_per_k);
+}
+
 TEST(Room2R2C, ConvergesToSeriesEquilibrium) {
   th::Room2R2C room(th::Room2R2CParams{}, u::celsius(10.0));
   const auto q = u::watts(400.0);
@@ -233,6 +279,38 @@ TEST(HysteresisThermostat, RegulatesRoomNearTarget) {
   EXPECT_NEAR(temps.mean(), 20.0, 0.7);
   EXPECT_GT(temps.min(), 18.8);
   EXPECT_LT(temps.max(), 21.2);
+}
+
+TEST(HysteresisThermostat, RejectsNonFiniteBand) {
+  for (const double bad : {kNaN, kInf}) {
+    EXPECT_THROW(th::HysteresisThermostat(u::celsius(20.0), u::kelvin(bad), u::watts(500.0)),
+                 std::invalid_argument)
+        << bad;
+  }
+}
+
+TEST(HysteresisThermostat, RejectsNonFiniteRating) {
+  for (const double bad : {kNaN, kInf}) {
+    EXPECT_THROW(th::HysteresisThermostat(u::celsius(20.0), u::kelvin(0.5), u::watts(bad)),
+                 std::invalid_argument)
+        << bad;
+  }
+}
+
+TEST(ModulatingThermostat, RejectsNonFiniteGain) {
+  for (const double bad : {kNaN, kInf}) {
+    EXPECT_THROW(th::ModulatingThermostat(u::celsius(20.0), bad, u::watts(500.0)),
+                 std::invalid_argument)
+        << bad;
+  }
+}
+
+TEST(ModulatingThermostat, RejectsNonFiniteRating) {
+  for (const double bad : {kNaN, kInf}) {
+    EXPECT_THROW(th::ModulatingThermostat(u::celsius(20.0), 200.0, u::watts(bad)),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(ModulatingThermostat, DemandTracksErrorAndFeedForward) {

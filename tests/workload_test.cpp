@@ -433,6 +433,22 @@ TEST(Trace, LoadRejectsEveryMalformedFieldByName) {
   }
 }
 
+TEST(Trace, LoadNamesTheLineOfAnOutOfOrderArrival) {
+  std::stringstream ss(
+      "id,flow,arrival,app,work_gigacycles,tasks,comm_fraction,input_bytes,output_bytes,"
+      "deadline_s,preemptible,privacy_sensitive\n"
+      "1,cloud,5,render,2,1,0,1024,2048,-,1,0\n"
+      "2,cloud,3,render,2,1,0,1024,2048,-,1,0\n");
+  try {
+    (void)wl::Trace::load(ss);
+    ADD_FAILURE() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("field arrival '3'"), std::string::npos) << what;
+  }
+}
+
 TEST(TraceReplayer, DeliversEveryRequestAtItsArrival) {
   wl::Trace trace;
   for (int i = 0; i < 10; ++i) {
