@@ -325,20 +325,25 @@ class Cluster : public WorkerHost, private policy::LadderMechanism {
   static void set_test_skip_reslot(bool plant) { test_skip_reslot_ = plant; }
 
   /// Freeze the load signals peers read through the PeerSelector view
-  /// (DESIGN.md §12). While armed, select_peer() builds PeerInfo from
-  /// these values instead of live reads, so a horizontal-offload decision
-  /// made during the tick's control phase observes every peer as it stood
-  /// at the start of the conservative window — independent of how far
-  /// other control lanes (or the fused serial sweep) have advanced. The
-  /// platform arms every cluster before the tick's physics and disarms
-  /// after the boundary drain; event-time pumps (arrivals, completions)
-  /// always see live state.
-  void arm_lane_snapshot() {
+  /// (DESIGN.md §12), stamped with the value `tick` holds now. While the
+  /// snapshot is current (`tick` still holds that value), select_peer()
+  /// builds PeerInfo from these values instead of live reads, so a
+  /// horizontal-offload decision made during the tick's control phase
+  /// observes every peer as it stood at the start of the conservative
+  /// window — independent of how far other control lanes (or the fused
+  /// serial sweep) have advanced. The platform arms every cluster before
+  /// its building's physics and advances `tick` after the boundary drain,
+  /// which expires every snapshot at once, so event-time pumps (arrivals,
+  /// completions) always see live state. `tick` must outlive the cluster.
+  void arm_lane_snapshot(const std::uint64_t& tick) {
     lane_backlog_per_core_ = queued_gigacycles() / static_cast<double>(std::max(1, usable_cores()));
     lane_free_cores_ = free_cores();
-    lane_snapshot_armed_ = true;
+    lane_tick_ = &tick;
+    lane_stamp_ = tick;
   }
-  void disarm_lane_snapshot() { lane_snapshot_armed_ = false; }
+  [[nodiscard]] bool lane_snapshot_current() const {
+    return lane_tick_ != nullptr && lane_stamp_ == *lane_tick_;
+  }
 
   /// True when this cluster's control-phase speed sync cannot touch shared
   /// simulation state: nothing queued (sync_workers() will not pump) and no
@@ -437,7 +442,8 @@ class Cluster : public WorkerHost, private policy::LadderMechanism {
   /// Lane-snapshot of the peer-visible load signals (see arm_lane_snapshot).
   double lane_backlog_per_core_ = 0.0;
   int lane_free_cores_ = 0;
-  bool lane_snapshot_armed_ = false;
+  const std::uint64_t* lane_tick_ = nullptr;
+  std::uint64_t lane_stamp_ = 0;
 };
 
 }  // namespace df3::core

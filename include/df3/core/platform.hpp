@@ -310,7 +310,10 @@ class Df3Platform {
   /// exact). Checks each building's drained core count against its
   /// cluster's usable_cores() (unless a control-plane touch has moved the
   /// cluster since the drain read it), the folded regulator sums bit for
-  /// bit against a fresh walk of the regulators, and, at obs kCounters and
+  /// bit against a fresh walk of the regulators, each per-building value
+  /// the tick keeps next to its source (room range and tank against the
+  /// cluster's workers and the config, grid region against the cluster's),
+  /// that no lane snapshot outlived its tick, and, at obs kCounters and
   /// above, every city counter against the sum of the per-cluster counters
   /// and outcomes it mirrors. Observation only; the kFull audit sweep runs
   /// it every tick.
@@ -329,6 +332,9 @@ class Df3Platform {
   [[nodiscard]] const util::TimeSeries& heat_demand_series() const { return demand_series_; }
   /// Outdoor temperature sampled per tick.
   [[nodiscard]] const util::TimeSeries& outdoor_series() const { return outdoor_series_; }
+  /// Building `b`'s comfort record: once per tick, the room mean of
+  /// |T - target| and of T (a boiler plant samples its store against the
+  /// setpoint instead).
   [[nodiscard]] const metrics::ComfortMetrics& comfort(std::size_t b) const {
     return buildings_.at(b)->comfort_metrics;
   }
@@ -415,23 +421,18 @@ class Df3Platform {
     net::NodeId device_node = 0;
     net::NodeId wifi_node = 0;
     std::unique_ptr<Cluster> cluster;
-    std::size_t room_begin = 0;  ///< [room_begin, room_end) in the fleet arrays
-    std::size_t room_end = 0;
     RoomModel model;
     /// Season of the last stepped control pass: the next physics pass runs
     /// the servers under it (a dual-pipe chassis vents outdoors when off).
     bool last_season = true;
-    std::optional<TankUnit> tank_unit;
     metrics::ComfortMetrics comfort_metrics;
   };
 
-  /// One physics shard: a contiguous run of buildings (and their contiguous
+  /// One physics shard: a contiguous run of buildings (and so a contiguous
   /// slice of the fleet arrays) ticked as one parallel work item.
   struct Shard {
     std::size_t bld_begin = 0;
     std::size_t bld_end = 0;
-    std::size_t room_begin = 0;
-    std::size_t room_end = 0;
   };
 
   void tick(sim::Time t);
@@ -448,10 +449,12 @@ class Df3Platform {
   /// config_.shard_rooms, so the room -> shard map is a pure function of
   /// the build sequence and the knob — stable across runs.
   void ensure_shards();
-  /// Append a fully built building and its per-building tick state, bind
-  /// its grid region when a plane is installed, and mark peers and shards
-  /// for a rebuild. Returns the building index.
-  std::size_t push_building(std::unique_ptr<Building> b);
+  /// Append a fully built building, its hot-water store (nullptr for a
+  /// building with rooms) and its per-building tick state, its rooms ending
+  /// at the fleet's current size; bind its grid region when a plane is
+  /// installed, and mark peers and shards for a rebuild. Returns the
+  /// building index.
+  std::size_t push_building(std::unique_ptr<Building> b, std::unique_ptr<TankUnit> tank);
   /// Physics phase for one building: server/room/tank integration and
   /// per-building metrics. Touches only building-owned state, this
   /// building's slice of the fleet arrays and the lane's `q_scratch`, so
@@ -479,13 +482,15 @@ class Df3Platform {
     double reg_requested_j = 0.0;
     double reg_weighted_err_j = 0.0;
   };
-  /// Boundary-drain stage for one building: everything cross-cutting the
-  /// lane split — the order-sensitive ledger/city-aggregate reduction and
-  /// the deferred sync_workers() (event re-arming + queue pumps). Runs
-  /// serially in building-major order in every execution mode, which is
-  /// what keeps the golden digests bit-identical at any lane count.
-  void control_building_reduce(std::size_t b, metrics::EnergyLedger::Accumulator& energy,
-                               TickSums& sums);
+  /// Boundary-drain stage for buildings [b_begin, b_end): everything
+  /// cross-cutting the lane split — the order-sensitive ledger/city-
+  /// aggregate reduction and the deferred sync_workers() (event re-arming +
+  /// queue pumps). Runs serially in building-major order in every execution
+  /// mode, which is what keeps the golden digests bit-identical at any lane
+  /// count. Reads the flat per-building arrays and the fleet arrays; touches
+  /// Building or Cluster only for a tank or a deferred sync.
+  void control_reduce(std::size_t b_begin, std::size_t b_end,
+                      metrics::EnergyLedger::Totals& energy, TickSums& sums);
   /// Record building `b`'s usable cores (and the control epoch they were
   /// read at) after its speed sync.
   void note_building_cores(std::size_t b);
@@ -525,10 +530,24 @@ class Df3Platform {
   std::unique_ptr<net::Network> network_;
   net::NodeId internet_node_;
   std::unique_ptr<baselines::Datacenter> datacenter_;
+  /// Stamp of the current tick's lane snapshots (Cluster::arm_lane_snapshot);
+  /// advanced after the boundary drain, which expires them all at once.
+  /// Declared before buildings_: every cluster holds its address.
+  std::uint64_t lane_tick_ = 1;
   std::vector<std::unique_ptr<Building>> buildings_;
   std::vector<std::unique_ptr<workload::WorkloadSource>> sources_;
   std::unique_ptr<sim::PeriodicProcess> physics_;
   FleetState fleet_;
+  /// Room range of every building, CSR style: building b's rooms are
+  /// [bld_rooms_[b], bld_rooms_[b + 1]) in the fleet arrays. Like every
+  /// bld_* array it is indexed by building, so the tick reads it without a
+  /// load through Building.
+  std::vector<std::size_t> bld_rooms_{0};
+  [[nodiscard]] std::size_t room_begin(std::size_t b) const { return bld_rooms_[b]; }
+  [[nodiscard]] std::size_t room_end(std::size_t b) const { return bld_rooms_[b + 1]; }
+  /// A boiler building's hot-water store, owned out of line; nullptr for a
+  /// building with rooms. The tick reads the pointer as the tank flag.
+  std::vector<std::unique_ptr<TankUnit>> bld_tank_;
   /// Per-building scratch filled by the physics phase (comfort target and
   /// heating-season flag for the tick), consumed by the control phase.
   std::vector<double> bld_target_c_;

@@ -103,46 +103,53 @@ class EnergyLedger {
 
   void merge(const EnergyLedger& other);
 
-  /// Register-resident view for hot accumulation loops: reads the slots
-  /// once, takes adds in locals (same per-call sequence and checks as the
-  /// ledger itself, so totals stay bit-identical), and commits on scope
-  /// exit — including during unwinding, matching the eager per-call
-  /// commit of direct add_* calls.
-  class Accumulator {
-   public:
-    explicit Accumulator(EnergyLedger& ledger)
-        : ledger_(ledger),
-          it_(ledger.it_.value()),
-          overhead_(ledger.overhead_.value()),
-          useful_(ledger.useful_heat_.value()),
-          waste_(ledger.waste_heat_.value()) {}
-    ~Accumulator() { commit(); }
-    Accumulator(const Accumulator&) = delete;
-    Accumulator& operator=(const Accumulator&) = delete;
+  /// The four slots the DF fleet posts to each tick, as plain doubles with
+  /// the ledger's own per-call checks: a hot loop copies them into a local,
+  /// where they stay in registers, and copies them back, so the totals take
+  /// the same adds in the same order and stay bit-identical.
+  struct Totals {
+    double it = 0.0;
+    double overhead = 0.0;
+    double useful = 0.0;
+    double waste = 0.0;
 
-    void add_it(util::Joules e) { add_local(it_, e, "IT energy"); }
-    void add_overhead(util::Joules e) { add_local(overhead_, e, "overhead"); }
-    void add_useful_heat(util::Joules e) { add_local(useful_, e, "useful heat"); }
-    void add_waste_heat(util::Joules e) { add_local(waste_, e, "waste heat"); }
-
-    void commit() {
-      ledger_.it_ = util::Joules{it_};
-      ledger_.overhead_ = util::Joules{overhead_};
-      ledger_.useful_heat_ = util::Joules{useful_};
-      ledger_.waste_heat_ = util::Joules{waste_};
-    }
+    void add_it(util::Joules e) { add_local(it, e, "IT energy"); }
+    void add_overhead(util::Joules e) { add_local(overhead, e, "overhead"); }
+    void add_useful_heat(util::Joules e) { add_local(useful, e, "useful heat"); }
+    void add_waste_heat(util::Joules e) { add_local(waste, e, "waste heat"); }
 
    private:
     static void add_local(double& slot, util::Joules e, const char* what) {
       if (e.value() < 0.0) throw_negative(what);
       slot += e.value();
     }
+  };
 
+  /// Batched view for hot accumulation loops: reads the slots once into
+  /// `totals()` and commits them on scope exit — including during
+  /// unwinding, matching the eager per-call commit of direct add_* calls.
+  class Accumulator {
+   public:
+    explicit Accumulator(EnergyLedger& ledger)
+        : ledger_(ledger),
+          totals_{ledger.it_.value(), ledger.overhead_.value(), ledger.useful_heat_.value(),
+                  ledger.waste_heat_.value()} {}
+    ~Accumulator() { commit(); }
+    Accumulator(const Accumulator&) = delete;
+    Accumulator& operator=(const Accumulator&) = delete;
+
+    [[nodiscard]] Totals& totals() { return totals_; }
+
+    void commit() {
+      ledger_.it_ = util::Joules{totals_.it};
+      ledger_.overhead_ = util::Joules{totals_.overhead};
+      ledger_.useful_heat_ = util::Joules{totals_.useful};
+      ledger_.waste_heat_ = util::Joules{totals_.waste};
+    }
+
+   private:
     EnergyLedger& ledger_;
-    double it_;
-    double overhead_;
-    double useful_;
-    double waste_;
+    Totals totals_;
   };
 
  private:
@@ -161,14 +168,20 @@ class EnergyLedger {
   double grid_co2_g_ = 0.0;
 };
 
-/// Comfort tracking for one room: time-weighted deviation from target.
+/// Comfort tracking for one space (a building's rooms, or a hot-water
+/// store): time-weighted deviation from target and temperature.
 class ComfortMetrics {
  public:
-  /// Record the instantaneous state at time `t`. Header-inline: called once
-  /// per room per physics tick.
+  /// Record the instantaneous state of one space at time `t`.
   void sample(double t, util::Celsius room, util::Celsius target) {
-    abs_dev_.record(t, std::abs(room.value() - target.value()));
-    temp_.record(t, room.value());
+    record(t, std::abs(room.value() - target.value()), room.value());
+  }
+  /// Record the state from time `t` onwards as a deviation from target (K)
+  /// and a temperature (degC): a building records its room means once per
+  /// tick, since samples at one instant overwrite each other.
+  void record(double t, double abs_dev_k, double temp_c) {
+    abs_dev_.record(t, abs_dev_k);
+    temp_.record(t, temp_c);
   }
 
   /// Mean absolute deviation from target (K), time-weighted.

@@ -54,6 +54,12 @@ class Registry {
   [[nodiscard]] std::unique_ptr<PeerSelector> make_peer_selector(const std::string& name) const;
   [[nodiscard]] std::unique_ptr<PlacementPolicy> make_placement(const std::string& name) const;
 
+  /// Throw what the matching make_* throws for an unknown name, without
+  /// building a policy object.
+  void require_rung(const std::string& name) const;
+  void require_peer_selector(const std::string& name) const;
+  void require_placement(const std::string& name) const;
+
   [[nodiscard]] std::vector<std::string> rung_names() const;
   [[nodiscard]] std::vector<std::string> routing_names() const;
   [[nodiscard]] std::vector<std::string> peer_selector_names() const;

@@ -110,8 +110,9 @@ class PercentileSampler {
 class TimeWeightedValue {
  public:
   /// Record that the signal takes `value` from time `t` onwards.
-  /// Times must be non-decreasing. Header-inline: called twice per room per
-  /// physics tick by the comfort collectors.
+  /// Times must be non-decreasing. Header-inline: called twice per building
+  /// per physics tick by the comfort collectors. A second record at the
+  /// same time leaves the first one with zero weight.
   void record(double t, double value) {
     if (!started_) {
       started_ = true;

@@ -58,12 +58,13 @@ void Cluster::check_config(const ClusterConfig& config) {
   if (config.preemption_overhead_gc < 0.0) {
     throw std::invalid_argument("Cluster: negative preemption overhead");
   }
-  // Resolve the decision plane's names; unknown ones throw here (listing
-  // the known ones) rather than silently defaulting.
+  // Resolve the decision plane's names without building the objects;
+  // unknown ones throw here (listing the known ones) rather than silently
+  // defaulting.
   const auto& registry = policy::Registry::global();
-  (void)registry.make_ladder(config.edge_peak_ladder);
-  (void)registry.make_placement(config.placement);
-  (void)registry.make_peer_selector(config.peer_select);
+  for (const std::string& rung : config.edge_peak_ladder) registry.require_rung(rung);
+  registry.require_placement(config.placement);
+  registry.require_peer_selector(config.peer_select);
 }
 
 void Cluster::add_peer(Cluster* peer) {
@@ -416,10 +417,10 @@ Cluster* Cluster::select_peer() {
   // Control-phase picks read the pre-control lane snapshot (DESIGN.md
   // §12): one consistent per-tick view regardless of how many control
   // lanes run or how the sweep interleaves with peer regulation.
-  // Event-time picks (arrivals, completions) see live state as before.
-  // The platform arms every building cluster together, so our own flag
-  // answers for the peers too.
-  if (lane_snapshot_armed_) {
+  // Event-time picks (arrivals, completions) see live state: the platform
+  // expires every snapshot after the drain. It arms every building
+  // cluster in the same tick, so our own stamp answers for the peers too.
+  if (lane_snapshot_current()) {
     for (const Cluster* p : peers_) {
       peer_scratch_.push_back({p->lane_backlog_per_core_, p->lane_free_cores_});
     }

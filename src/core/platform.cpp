@@ -199,12 +199,12 @@ std::size_t Df3Platform::add_building(const BuildingConfig& cfg) {
   }
 
   scope.emplace(setup_probe_, SetupPart::kFleet);
-  b->room_begin = fleet_.size();
+  std::unique_ptr<TankUnit> tank_unit;
   if (tank) {
     // Digital-boiler plant: one chassis charging the hot-water store.
-    b->tank_unit.emplace(std::move(*tank), fresh_regulator, 0);
-    b->tank_unit->server = &cluster.worker(0).server();
-    b->tank_unit->rating = rating;
+    tank_unit = std::make_unique<TankUnit>(std::move(*tank), fresh_regulator, 0);
+    tank_unit->server = &cluster.worker(0).server();
+    tank_unit->rating = rating;
   } else {
     for (std::size_t i = 0; i < servers; ++i) {
       fleet_.server.push_back(&cluster.worker(i).server());
@@ -217,11 +217,13 @@ std::size_t Df3Platform::add_building(const BuildingConfig& cfg) {
       fleet_.useful_j.push_back(0.0);
     }
   }
-  b->room_end = fleet_.size();
-  return push_building(std::move(b));
+  return push_building(std::move(b), std::move(tank_unit));
 }
 
-std::size_t Df3Platform::push_building(std::unique_ptr<Building> b) {
+std::size_t Df3Platform::push_building(std::unique_ptr<Building> b,
+                                       std::unique_ptr<TankUnit> tank) {
+  bld_rooms_.push_back(fleet_.size());
+  bld_tank_.push_back(std::move(tank));
   bld_target_c_.push_back(0.0);
   bld_season_.push_back(0);
   bld_demand_w_.push_back(0.0);
@@ -301,20 +303,20 @@ void Df3Platform::ensure_shards() {
   shards_.clear();
   std::size_t begin = 0;
   std::size_t weight = 0;
+  lane_q_stride_ = 0;
   for (std::size_t b = 0; b < nb; ++b) {
-    const Building& bd = *buildings_[b];
+    const std::size_t rooms = room_end(b) - room_begin(b);
+    lane_q_stride_ = std::max(lane_q_stride_, rooms);
     // Boiler plants have no fleet rooms but still cost one building's
     // control work; weight them as one room so they pack, not pile up.
-    weight += std::max<std::size_t>(1, bd.room_end - bd.room_begin);
+    weight += std::max<std::size_t>(1, rooms);
     if (weight >= target) {
-      shards_.push_back({begin, b + 1, buildings_[begin]->room_begin, bd.room_end});
+      shards_.push_back({begin, b + 1});
       begin = b + 1;
       weight = 0;
     }
   }
-  if (begin < nb) {
-    shards_.push_back({begin, nb, buildings_[begin]->room_begin, buildings_[nb - 1]->room_end});
-  }
+  if (begin < nb) shards_.push_back({begin, nb});
   fleet_.reg_requested_j.assign(fleet_.size(), 0.0);
   fleet_.reg_weighted_err_j.assign(fleet_.size(), 0.0);
   bld_gated_.assign(nb, 0);
@@ -326,10 +328,6 @@ void Df3Platform::ensure_shards() {
     bld_quiet_epoch_.assign(nb, 0);
   }
   const std::size_t ns = shards_.size();
-  lane_q_stride_ = 0;
-  for (const auto& bd : buildings_) {
-    lane_q_stride_ = std::max(lane_q_stride_, bd->room_end - bd->room_begin);
-  }
   lane_q_total_w_.assign(ns * lane_q_stride_, 0.0);
   shard_substeps_run_.assign(ns, 0);
   shard_substeps_skipped_.assign(ns, 0);
@@ -624,8 +622,8 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
   // identical for every room of the building.
   const double solar_frac = std::clamp((seasonal.value() - 5.0) / 12.0, 0.0, 1.0);
   const double solar_w = bd.cfg.solar_gain_peak_w * solar_frac;
-  const std::size_t begin = bd.room_begin;
-  const std::size_t end = bd.room_end;
+  const std::size_t begin = room_begin(b);
+  const std::size_t end = room_end(b);
   const RoomModel& m = bd.model;
   const bool last_season = bd.last_season;
   const bool indoors = !m.dual_pipe || last_season;
@@ -675,16 +673,24 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
     }
   }
 
-  // Pass C (scalar): comfort sampling against the post-update temperature,
-  // in room order — the same per-building sample sequence as the fused loop.
-  for (std::size_t i = begin; i < end; ++i) {
-    bd.comfort_metrics.sample(t, util::Celsius{fleet_.temp_c[i]}, target);
+  // Pass C (scalar): comfort against the post-update temperatures. Samples
+  // at one instant replace each other, so the building records its room
+  // means once per tick.
+  if (end > begin) {
+    double dev_sum = 0.0;
+    double temp_sum = 0.0;
+    for (std::size_t i = begin; i < end; ++i) {
+      dev_sum += std::abs(fleet_.temp_c[i] - target.value());
+      temp_sum += fleet_.temp_c[i];
+    }
+    const auto n = static_cast<double>(end - begin);
+    bd.comfort_metrics.record(t, dev_sum / n, temp_sum / n);
   }
 
-  if (bd.tank_unit) {
+  if (bld_tank_[b]) {
     // Digital-boiler plant: the hot-water store is the "thermostat" and it
     // wants heat in every season.
-    TankUnit& tu = *bd.tank_unit;
+    TankUnit& tu = *bld_tank_[b];
     hw::DfServer& server = *tu.server;
     server.advance(dts, /*heating_season=*/true);
     const double delta_j = server.energy_consumed().value() - tu.energy_mark.value();
@@ -714,7 +720,7 @@ void Df3Platform::control_building_math(std::size_t b, double t_out_c,
     // usable_cores) and the kFull no-op replay run here; the ledger and
     // temperature aggregates belong to the boundary drain.
     const bool full_audit = auditor_.level() == metrics::AuditLevel::kFull;
-    for (std::size_t i = bd.room_begin; i < bd.room_end; ++i) {
+    for (std::size_t i = room_begin(b); i < room_end(b); ++i) {
       hw::DfServer& server = *fleet_.server[i];
       if (full_audit) {
         // Replay the skipped regulate() and flag any state change: the
@@ -746,7 +752,7 @@ void Df3Platform::control_building_math(std::size_t b, double t_out_c,
     // city_demand_w addition chain (and thus the golden digests) is
     // untouched; heat-aware routing reads this between ticks.
     double bld_demand_w = 0.0;
-    for (std::size_t i = bd.room_begin; i < bd.room_end; ++i) {
+    for (std::size_t i = room_begin(b); i < room_end(b); ++i) {
       // Modulating thermostat (pure math, mirrored from
       // ModulatingThermostat::demand + holding_power of the room model).
       double demand_w = 0.0;
@@ -764,8 +770,9 @@ void Df3Platform::control_building_math(std::size_t b, double t_out_c,
       bld_demand_w += demand_w;
     }
     bd.last_season = heating_season;
-    if (bd.tank_unit) {
-      TankUnit& tu = *bd.tank_unit;
+    TankUnit* const tank = bld_tank_[b].get();
+    if (tank != nullptr) {
+      TankUnit& tu = *tank;
       const auto demand = tu.tank.demand(tu.scratch_draw_lps, tu.rating);
       tu.regulator.regulate(*tu.server, demand);
       // The immersion oil returns cooled from the tank heat exchanger:
@@ -784,10 +791,10 @@ void Df3Platform::control_building_math(std::size_t b, double t_out_c,
     // touch (fault injector, pinned run, test poking a worker) bumps it
     // and forces the stepped path until the proof is re-established here.
     if (config_.activity_gating) {
-      bool quiet = !heating_season && !bd.tank_unit && bd.room_end > bd.room_begin;
+      bool quiet = !heating_season && tank == nullptr && room_end(b) > room_begin(b);
       if (quiet) {
         const bool aggressive = config_.regulator.gating == GatingPolicy::kAggressive;
-        for (std::size_t i = bd.room_begin; quiet && i < bd.room_end; ++i) {
+        for (std::size_t i = room_begin(b); quiet && i < room_end(b); ++i) {
           const hw::DfServer& server = *fleet_.server[i];
           quiet = aggressive ? (!server.powered() && server.busy_cores() == 0 &&
                                 server.filler_cores() == 0)
@@ -819,69 +826,85 @@ void Df3Platform::note_building_cores(std::size_t b) {
   bld_cores_epoch_[b] = c.control_epoch();
 }
 
-void Df3Platform::control_building_reduce(std::size_t b,
-                                          metrics::EnergyLedger::Accumulator& energy,
-                                          TickSums& sums) {
-  Building& bd = *buildings_[b];
-  if (bld_gated_[b] != 0) {
-    // Gated drain half: the ledger split (servers draw standby power even
-    // gated off) and the temperature aggregates. useful_j is exactly +0.0
-    // (last demand was zero), so the useful-heat add is skipped and waste
-    // takes the full delta whether or not the heat stays indoors; the
-    // city/building demand adds would be +0.0 and are elided, as in the
-    // fused sweep.
-    for (std::size_t i = bd.room_begin; i < bd.room_end; ++i) {
-      const util::Joules delta{fleet_.delta_j[i]};
-      energy.add_it(delta);
-      energy.add_overhead(delta * kDfOverheadFraction);
-      energy.add_waste_heat(delta);
-      sums.temp_sum += fleet_.temp_c[i];
-      ++sums.room_count;
-      sums.reg_requested_j += fleet_.reg_requested_j[i];
-      sums.reg_weighted_err_j += fleet_.reg_weighted_err_j[i];
+void Df3Platform::control_reduce(std::size_t b_begin, std::size_t b_end,
+                                 metrics::EnergyLedger::Totals& energy_out,
+                                 TickSums& sums_out) {
+  // The running totals stay in locals for the whole range: through the
+  // references every add would be a store and a reload, room after room.
+  // Same adds, same order, so the same bits.
+  metrics::EnergyLedger::Totals energy = energy_out;
+  TickSums sums = sums_out;
+  const double* const delta_j = fleet_.delta_j.data();
+  const double* const useful_j = fleet_.useful_j.data();
+  const double* const demand_w = fleet_.last_demand_w.data();
+  const double* const temp_c = fleet_.temp_c.data();
+  const double* const reg_requested_j = fleet_.reg_requested_j.data();
+  const double* const reg_weighted_err_j = fleet_.reg_weighted_err_j.data();
+  for (std::size_t b = b_begin; b < b_end; ++b) {
+    const std::size_t begin = room_begin(b);
+    const std::size_t end = room_end(b);
+    if (bld_gated_[b] != 0) {
+      // Gated drain half: the ledger split (servers draw standby power even
+      // gated off) and the temperature aggregates. useful_j is exactly +0.0
+      // (last demand was zero), so the useful-heat add is skipped and waste
+      // takes the full delta whether or not the heat stays indoors; the
+      // city/building demand adds would be +0.0 and are elided, as in the
+      // fused sweep.
+      for (std::size_t i = begin; i < end; ++i) {
+        const util::Joules delta{delta_j[i]};
+        energy.add_it(delta);
+        energy.add_overhead(delta * kDfOverheadFraction);
+        energy.add_waste_heat(delta);
+        sums.temp_sum += temp_c[i];
+        ++sums.room_count;
+        sums.reg_requested_j += reg_requested_j[i];
+        sums.reg_weighted_err_j += reg_weighted_err_j[i];
+      }
+    } else {
+      for (std::size_t i = begin; i < end; ++i) {
+        const util::Joules delta{delta_j[i]};
+        energy.add_it(delta);
+        energy.add_overhead(delta * kDfOverheadFraction);
+        // A dual-pipe chassis vents outdoors only after an off-season
+        // control pass, whose demand was zero: useful_j is then +0.0, so
+        // this split books the whole delta as waste.
+        const util::Joules useful{useful_j[i]};
+        energy.add_useful_heat(useful);
+        energy.add_waste_heat(delta - useful);
+        // last_demand_w was written by the lane stage this tick, so this is
+        // the same value (and the same accumulation order) the fused sweep
+        // added.
+        sums.city_demand_w += demand_w[i];
+        sums.temp_sum += temp_c[i];
+        ++sums.room_count;
+        sums.reg_requested_j += reg_requested_j[i];
+        sums.reg_weighted_err_j += reg_weighted_err_j[i];
+      }
+      if (const TankUnit* const tank = bld_tank_[b].get()) {
+        const util::Joules delta{tank->scratch_delta_j};
+        energy.add_it(delta);
+        energy.add_overhead(delta * kDfOverheadFraction);
+        const util::Joules useful{tank->scratch_useful_j};
+        energy.add_useful_heat(useful);
+        energy.add_waste_heat(delta - useful);
+        sums.city_demand_w += tank->last_demand.value();
+      }
     }
-  } else {
-    for (std::size_t i = bd.room_begin; i < bd.room_end; ++i) {
-      const util::Joules delta{fleet_.delta_j[i]};
-      energy.add_it(delta);
-      energy.add_overhead(delta * kDfOverheadFraction);
-      // A dual-pipe chassis vents outdoors only after an off-season control
-      // pass, whose demand was zero: useful_j is then +0.0, so this split
-      // books the whole delta as waste.
-      const util::Joules useful{fleet_.useful_j[i]};
-      energy.add_useful_heat(useful);
-      energy.add_waste_heat(delta - useful);
-      // last_demand_w was written by the lane stage this tick, so this is
-      // the same value (and the same accumulation order) the fused sweep
-      // added.
-      sums.city_demand_w += fleet_.last_demand_w[i];
-      sums.temp_sum += fleet_.temp_c[i];
-      ++sums.room_count;
-      sums.reg_requested_j += fleet_.reg_requested_j[i];
-      sums.reg_weighted_err_j += fleet_.reg_weighted_err_j[i];
+    // Deferred speed sync: the event-calendar half of the control loop
+    // (settle + re-arm completions, queue pumps, peer hand-offs) happens
+    // here, in the same building-major sequence the fused serial sweep
+    // produced — the deterministic merge point of every lane's outbound
+    // effects. The core count sums in building order either way: the
+    // values are integers, so the double chain is the one the live walk
+    // added.
+    if (bld_sync_deferred_[b] != 0) {
+      buildings_[b]->cluster->sync_workers();
+      note_building_cores(b);
     }
-    if (bd.tank_unit) {
-      TankUnit& tu = *bd.tank_unit;
-      const util::Joules delta{tu.scratch_delta_j};
-      energy.add_it(delta);
-      energy.add_overhead(delta * kDfOverheadFraction);
-      const util::Joules useful{tu.scratch_useful_j};
-      energy.add_useful_heat(useful);
-      energy.add_waste_heat(delta - useful);
-      sums.city_demand_w += tu.last_demand.value();
-    }
+    sums.city_cores += bld_cores_[b];
   }
-  // Deferred speed sync: the event-calendar half of the control loop
-  // (settle + re-arm completions, queue pumps, peer hand-offs) happens
-  // here, in the same building-major sequence the fused serial sweep
-  // produced — the deterministic merge point of every lane's outbound
-  // effects. The core count sums in building order either way: the values
-  // are integers, so the double chain is the one the live walk added.
-  if (bld_sync_deferred_[b] != 0) {
-    bd.cluster->sync_workers();
-    note_building_cores(b);
-  }
-  sums.city_cores += bld_cores_[b];
+  energy_out = energy;
+  sums_out = sums;
 }
 
 void Df3Platform::tick(sim::Time t) {
@@ -903,10 +926,12 @@ void Df3Platform::tick(sim::Time t) {
   // Reduction state. The drain replays the exact accumulation order of
   // the fused serial walk (ledger adds and city aggregates are
   // floating-point order-sensitive) whatever the thread count; the ledger
-  // accumulator keeps the four energy slots in registers for the whole
-  // tick with the identical per-room add sequence.
+  // accumulator holds the four energy slots for the whole tick, and
+  // control_reduce keeps them in locals with the identical per-room add
+  // sequence.
   TickSums sums;
-  metrics::EnergyLedger::Accumulator energy(df_energy_);
+  metrics::EnergyLedger::Accumulator ledger(df_energy_);
+  metrics::EnergyLedger::Totals& energy = ledger.totals();
 
   // Each building passes through three stages (DESIGN.md §12):
   //   physics(b)  server/room/tank integration (physics_building)
@@ -915,19 +940,25 @@ void Df3Platform::tick(sim::Time t) {
   //               (control_building_math)
   //   reduce(b)   the boundary drain: ledger and city aggregates, event
   //               re-arms, queue pumps, peer hand-offs
-  //               (control_building_reduce)
+  //               (control_reduce)
   // physics(b) and math(b) touch only building-b state, and peer views are
-  // pinned by the pre-control lane snapshot below; within the conservative
+  // pinned by the pre-control lane snapshots; within the conservative
   // horizon `now + Network::min_peer_latency()` no cross-cluster influence
   // can reach another building. So both execution shapes perform the
   // identical operation sequence on every shared accumulator and on the
   // event calendar — same bits:
-  //   serial    physics(0), math(0), reduce(0), physics(1), ...
+  //   serial    when some cluster has queued work, arm every snapshot up
+  //             front; then physics(0), math(0), reduce(0), physics(1), ...
   //             (one pass over each server's cache lines)
-  //   parallel  one lane per district shard on the pool runs physics(b),
-  //             math(b) for the shard's buildings; then reduce(0..n)
-  //             serially in building-major order, the deterministic merge
-  //             of every lane's outbound effects.
+  //   parallel  one lane per district shard on the pool runs arm(b),
+  //             physics(b), math(b) for the shard's buildings; then
+  //             reduce(0..n) serially in building-major order, the
+  //             deterministic merge of every lane's outbound effects.
+  // reduce(b) reads the flat bld_* arrays and the fleet arrays; it follows
+  // the pointer to Building and Cluster only for a tank or a deferred sync,
+  // so the parallel shape's serial section makes no O(buildings) pass
+  // through them. Advancing lane_tick_ after the drain expires every
+  // snapshot at once, so event-time picks read live state.
   // Tick-phase scopes run on the *host* clock: every sub-phase of a tick
   // happens at one simulated instant, so only wall time gives the spans
   // extent. Trace content for these spans is machine-dependent by nature;
@@ -952,41 +983,41 @@ void Df3Platform::tick(sim::Time t) {
     ++lane_fallback_ticks_;
   }
 
-  // Pre-control peer snapshot: freeze the load signals PeerSelector views
-  // read so a control-phase pump observes every peer as it stood at the
-  // start of the conservative window, independent of lane interleaving.
-  // Only needed when some cluster can actually pump this tick (non-empty
-  // queue); the scan itself reads pre-control state in every mode.
-  bool any_queued = false;
-  for (const auto& b : buildings_) {
-    if (b->cluster->queued() > 0) {
-      any_queued = true;
-      break;
-    }
-  }
-  if (any_queued) {
-    for (const auto& b : buildings_) b->cluster->arm_lane_snapshot();
-  }
-
   // One lane: physics and control math for every building of shard s in
-  // building-major order; the serial walk fuses the drain in as well.
+  // building-major order; the serial walk fuses the drain in as well. A
+  // parallel lane first freezes the peer-visible load signals of each of
+  // its clusters (the pre-control lane snapshot): a drain-time pump then
+  // observes every peer as it stood at the start of the conservative
+  // window, independent of lane interleaving. Physics moves no queue and
+  // no core count, and no other lane touches the cluster, so these are the
+  // values an up-front pass would have read.
   const auto run_lane = [&](std::size_t s, bool fused_drain) {
     const Shard& sh = shards_[s];
     std::uint64_t run = 0;
     std::uint64_t skipped = 0;
     double* const q_scratch = lane_q_total_w_.data() + s * lane_q_stride_;
     for (std::size_t b = sh.bld_begin; b < sh.bld_end; ++b) {
+      if (!fused_drain) buildings_[b]->cluster->arm_lane_snapshot(lane_tick_);
       const fleet::Substeps2R2C sub = physics_building(b, t, t_out, seasonal, hour, q_scratch);
       run += sub.full_steps_run;
       skipped += sub.full_steps_skipped;
       control_building_math(b, t_out.value(), lane_findings_[s]);
-      if (fused_drain) control_building_reduce(b, energy, sums);
+      if (fused_drain) control_reduce(b, b + 1, energy, sums);
     }
     shard_substeps_run_[s] = run;
     shard_substeps_skipped_[s] = skipped;
   };
 
   if (threads == 1) {
+    // The fused walk pumps while later buildings are still pre-control, so
+    // it arms every snapshot first. Only needed when some cluster can
+    // actually pump this tick (non-empty queue); the scan itself reads
+    // pre-control state.
+    const bool any_queued = std::any_of(buildings_.begin(), buildings_.end(),
+                                        [](const auto& b) { return b->cluster->queued() > 0; });
+    if (any_queued) {
+      for (const auto& b : buildings_) b->cluster->arm_lane_snapshot(lane_tick_);
+    }
     // The whole fused sweep is reported as one physics-phase span.
     for (std::size_t s = 0; s < ns; ++s) run_lane(s, /*fused_drain=*/true);
     if (phase_scopes) close_phase(obs::Phase::kPhysicsPhase);
@@ -1008,7 +1039,7 @@ void Df3Platform::tick(sim::Time t) {
                         lane_span_begin_s_[s], lane_span_end_s_[s]);
       }
     }
-    for (std::size_t b = 0; b < nb; ++b) control_building_reduce(b, energy, sums);
+    control_reduce(0, nb, energy, sums);
     if (phase_scopes) close_phase(obs::Phase::kControlPhase);
   }
 
@@ -1021,10 +1052,8 @@ void Df3Platform::tick(sim::Time t) {
       lane.clear();
     }
   }
-  if (any_queued) {
-    for (const auto& b : buildings_) b->cluster->disarm_lane_snapshot();
-  }
-  energy.commit();
+  ++lane_tick_;  // expires every lane snapshot of this tick
+  ledger.commit();
   reg_requested_j_ = sums.reg_requested_j;
   reg_weighted_err_j_ = sums.reg_weighted_err_j;
 
@@ -1037,10 +1066,9 @@ void Df3Platform::tick(sim::Time t) {
   // chains are untouched, so no-grid runs stay bit-for-bit identical.
   if (grid_) {
     for (std::size_t b = 0; b < nb; ++b) {
-      const Building& bld = *buildings_[b];
       double bld_j = 0.0;
-      for (std::size_t i = bld.room_begin; i < bld.room_end; ++i) bld_j += fleet_.delta_j[i];
-      if (bld.tank_unit) bld_j += bld.tank_unit->scratch_delta_j;
+      for (std::size_t i = room_begin(b); i < room_end(b); ++i) bld_j += fleet_.delta_j[i];
+      if (bld_tank_[b]) bld_j += bld_tank_[b]->scratch_delta_j;
       bld_j *= 1.0 + kDfOverheadFraction;
       const grid::GridSample& s = grid_now_[bld_region_[b]];
       RegionAccount& acct = grid_accounts_[bld_region_[b]];
@@ -1152,18 +1180,55 @@ double Df3Platform::regulator_relative_error() const {
 
 std::vector<std::string> Df3Platform::verify_tick_caches() const {
   std::vector<std::string> out;
-  for (std::size_t b = 0; b < buildings_.size(); ++b) {
-    const Cluster& c = *buildings_[b]->cluster;
+  const std::size_t nb = buildings_.size();
+  if (bld_rooms_.size() != nb + 1 || bld_rooms_.back() != fleet_.size()) {
+    out.push_back("tick cache: the room ranges do not end at the fleet's " +
+                  std::to_string(fleet_.size()) + " rooms");
+    return out;
+  }
+  for (std::size_t b = 0; b < nb; ++b) {
+    const Building& bd = *buildings_[b];
+    const Cluster& c = *bd.cluster;
+    const std::string where = "tick cache: building " + bd.cfg.name;
     if (c.control_epoch() == bld_cores_epoch_[b] && c.usable_cores() != bld_cores_[b]) {
-      out.push_back("tick cache: building " + buildings_[b]->cfg.name + " drained " +
-                    std::to_string(bld_cores_[b]) + " usable cores, cluster has " +
-                    std::to_string(c.usable_cores()));
+      out.push_back(where + " drained " + std::to_string(bld_cores_[b]) +
+                    " usable cores, cluster has " + std::to_string(c.usable_cores()));
     }
+    // The room range and the tank against the cluster they index: a room
+    // building's rooms are its workers in order, a boiler plant has no
+    // room and one worker, the store's chassis.
+    const TankUnit* const tank = bld_tank_[b].get();
+    if ((tank != nullptr) != bd.cfg.water_tank.has_value()) {
+      out.push_back(where + (tank != nullptr ? " has a tank its config does not ask for"
+                                             : " has no tank for its config's water_tank"));
+    }
+    const std::size_t rooms = room_end(b) - room_begin(b);
+    if (tank != nullptr ? rooms != 0 || c.worker_count() != 1 : rooms != c.worker_count()) {
+      out.push_back(where + " owns rooms [" + std::to_string(room_begin(b)) + ", " +
+                    std::to_string(room_end(b)) + ") for " + std::to_string(c.worker_count()) +
+                    " workers");
+    } else {
+      for (std::size_t w = 0; w < rooms; ++w) {
+        if (fleet_.server[room_begin(b) + w] != &c.worker(w).server()) {
+          out.push_back(where + ": room " + std::to_string(w) + " ticks a server other than " +
+                        "worker " + std::to_string(w) + "'s");
+        }
+      }
+    }
+    if (tank != nullptr && (tank->server != &c.worker(0).server() ||
+                            tank->rating.value() != bd.cfg.server.rated_power().value())) {
+      out.push_back(where + ": the tank's chassis or rating is not its worker 0's");
+    }
+    if (grid_ && bld_region_[b] != c.grid_region()) {
+      out.push_back(where + " is in region " + std::to_string(bld_region_[b]) +
+                    ", its cluster in " + std::to_string(c.grid_region()));
+    }
+    if (c.lane_snapshot_current()) out.push_back(where + ": a lane snapshot outlived its tick");
   }
   // The fresh walk: same building-major room order as the drain's fold.
   double req = 0.0, err = 0.0;
-  for (const auto& b : buildings_) {
-    for (std::size_t i = b->room_begin; i < b->room_end; ++i) {
+  for (std::size_t b = 0; b < nb; ++b) {
+    for (std::size_t i = room_begin(b); i < room_end(b); ++i) {
       const HeatRegulator& reg = fleet_.regulator[i];
       req += reg.requested_total().value();
       err += reg.relative_error() * reg.requested_total().value();
@@ -1214,11 +1279,11 @@ std::vector<std::string> Df3Platform::verify_tick_caches() const {
 }
 
 util::Celsius Df3Platform::room_temperature(std::size_t b, std::size_t r) const {
-  const Building& bd = *buildings_.at(b);
-  if (r >= bd.room_end - bd.room_begin) {
+  if (b >= buildings_.size()) throw std::out_of_range("Df3Platform::room_temperature: bad building");
+  if (r >= room_end(b) - room_begin(b)) {
     throw std::out_of_range("Df3Platform::room_temperature: bad room index");
   }
-  return util::Celsius{fleet_.temp_c[bd.room_begin + r]};
+  return util::Celsius{fleet_.temp_c[room_begin(b) + r]};
 }
 
 void Df3Platform::export_series_csv(std::ostream& os) const {
@@ -1235,7 +1300,7 @@ void Df3Platform::export_series_csv(std::ostream& os) const {
 }
 
 util::Celsius Df3Platform::tank_temperature(std::size_t b) const {
-  const auto& unit = buildings_.at(b)->tank_unit;
+  const auto& unit = bld_tank_.at(b);
   if (!unit) throw std::logic_error("tank_temperature: not a boiler building");
   return unit->tank.temperature();
 }

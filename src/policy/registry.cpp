@@ -29,13 +29,18 @@ void register_in(Map& m, const char* seam, const std::string& name, Factory fact
 }
 
 template <class Map>
-auto make_from(const Map& m, const char* seam, const std::string& name) {
+auto find_in(const Map& m, const char* seam, const std::string& name) {
   const auto it = m.find(name);
   if (it == m.end()) {
     throw std::invalid_argument(std::string("policy registry: unknown ") + seam + " policy '" +
                                 name + "' (known: " + known_names(m) + ")");
   }
-  auto made = it->second();
+  return it;
+}
+
+template <class Map>
+auto make_from(const Map& m, const char* seam, const std::string& name) {
+  auto made = find_in(m, seam, name)->second();
   if (!made) throw std::logic_error("policy registry: factory for '" + name + "' returned null");
   return made;
 }
@@ -88,6 +93,18 @@ std::unique_ptr<PeerSelector> Registry::make_peer_selector(const std::string& na
 
 std::unique_ptr<PlacementPolicy> Registry::make_placement(const std::string& name) const {
   return make_from(placements_, "placement", name);
+}
+
+void Registry::require_rung(const std::string& name) const {
+  (void)find_in(rungs_, "rung", name);
+}
+
+void Registry::require_peer_selector(const std::string& name) const {
+  (void)find_in(peers_, "peer-selector", name);
+}
+
+void Registry::require_placement(const std::string& name) const {
+  (void)find_in(placements_, "placement", name);
 }
 
 std::vector<std::string> Registry::rung_names() const { return names_of(rungs_); }

@@ -174,6 +174,32 @@ TEST(AllocGuardHorizontal, WarmHandOffsAllocateAlmostNothing) {
                                   << " terminal requests, " << r.handoffs << " hand-offs";
 }
 
+TEST(AllocGuardSetup, AddBuildingBuildsEachPolicyOnce) {
+  // One add_building allocates its building record, its cluster with the
+  // policy objects (ladder rungs, placement, peer selector), worker
+  // storage, and a share of the growth of the city's containers. Averaged
+  // over 64 buildings after 64 more, so the growth share is the steady one.
+  core::PlatformConfig cfg;
+  core::Df3Platform city(cfg);
+  constexpr std::size_t kWarm = 64;
+  constexpr std::size_t kMeasured = 64;
+  std::vector<core::BuildingConfig> buildings(kWarm + kMeasured);
+  for (std::size_t b = 0; b < buildings.size(); ++b) {
+    buildings[b].name = "b" + std::to_string(b);
+    buildings[b].rooms = 4;
+  }
+  for (std::size_t b = 0; b < kWarm; ++b) city.add_building(buildings[b]);
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t b = kWarm; b < buildings.size(); ++b) city.add_building(buildings[b]);
+  const double per_building =
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) - before) /
+      static_cast<double>(kMeasured);
+  RecordProperty("allocations_per_building", std::to_string(per_building));
+  // 27.3 while the config check and the cluster constructor each built the
+  // three policies once more and dropped them; 17.3 since.
+  EXPECT_LE(per_building, 20.0) << per_building << " allocations per add_building";
+}
+
 TEST(TaskQueueAlloc, DefaultConstructedAllocatesNothing) {
   // A city has one queue per building and most of them sit idle: an empty
   // lane must cost no heap block until its first push.

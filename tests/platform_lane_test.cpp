@@ -340,6 +340,53 @@ TEST(TickCaches, MatchTheUncachedPathsUnderChurnAndFlaps) {
   }
 }
 
+TEST(LaneSnapshot, ExpiresWithItsTick) {
+  // A tick freezes every cluster's peer-visible load (the lane snapshot)
+  // for the offload decisions of its drain. Once the tick is over, a
+  // decision made at event time must read live load. b1 and b2 are idle at
+  // the tick, so the snapshot ties them; b1 then takes a backlog, and an
+  // edge request that finds b0 full must go to b2. A snapshot that outlived
+  // its tick would still see the tie and pick b1, the first peer.
+  const auto batch = [](int tasks) {
+    workload::Request r;
+    r.app = "batch";
+    r.work_gigacycles = 1e5;
+    r.tasks = tasks;
+    r.preemptible = false;
+    return r;
+  };
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    core::PlatformConfig pc = lane_config(0, threads, 0);
+    pc.shard_rooms = 1;  // one shard (lane) per building
+    pc.with_datacenter = false;
+    pc.cluster.edge_peak_ladder = {"horizontal", "delay"};
+    pc.cluster.peer_select = "least-loaded";
+    core::Df3Platform city(pc);
+    for (int i = 0; i < 3; ++i) city.add_building({.name = "b" + std::to_string(i), .rooms = 1});
+    ASSERT_EQ(city.shard_count(), 3u);
+    // b0 is full and has work queued at the tick, so the serial walk arms
+    // the snapshots as well.
+    city.inject_cloud_at(0, batch(64));
+    city.run(util::seconds(pc.tick_s + 1.0));
+    ASSERT_GT(city.cluster(0).queued(), 0u);
+    city.inject_cloud_at(1, batch(64));
+    city.run(util::seconds(1.0));
+    ASSERT_GT(city.cluster(1).queued(), 0u);
+    workload::Request alarm;
+    alarm.app = "alarm";
+    alarm.deadline_s = 600.0;
+    city.inject_edge(0, alarm);
+    city.run(util::seconds(5.0));  // the next tick is a minute away
+    EXPECT_EQ(city.cluster(0).stats().offloaded_horizontal_out, 1u);
+    EXPECT_EQ(city.cluster(1).stats().offloaded_horizontal_in, 0u);
+    EXPECT_EQ(city.cluster(2).stats().offloaded_horizontal_in, 1u);
+    EXPECT_EQ(city.lane_parallel_ticks(), threads > 1 ? 1u : 0u);
+    const std::vector<std::string> findings = city.verify_tick_caches();
+    EXPECT_TRUE(findings.empty()) << findings.front();
+  }
+}
+
 TEST(LaneLookahead, MinPeerLatencyCachesAndInvalidates) {
   sim::Simulation sim;
   net::Network net(sim, "t-net");

@@ -2,12 +2,15 @@
 // flows, seasonality, energy accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "df3/core/platform.hpp"
 #include "df3/net/fault.hpp"
 #include "df3/thermal/calendar.hpp"
 #include "df3/thermal/weather.hpp"
+#include "df3/util/stats.hpp"
 #include "df3/workload/arrivals.hpp"
 
 namespace core = df3::core;
@@ -383,4 +386,45 @@ TEST(Platform, RejectedBuildingLeavesThePlatformUnchanged) {
     EXPECT_EQ(city.network().node_count(), nodes);
     EXPECT_EQ(city.network().link_count(), 0u);
   }
+}
+
+// Worker 0 runs a pinned batch at full load, so room 0 runs hotter than its
+// neighbours. Every room is sampled at the same tick instant, so the comfort
+// record must carry the room mean: sampling room by room would leave every
+// sample but the last one with zero weight.
+TEST(Platform, ComfortFollowsEveryRoomOfTheBuilding) {
+  auto cfg = winter_config();
+  cfg.start_time = th::start_of_month(6);  // July: no heat wanted
+  cfg.with_datacenter = false;
+  core::Df3Platform city(cfg);
+  const core::BuildingConfig bc = small_building("b0", 3);
+  city.add_building(bc);
+  wl::Request batch;
+  batch.app = "batch";
+  batch.work_gigacycles = 1e6;
+  batch.tasks = 64;
+  city.inject_pinned(0, 0, batch);
+
+  u::TimeWeightedValue dev;
+  u::TimeWeightedValue temp;
+  double hot_gap_k = 0.0;
+  for (int k = 0; k < 12 * 60; ++k) {
+    city.run(u::seconds(cfg.tick_s));
+    const double target = bc.comfort.target_at_hour(th::hour_of_day(city.now())).value();
+    double dev_sum = 0.0;
+    double temp_sum = 0.0;
+    for (std::size_t r = 0; r < 3; ++r) {
+      const double t_c = city.room_temperature(0, r).value();
+      dev_sum += std::abs(t_c - target);
+      temp_sum += t_c;
+    }
+    dev.record(city.now(), dev_sum / 3.0);
+    temp.record(city.now(), temp_sum / 3.0);
+    hot_gap_k = std::max(hot_gap_k, city.room_temperature(0, 0).value() -
+                                        city.room_temperature(0, 2).value());
+  }
+  ASSERT_GT(hot_gap_k, 1.0);
+  EXPECT_NEAR(city.comfort(0).mean_temperature_c(city.now()), temp.mean_until(city.now()), 1e-9);
+  EXPECT_NEAR(city.comfort(0).mean_abs_deviation_k(city.now()), dev.mean_until(city.now()),
+              1e-9);
 }
