@@ -173,15 +173,23 @@ class Cluster : public WorkerHost, private policy::LadderMechanism {
   /// `gateway_node` must exist in `network`. The sink receives every
   /// completion this cluster is responsible for (including ones it
   /// offloaded elsewhere). Request states come from `requests`, which must
-  /// outlive the cluster; nullptr gives the cluster a pool of its own.
-  Cluster(sim::Simulation& sim, std::string name, ClusterConfig config, net::Network& network,
-          net::NodeId gateway_node, CompletionSink sink, RequestPool* requests = nullptr);
+  /// outlive the cluster; nullptr gives the cluster a pool of its own. The
+  /// cluster keeps the config's scalars; it resolves the policy names here
+  /// and keeps none of them.
+  Cluster(sim::Simulation& sim, std::string name, const ClusterConfig& config,
+          net::Network& network, net::NodeId gateway_node, CompletionSink sink,
+          RequestPool* requests = nullptr);
 
   /// Throws std::invalid_argument, as the constructor does, for a config it
   /// would reject: a negative dedicated_edge_workers or preemption
   /// overhead, a fabric bandwidth that is not positive, or a rung,
   /// placement or peer-selector name the policy registry does not know.
   static void check_config(const ClusterConfig& config);
+
+  /// Replace ClusterConfig::fabric_gbps, the bandwidth of the LAN joining
+  /// the workers (the platform sets it from each building's LAN profile).
+  /// Throws std::invalid_argument unless positive.
+  void set_fabric_gbps(double gbps);
 
   /// Create and register a worker on `node` with the given chassis.
   /// Returns its index. Workers added first are the dedicated-edge ones
@@ -363,7 +371,7 @@ class Cluster : public WorkerHost, private policy::LadderMechanism {
     return n;
   }
   [[nodiscard]] int free_cores() const;
-  [[nodiscard]] int dedicated_edge_workers() const { return config_.dedicated_edge_workers; }
+  [[nodiscard]] int dedicated_edge_workers() const { return tuning_.dedicated_edge_workers; }
 
  private:
   /// Accept a request offloaded from a peer cluster. Will not offload it
@@ -405,7 +413,14 @@ class Cluster : public WorkerHost, private policy::LadderMechanism {
     if (city_ != nullptr) city_->registry->at_counter(city_->rung[i]).add();
   }
 
-  ClusterConfig config_;
+  /// The ClusterConfig scalars read after construction.
+  struct Tuning {
+    int dedicated_edge_workers;
+    double cloud_offload_backlog_gc_per_core;
+    double preemption_overhead_gc;
+    double reference_fabric_gbps;
+    double fabric_gbps;
+  } tuning_;
   net::Network& network_;
   net::NodeId gateway_node_;
   CompletionSink sink_;

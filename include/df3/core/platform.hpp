@@ -23,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "df3/baselines/datacenter.hpp"
@@ -144,8 +145,12 @@ class Df3Platform {
   explicit Df3Platform(PlatformConfig config);
 
   /// Add a building with its rooms, servers, cluster and network segment.
-  /// Returns the building index. Call before `run`. A config that throws
-  /// leaves the platform as it was.
+  /// Returns the building index. Call before `run`. The building is planned
+  /// whole before anything is appended: every field is checked (a bad one
+  /// throws std::invalid_argument naming it, as do a node name already in
+  /// the network and, with a grid plane installed, an unknown grid_region),
+  /// so a config that throws leaves the platform as it was. The platform
+  /// keeps what it derives from the config, not the config.
   std::size_t add_building(const BuildingConfig& cfg);
 
   /// The parts of a city's setup that heap use is accounted to
@@ -204,8 +209,10 @@ class Df3Platform {
   /// building's joules to its region's signal at spend time. Buildings
   /// added before or after install are both bound (their
   /// BuildingConfig::grid_region name resolves against this plane; a
-  /// second install throws). Runs without a plane are bit-for-bit
-  /// unchanged — every grid code path is gated on its presence.
+  /// second install throws). Every earlier building's region resolves
+  /// before the plane goes in, so an unknown name throws and leaves no
+  /// plane installed. Runs without a plane are bit-for-bit unchanged —
+  /// every grid code path is gated on its presence.
   void install_grid(grid::GridPlane plane);
   [[nodiscard]] grid::GridPlane* grid_plane() { return grid_.get(); }
   [[nodiscard]] const grid::GridPlane* grid_plane() const { return grid_.get(); }
@@ -311,8 +318,8 @@ class Df3Platform {
   /// cluster's usable_cores() (unless a control-plane touch has moved the
   /// cluster since the drain read it), the folded regulator sums bit for
   /// bit against a fresh walk of the regulators, each per-building value
-  /// the tick keeps next to its source (room range and tank against the
-  /// cluster's workers and the config, grid region against the cluster's),
+  /// the tick keeps next to its source (room range, tank and rating against
+  /// the cluster's workers, grid region against the cluster's),
   /// that no lane snapshot outlived its tick, and, at obs kCounters and
   /// above, every city counter against the sum of the per-cluster counters
   /// and outcomes it mirrors. Observation only; the kFull audit sweep runs
@@ -385,25 +392,29 @@ class Df3Platform {
     [[nodiscard]] std::size_t size() const { return server.size(); }
   };
 
-  /// What a building's rooms share, derived once at add_building; the RC
-  /// parameters, thermostat gain and fidelity are read from Building::cfg.
+  /// What a building's rooms (or its tank) share, derived once by
+  /// plan_building: every value of the building's config the tick reads.
   struct RoomModel {
+    thermal::ComfortProfile comfort;  ///< targets, night hours, heating cutoff
+    double solar_peak_w = 0.0;  ///< solar + occupancy gain at high summer (W)
     double gains_w = 0.0;       ///< internal gains (W) of the configured model
-    double hold_r = 0.0;        ///< resistance for holding_power (K/W)
-    double rating_w = 0.0;      ///< thermostat clamp (chassis rating)
+    double hold_r = 0.0;        ///< resistance for holding_power (K/W); 1R1C: R
+    double kp_w_per_k = 0.0;    ///< thermostat gain
+    double rating_w = 0.0;      ///< thermostat and tank-demand clamp (chassis rating)
+    double daily_hot_water_l = 0.0;  ///< a boiler plant's draw per day
     double r1_decay = 0.0;      ///< 1R1C exp(-tick/tau)
+    thermal::Room2R2CParams r2c;  ///< 2R2C resistances and capacitances
     double r2_max_step = 0.0;   ///< 2R2C stability bound (s)
     double r2_h_last = 0.0;     ///< 2R2C final substep (s)
     std::uint32_t r2_n_full = 0;  ///< 2R2C full substeps per tick
+    bool high_fidelity = false;   ///< rooms step the 2R2C model
     bool dual_pipe = false;     ///< heat vents outdoors off-season
   };
 
   struct TankUnit {
     thermal::WaterTank tank;
     HeatRegulator regulator;
-    std::size_t worker_index = 0;
     hw::DfServer* server = nullptr;
-    util::Watts rating{0.0};        ///< cfg.server.rated_power(), frozen
     util::Watts last_demand{0.0};
     util::Joules energy_mark{0.0};
     // Physics-phase scratch, consumed by the serial drain.
@@ -411,12 +422,12 @@ class Df3Platform {
     double scratch_useful_j = 0.0;
     double scratch_draw_lps = 0.0;
 
-    TankUnit(thermal::WaterTank t, HeatRegulator reg, std::size_t widx)
-        : tank(std::move(t)), regulator(std::move(reg)), worker_index(widx) {}
+    TankUnit(thermal::WaterTank t, HeatRegulator reg)
+        : tank(std::move(t)), regulator(std::move(reg)) {}
   };
 
+  /// The record of a building; its name is its cluster's.
   struct Building {
-    BuildingConfig cfg;
     net::NodeId gateway_node = 0;
     net::NodeId device_node = 0;
     net::NodeId wifi_node = 0;
@@ -426,6 +437,18 @@ class Df3Platform {
     /// the servers under it (a dual-pipe chassis vents outdoors when off).
     bool last_season = true;
     metrics::ComfortMetrics comfort_metrics;
+  };
+
+  /// A building checked and derived whole from its config, ready for
+  /// add_building to commit.
+  struct BuildingPlan {
+    const hw::ServerModel* server = nullptr;  ///< every worker's chassis
+    std::size_t servers = 0;                  ///< the boiler, or one per room
+    RoomModel model;
+    HeatRegulator regulator;  ///< the state every room's (or the tank's) starts in
+    std::optional<thermal::WaterTank> tank;  ///< set for a digital-boiler plant
+    double fabric_gbps = 0.0;  ///< the cluster's fabric, from the LAN
+    std::size_t region = 0;    ///< grid region, when a plane is installed
   };
 
   /// One physics shard: a contiguous run of buildings (and so a contiguous
@@ -449,12 +472,15 @@ class Df3Platform {
   /// config_.shard_rooms, so the room -> shard map is a pure function of
   /// the build sequence and the knob — stable across runs.
   void ensure_shards();
-  /// Append a fully built building, its hot-water store (nullptr for a
-  /// building with rooms) and its per-building tick state, its rooms ending
-  /// at the fleet's current size; bind its grid region when a plane is
-  /// installed, and mark peers and shards for a rebuild. Returns the
-  /// building index.
-  std::size_t push_building(std::unique_ptr<Building> b, std::unique_ptr<TankUnit> tank);
+  /// Check every field of `cfg` and derive what the building's tick
+  /// reads. Reads config_, the network's node names and the installed grid
+  /// plane; changes nothing. Throws std::invalid_argument naming the field.
+  [[nodiscard]] BuildingPlan plan_building(const BuildingConfig& cfg) const;
+  /// Sets `out` to the name of network node `i` of building `building`,
+  /// in the order add_building adds them: 0 the gateway, 1 the device, 2
+  /// the Wi-Fi, then one per server (the boiler's, or one per room).
+  static const std::string& building_node_name(std::string& out, const std::string& building,
+                                               bool boiler, std::size_t i);
   /// Physics phase for one building: server/room/tank integration and
   /// per-building metrics. Touches only building-owned state, this
   /// building's slice of the fleet arrays and the lane's `q_scratch`, so
@@ -495,9 +521,9 @@ class Df3Platform {
   /// read at) after its speed sync.
   void note_building_cores(std::size_t b);
   [[nodiscard]] Cluster* route_cloud_target();
-  /// Resolve building `b`'s grid_region name against the installed plane
-  /// and bind its cluster to the per-tick sample slot.
-  void bind_building_grid(std::size_t b);
+  /// Put building `b` in region `r` of the installed plane and bind its
+  /// cluster to the region's per-tick sample slot.
+  void bind_building_grid(std::size_t b, std::size_t r);
   /// Edge intake: take the request's state and pay the device ->
   /// gateway (or -> worker 0, direct) transport.
   void deliver_to_cluster(workload::Request r, std::size_t b, bool direct, bool via_wifi);
@@ -620,6 +646,9 @@ class Df3Platform {
   std::unique_ptr<grid::GridPlane> grid_;
   std::vector<grid::GridSample> grid_now_;
   std::vector<std::size_t> bld_region_;
+  /// (building, grid_region) for each building added with a region name
+  /// while no plane is installed; install_grid resolves and drops them.
+  std::vector<std::pair<std::size_t, std::string>> unbound_regions_;
   std::vector<RegionAccount> grid_accounts_;
 
   metrics::FlowMetrics flow_metrics_;

@@ -71,6 +71,10 @@ class Network : public sim::Entity {
 
   /// Node lookup by name, O(1) on average; std::out_of_range if unknown.
   [[nodiscard]] NodeId node(std::string_view node_name) const;
+  /// Whether a node of that name exists, O(1) on average.
+  [[nodiscard]] bool has_node(std::string_view node_name) const {
+    return !name_slots_.empty() && name_slots_[name_slot(node_name)] != kNoIndex;
+  }
   /// The name of node `id`, valid until the next add_node; std::out_of_range
   /// for an unknown id.
   [[nodiscard]] std::string_view node_name(NodeId id) const;

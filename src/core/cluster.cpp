@@ -26,23 +26,24 @@ workload::Outcome outcome_at(const workload::Request& r, sim::Time t) {
 
 bool Cluster::test_skip_reslot_ = false;
 
-Cluster::Cluster(sim::Simulation& sim, std::string name, ClusterConfig config,
+Cluster::Cluster(sim::Simulation& sim, std::string name, const ClusterConfig& config,
                  net::Network& network, net::NodeId gateway_node, CompletionSink sink,
                  RequestPool* requests)
     : WorkerHost(sim, std::move(name)),
-      config_(std::move(config)),
+      tuning_{config.dedicated_edge_workers, config.cloud_offload_backlog_gc_per_core,
+              config.preemption_overhead_gc, config.reference_fabric_gbps, config.fabric_gbps},
       network_(network),
       gateway_node_(gateway_node),
       sink_(std::move(sink)),
       own_requests_(requests == nullptr ? std::make_unique<RequestPool>() : nullptr),
       requests_(requests == nullptr ? own_requests_.get() : requests),
-      queue_(config_.discipline) {
+      queue_(config.discipline) {
   if (!sink_) throw std::invalid_argument("Cluster: null completion sink");
-  check_config(config_);
+  check_config(config);
   const auto& registry = policy::Registry::global();
-  ladder_ = registry.make_ladder(config_.edge_peak_ladder);
-  placement_ = registry.make_placement(config_.placement);
-  peer_selector_ = registry.make_peer_selector(config_.peer_select);
+  ladder_ = registry.make_ladder(config.edge_peak_ladder);
+  placement_ = registry.make_placement(config.placement);
+  peer_selector_ = registry.make_peer_selector(config.peer_select);
   policy_counters_.rung_hits.assign(ladder_.size(), 0);
   for (const auto& rung : ladder_) ladder_needs_grid_ = ladder_needs_grid_ || rung->needs_grid();
   peer_needs_grid_ = peer_selector_->needs_grid();
@@ -65,6 +66,11 @@ void Cluster::check_config(const ClusterConfig& config) {
   for (const std::string& rung : config.edge_peak_ladder) registry.require_rung(rung);
   registry.require_placement(config.placement);
   registry.require_peer_selector(config.peer_select);
+}
+
+void Cluster::set_fabric_gbps(double gbps) {
+  if (!(gbps > 0.0)) throw std::invalid_argument("Cluster: fabric bandwidths must be positive");
+  tuning_.fabric_gbps = gbps;
 }
 
 void Cluster::add_peer(Cluster* peer) {
@@ -93,7 +99,7 @@ double Cluster::slowdown_for(const workload::Request& r) const {
   // A coupled app written for the reference fabric spends comm_fraction of
   // its time communicating there; on our fabric that part stretches by the
   // bandwidth ratio.
-  const double stretch = config_.reference_fabric_gbps / config_.fabric_gbps;
+  const double stretch = tuning_.reference_fabric_gbps / tuning_.fabric_gbps;
   return (1.0 - r.comm_fraction) + r.comm_fraction * stretch;
 }
 
@@ -111,7 +117,7 @@ void Cluster::submit(RequestRef ref, net::NodeId origin) {
     const int cores = std::max(1, usable_cores());
     const double backlog_per_core =
         (queue_.backlog_gigacycles() + r.total_work()) / static_cast<double>(cores);
-    if (backlog_per_core > config_.cloud_offload_backlog_gc_per_core) {
+    if (backlog_per_core > tuning_.cloud_offload_backlog_gc_per_core) {
       count(stats_.offloaded_vertical, &CityCounters::offload_vertical);
       DF3_OBS_TRACE_IF(o) {
         o->journey_span(this, name(), obs::Phase::kOffloadVertical, now(), now(), r.id);
@@ -242,7 +248,7 @@ void Cluster::finish(RequestRef ref, workload::Outcome outcome, workload::Served
 
 bool Cluster::worker_eligible(std::size_t widx, Priority p) const {
   if (p == Priority::kEdge) return true;
-  return widx >= static_cast<std::size_t>(config_.dedicated_edge_workers);
+  return widx >= static_cast<std::size_t>(tuning_.dedicated_edge_workers);
 }
 
 bool Cluster::place(Task& t) {
@@ -270,7 +276,7 @@ bool Cluster::place(Task& t) {
   // refused by a thermal-gating race, which removes the candidate and asks
   // again.
   const std::size_t start =
-      prio == Priority::kEdge ? 0 : static_cast<std::size_t>(config_.dedicated_edge_workers);
+      prio == Priority::kEdge ? 0 : static_cast<std::size_t>(tuning_.dedicated_edge_workers);
   place_scratch_.clear();
   for (std::size_t w = start; w < workers_.size(); ++w) {
     if (!worker_eligible(w, prio)) continue;
@@ -343,7 +349,7 @@ policy::RungOutcome Cluster::relieve_by_preemption(Task& t) {
       o->journey_span(this, name(), obs::Phase::kPreempt, now(), now(), t.request->request.id,
                       t.shard_index);
     }
-    victim->remaining_gigacycles += config_.preemption_overhead_gc;
+    victim->remaining_gigacycles += tuning_.preemption_overhead_gc;
     victim->enqueued_at = now();
     queue_.push_front(std::move(*victim));
     if (w.try_start(t)) {

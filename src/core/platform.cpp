@@ -105,136 +105,94 @@ class SetupScope {
 }  // namespace
 
 std::size_t Df3Platform::add_building(const BuildingConfig& cfg) {
-  // One part is always open, from before the first local to after the last
+  // One part is always open, from before the plan to after the last local
   // is destroyed, so every byte the call allocates lands in some part.
   std::optional<SetupScope> scope(std::in_place, setup_probe_, SetupPart::kCluster);
-  if (cfg.rooms <= 0) throw std::invalid_argument("add_building: rooms must be positive");
-  // Every check that can reject the config runs before the first node goes
-  // in, so a throw leaves the platform as it was.
-  for (const net::LinkProfile* p : {&cfg.device_link, &cfg.wifi_link, &cfg.uplink, &cfg.lan}) {
-    net::Network::check_link_profile(*p);
-  }
-  ClusterConfig ccfg = config_.cluster;
-  ccfg.fabric_gbps = cfg.lan.bandwidth.value() / 1e9;
-  Cluster::check_config(ccfg);
-  // Validates the spec; the workers below share this model.
-  const hw::ServerModel& server_model = hw::ServerModel::intern(cfg.server);
-  const util::Watts rating = cfg.server.rated_power();
-  const HeatRegulator fresh_regulator(config_.regulator);
+  BuildingPlan plan = plan_building(cfg);
+  // The commit: it only appends, and nothing below throws but an
+  // allocation.
   auto b = std::make_unique<Building>();
-  b->cfg = cfg;
-  std::optional<thermal::WaterTank> tank;
-  if (cfg.water_tank) {
-    tank.emplace(*cfg.water_tank, cfg.water_tank->setpoint);
-  } else {
-    // The room model every room shares, validated through the model
-    // constructors and derived once.
-    (void)thermal::ModulatingThermostat(cfg.comfort.day_target, cfg.thermostat_gain_w_per_k,
-                                        rating);
-    RoomModel& m = b->model;
-    m.rating_w = rating.value();
-    m.dual_pipe = cfg.server.routing == hw::HeatRouting::kDualPipe;
-    if (cfg.high_fidelity_rooms) {
-      const thermal::Room2R2C model(cfg.room_2r2c, cfg.initial_temperature);
-      m.gains_w = cfg.room_2r2c.internal_gains.value();
-      m.hold_r = cfg.room_2r2c.r_air_env_k_per_w + cfg.room_2r2c.r_env_out_k_per_w;
-      // Memoize the substep schedule for the fixed tick by replaying the
-      // integrator's subtractive chain (bit-exact step sequence).
-      m.r2_max_step = model.max_step_s();
-      double rem = config_.tick_s;
-      while (rem > m.r2_max_step) {
-        ++m.r2_n_full;
-        rem -= m.r2_max_step;
-      }
-      m.r2_h_last = rem;
-    } else {
-      (void)thermal::Room(cfg.room, cfg.initial_temperature);
-      m.gains_w = cfg.room.internal_gains.value();
-      m.hold_r = cfg.room.resistance_k_per_w;
-      m.r1_decay = std::exp(-config_.tick_s / cfg.room.tau_s());
-    }
-  }
+  b->model = plan.model;
 
   scope.emplace(setup_probe_, SetupPart::kNetwork);
-  b->gateway_node = network_->add_node(cfg.name + "/gw");
-  b->device_node = network_->add_node(cfg.name + "/dev");
-  b->wifi_node = network_->add_node(cfg.name + "/wifi");
+  // Node ids are consecutive, in building_node_name's order.
+  const auto first = static_cast<net::NodeId>(network_->node_count());
+  std::string name;
+  for (std::size_t i = 0; i < 3 + plan.servers; ++i) {
+    network_->add_node(building_node_name(name, cfg.name, plan.tank.has_value(), i));
+  }
+  b->gateway_node = first;
+  b->device_node = first + 1;
+  b->wifi_node = first + 2;
+  const net::NodeId first_server_node = first + 3;
   network_->add_link(b->device_node, b->gateway_node, cfg.device_link);
   network_->add_link(b->wifi_node, b->gateway_node, cfg.wifi_link);
   network_->add_link(b->gateway_node, internet_node_, cfg.uplink);
-  // Server nodes are consecutive: the boiler's, or one per room.
-  const auto first_server_node = static_cast<net::NodeId>(network_->node_count());
-  if (tank) {
-    const net::NodeId node = network_->add_node(cfg.name + "/boiler");
+  for (std::size_t i = 0; i < plan.servers; ++i) {
+    const net::NodeId node = first_server_node + static_cast<net::NodeId>(i);
     network_->add_link(b->gateway_node, node, cfg.lan);
-  } else {
-    for (int i = 0; i < cfg.rooms; ++i) {
-      const net::NodeId node = network_->add_node(cfg.name + "/srv" + std::to_string(i));
-      network_->add_link(b->gateway_node, node, cfg.lan);
-      if (i == 0) {
-        network_->add_link(b->device_node, node, cfg.device_link);
-        network_->add_link(b->wifi_node, node, cfg.wifi_link);
-      }
+    if (i == 0 && !plan.tank) {
+      network_->add_link(b->device_node, node, cfg.device_link);
+      network_->add_link(b->wifi_node, node, cfg.wifi_link);
     }
   }
-  const std::size_t servers = network_->node_count() - first_server_node;
 
   scope.emplace(setup_probe_, SetupPart::kCluster);
   b->cluster = std::make_unique<Cluster>(
-      sim_, cfg.name, ccfg, *network_, b->gateway_node,
+      sim_, cfg.name, config_.cluster, *network_, b->gateway_node,
       [this](workload::CompletionRecord rec) { record_completion(rec); }, &requests_);
-  if (datacenter_) b->cluster->set_datacenter(datacenter_.get());
-  if (obs_) b->cluster->bind_city_counters(&feed_.city);
+  Cluster& cluster = *b->cluster;
+  cluster.set_fabric_gbps(plan.fabric_gbps);
+  if (datacenter_) cluster.set_datacenter(datacenter_.get());
+  if (obs_) cluster.bind_city_counters(&feed_.city);
 
   scope.emplace(setup_probe_, SetupPart::kWorkers);
-  Cluster& cluster = *b->cluster;
-  cluster.reserve_workers(servers);
-  for (std::size_t i = 0; i < servers; ++i) {
+  // Servers start cold-set: inlet = initial room temperature (the
+  // boiler's, the tank setpoint).
+  const util::Celsius inlet = plan.tank ? cfg.water_tank->setpoint : cfg.initial_temperature;
+  cluster.reserve_workers(plan.servers);
+  for (std::size_t i = 0; i < plan.servers; ++i) {
     const std::size_t widx =
-        cluster.add_worker(server_model, first_server_node + static_cast<net::NodeId>(i));
-    // Servers start cold-set: inlet = initial room temperature (the
-    // boiler's, the tank setpoint).
-    cluster.worker(widx).server().set_inlet_temperature(tank ? cfg.water_tank->setpoint
-                                                             : cfg.initial_temperature);
+        cluster.add_worker(*plan.server, first_server_node + static_cast<net::NodeId>(i));
+    cluster.worker(widx).server().set_inlet_temperature(inlet);
   }
 
   scope.emplace(setup_probe_, SetupPart::kFleet);
-  std::unique_ptr<TankUnit> tank_unit;
-  if (tank) {
+  std::unique_ptr<TankUnit> tank;
+  if (plan.tank) {
     // Digital-boiler plant: one chassis charging the hot-water store.
-    tank_unit = std::make_unique<TankUnit>(std::move(*tank), fresh_regulator, 0);
-    tank_unit->server = &cluster.worker(0).server();
-    tank_unit->rating = rating;
+    tank = std::make_unique<TankUnit>(std::move(*plan.tank), plan.regulator);
+    tank->server = &cluster.worker(0).server();
   } else {
-    for (std::size_t i = 0; i < servers; ++i) {
+    for (std::size_t i = 0; i < plan.servers; ++i) {
       fleet_.server.push_back(&cluster.worker(i).server());
-      fleet_.temp_c.push_back(cfg.initial_temperature.value());
-      fleet_.env_c.push_back(cfg.initial_temperature.value());
+      fleet_.temp_c.push_back(inlet.value());
+      fleet_.env_c.push_back(inlet.value());
       fleet_.last_demand_w.push_back(0.0);
       fleet_.energy_mark_j.push_back(0.0);
-      fleet_.regulator.push_back(fresh_regulator);
+      fleet_.regulator.push_back(plan.regulator);
       fleet_.delta_j.push_back(0.0);
       fleet_.useful_j.push_back(0.0);
     }
   }
-  return push_building(std::move(b), std::move(tank_unit));
-}
-
-std::size_t Df3Platform::push_building(std::unique_ptr<Building> b,
-                                       std::unique_ptr<TankUnit> tank) {
   bld_rooms_.push_back(fleet_.size());
   bld_tank_.push_back(std::move(tank));
   bld_target_c_.push_back(0.0);
   bld_season_.push_back(0);
   bld_demand_w_.push_back(0.0);
-  bld_cores_.push_back(b->cluster->usable_cores());
-  bld_cores_epoch_.push_back(b->cluster->control_epoch());
+  bld_cores_.push_back(cluster.usable_cores());
+  bld_cores_epoch_.push_back(cluster.control_epoch());
   bld_region_.push_back(0);
   buildings_.push_back(std::move(b));
-  if (grid_) bind_building_grid(buildings_.size() - 1);
+  const std::size_t index = buildings_.size() - 1;
+  if (grid_) {
+    bind_building_grid(index, plan.region);
+  } else if (!cfg.grid_region.empty()) {
+    unbound_regions_.emplace_back(index, cfg.grid_region);
+  }
   peers_dirty_ = true;
   shards_dirty_ = true;
-  return buildings_.size() - 1;
+  return index;
 }
 
 void Df3Platform::wire_peers() {
@@ -269,13 +227,18 @@ void Df3Platform::install_grid(grid::GridPlane plane) {
   if (plane.region_count() == 0) {
     throw std::invalid_argument("install_grid: plane has no regions");
   }
+  // Every region resolves before anything changes, so an unknown name
+  // leaves no plane installed.
+  std::vector<std::size_t> regions(buildings_.size(), 0);
+  for (const auto& [b, name] : unbound_regions_) regions[b] = plane.region_index(name);
   grid_ = std::make_unique<grid::GridPlane>(std::move(plane));
+  unbound_regions_ = {};
   const std::size_t nr = grid_->region_count();
   // Sized once; clusters hold stable pointers into grid_now_ from here on.
   grid_now_.resize(nr);
   grid_accounts_.assign(nr, RegionAccount{});
   for (std::size_t r = 0; r < nr; ++r) grid_now_[r] = grid_->signal(r).sample(sim_.now());
-  for (std::size_t b = 0; b < buildings_.size(); ++b) bind_building_grid(b);
+  for (std::size_t b = 0; b < buildings_.size(); ++b) bind_building_grid(b, regions[b]);
   if (obs_) {
     auto& reg = obs_->registry();
     for (std::size_t r = 0; r < nr; ++r) {
@@ -287,12 +250,9 @@ void Df3Platform::install_grid(grid::GridPlane plane) {
   }
 }
 
-void Df3Platform::bind_building_grid(std::size_t b) {
-  Building& bld = *buildings_[b];
-  const std::size_t r =
-      bld.cfg.grid_region.empty() ? 0 : grid_->region_index(bld.cfg.grid_region);
+void Df3Platform::bind_building_grid(std::size_t b, std::size_t r) {
   bld_region_[b] = r;
-  bld.cluster->bind_grid(grid_.get(), &grid_now_[r], r);
+  buildings_[b]->cluster->bind_grid(grid_.get(), &grid_now_[r], r);
 }
 
 void Df3Platform::ensure_shards() {
@@ -455,8 +415,7 @@ Cluster* Df3Platform::route_cloud_target() {
   if (routing_->needs_season()) {
     ++routing_fills_.season;
     view.seasonal_outdoor_c = weather_.seasonal_component(sim_.now()).value();
-    view.heating_cutoff_c =
-        buildings_.front()->cfg.comfort.heating_cutoff_outdoor.value();
+    view.heating_cutoff_c = buildings_.front()->model.comfort.heating_cutoff_outdoor.value();
   }
   const bool want_info = routing_->needs_cluster_info();
   const bool want_grid = routing_->needs_grid();
@@ -607,8 +566,9 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
   const double dt = config_.tick_s;
   const util::Seconds dts{dt};
   Building& bd = *buildings_[b];
-  const bool heating_season = seasonal < bd.cfg.comfort.heating_cutoff_outdoor;
-  const util::Celsius target = bd.cfg.comfort.target_at_hour(hour);
+  const RoomModel& m = bd.model;
+  const bool heating_season = seasonal < m.comfort.heating_cutoff_outdoor;
+  const util::Celsius target = m.comfort.target_at_hour(hour);
   bld_season_[b] = heating_season ? 1 : 0;
   bld_target_c_[b] = target.value();
   // Activity-gate decision for this tick: the last ungated control sweep
@@ -621,10 +581,9 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
   // Solar/occupancy gains ramp with the season (zero in deep winter);
   // identical for every room of the building.
   const double solar_frac = std::clamp((seasonal.value() - 5.0) / 12.0, 0.0, 1.0);
-  const double solar_w = bd.cfg.solar_gain_peak_w * solar_frac;
+  const double solar_w = m.solar_peak_w * solar_frac;
   const std::size_t begin = room_begin(b);
   const std::size_t end = room_end(b);
-  const RoomModel& m = bd.model;
   const bool last_season = bd.last_season;
   const bool indoors = !m.dual_pipe || last_season;
   fleet::Substeps2R2C sub;
@@ -659,13 +618,13 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
   // Room/Room2R2C::advance term for term (bit-exact), with the decay factor
   // and substep schedule precomputed at add_building.
   if (const std::size_t n = end - begin; n > 0) {
-    if (!bd.cfg.high_fidelity_rooms) {
-      fleet::step_rooms_1r1c(n, t_out.value(), q_scratch, bd.cfg.room.resistance_k_per_w,
-                             m.r1_decay, fleet_.temp_c.data() + begin);
+    if (!m.high_fidelity) {
+      fleet::step_rooms_1r1c(n, t_out.value(), q_scratch, m.hold_r, m.r1_decay,
+                             fleet_.temp_c.data() + begin);
     } else {
       // A gated (quiescent) district may stop substepping at a bitwise
       // fixed point — provably identical to running every substep.
-      const thermal::Room2R2CParams& p = bd.cfg.room_2r2c;
+      const thermal::Room2R2CParams& p = m.r2c;
       sub = fleet::step_rooms_2r2c(
           n, t_out.value(), q_scratch, p.r_air_env_k_per_w, p.r_env_out_k_per_w, p.c_air_j_per_k,
           p.c_env_j_per_k, m.r2_max_step, m.r2_h_last, m.r2_n_full, /*allow_early_exit=*/gated,
@@ -696,7 +655,7 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
     const double delta_j = server.energy_consumed().value() - tu.energy_mark.value();
     tu.energy_mark = server.energy_consumed();
     const util::Watts emitted{delta_j / dt};
-    const double draw = thermal::hot_water_draw_lps(t, bd.cfg.daily_hot_water_l);
+    const double draw = thermal::hot_water_draw_lps(t, m.daily_hot_water_l);
     tu.tank.advance(dts, emitted, draw);
     tu.regulator.record(dts, emitted, tu.last_demand);
     bd.comfort_metrics.sample(t, tu.tank.temperature(), tu.tank.params().setpoint);
@@ -737,7 +696,7 @@ void Df3Platform::control_building_math(std::size_t b, double t_out_c,
         if (server.powered() != powered0 || server.pstate() != pstate0 ||
             server.filler_cores() != filler0 || server.busy_cores() != busy0) {
           findings.push_back("activity-gate: regulate() mutated a quiet server in building " +
-                             bd.cfg.name);
+                             bd.cluster->name());
         }
       }
       server.set_inlet_temperature(util::Celsius{fleet_.temp_c[i]});
@@ -747,7 +706,7 @@ void Df3Platform::control_building_math(std::size_t b, double t_out_c,
     const bool heating_season = bld_season_[b] != 0;
     const double target_c = bld_target_c_[b];
     const RoomModel& m = bd.model;
-    const double kp_w_per_k = bd.cfg.thermostat_gain_w_per_k;
+    const double kp_w_per_k = m.kp_w_per_k;
     // Per-building demand accumulates separately from the city total so the
     // city_demand_w addition chain (and thus the golden digests) is
     // untouched; heat-aware routing reads this between ticks.
@@ -773,7 +732,7 @@ void Df3Platform::control_building_math(std::size_t b, double t_out_c,
     TankUnit* const tank = bld_tank_[b].get();
     if (tank != nullptr) {
       TankUnit& tu = *tank;
-      const auto demand = tu.tank.demand(tu.scratch_draw_lps, tu.rating);
+      const auto demand = tu.tank.demand(tu.scratch_draw_lps, util::Watts{m.rating_w});
       tu.regulator.regulate(*tu.server, demand);
       // The immersion oil returns cooled from the tank heat exchanger:
       // inlet sits a design approach (~15 K) below the store, so a store
@@ -1189,7 +1148,7 @@ std::vector<std::string> Df3Platform::verify_tick_caches() const {
   for (std::size_t b = 0; b < nb; ++b) {
     const Building& bd = *buildings_[b];
     const Cluster& c = *bd.cluster;
-    const std::string where = "tick cache: building " + bd.cfg.name;
+    const std::string where = "tick cache: building " + c.name();
     if (c.control_epoch() == bld_cores_epoch_[b] && c.usable_cores() != bld_cores_[b]) {
       out.push_back(where + " drained " + std::to_string(bld_cores_[b]) +
                     " usable cores, cluster has " + std::to_string(c.usable_cores()));
@@ -1198,12 +1157,9 @@ std::vector<std::string> Df3Platform::verify_tick_caches() const {
     // building's rooms are its workers in order, a boiler plant has no
     // room and one worker, the store's chassis.
     const TankUnit* const tank = bld_tank_[b].get();
-    if ((tank != nullptr) != bd.cfg.water_tank.has_value()) {
-      out.push_back(where + (tank != nullptr ? " has a tank its config does not ask for"
-                                             : " has no tank for its config's water_tank"));
-    }
     const std::size_t rooms = room_end(b) - room_begin(b);
-    if (tank != nullptr ? rooms != 0 || c.worker_count() != 1 : rooms != c.worker_count()) {
+    if (tank != nullptr ? rooms != 0 || c.worker_count() != 1
+                        : rooms == 0 || rooms != c.worker_count()) {
       out.push_back(where + " owns rooms [" + std::to_string(room_begin(b)) + ", " +
                     std::to_string(room_end(b)) + ") for " + std::to_string(c.worker_count()) +
                     " workers");
@@ -1215,9 +1171,12 @@ std::vector<std::string> Df3Platform::verify_tick_caches() const {
         }
       }
     }
-    if (tank != nullptr && (tank->server != &c.worker(0).server() ||
-                            tank->rating.value() != bd.cfg.server.rated_power().value())) {
-      out.push_back(where + ": the tank's chassis or rating is not its worker 0's");
+    if (tank != nullptr && tank->server != &c.worker(0).server()) {
+      out.push_back(where + ": the tank's chassis is not its worker 0's");
+    }
+    if (c.worker_count() > 0 &&
+        bd.model.rating_w != c.worker(0).server().spec().rated_power().value()) {
+      out.push_back(where + ": the rating is not its worker 0's chassis rating");
     }
     if (grid_ && bld_region_[b] != c.grid_region()) {
       out.push_back(where + " is in region " + std::to_string(bld_region_[b]) +

@@ -20,7 +20,7 @@ std::size_t Network::RouteKeyHash::operator()(const RouteKey& k) const noexcept 
 Network::Network(sim::Simulation& sim, std::string name) : sim::Entity(sim, std::move(name)) {}
 
 NodeId Network::add_node(std::string_view node_name) {
-  if (!name_slots_.empty() && name_slots_[name_slot(node_name)] != kNoIndex) {
+  if (has_node(node_name)) {
     throw std::invalid_argument("Network::add_node: duplicate name " + std::string(node_name));
   }
   if (name_chars_.size() + node_name.size() > kNoIndex) {

@@ -196,8 +196,10 @@ TEST(AllocGuardSetup, AddBuildingBuildsEachPolicyOnce) {
       static_cast<double>(kMeasured);
   RecordProperty("allocations_per_building", std::to_string(per_building));
   // 27.3 while the config check and the cluster constructor each built the
-  // three policies once more and dropped them; 17.3 since.
-  EXPECT_LE(per_building, 20.0) << per_building << " allocations per add_building";
+  // three policies once more and dropped them; 17.3 while the building kept
+  // a copy of its config and the cluster one of the cluster config (its
+  // ladder copied twice on the way in); 13.3 since.
+  EXPECT_LE(per_building, 16.0) << per_building << " allocations per add_building";
 }
 
 TEST(TaskQueueAlloc, DefaultConstructedAllocatesNothing) {

@@ -320,6 +320,65 @@ TEST(GridPlatform, InstallValidatesAndBindsRegions) {
   EXPECT_THROW(bad.add_building(b), std::invalid_argument);
 }
 
+// The region is resolved before the building's first node goes in: a
+// rejected name leaves no half-added building, and the corrected retry
+// under the same name succeeds.
+TEST(GridPlatform, UnknownRegionLeavesThePlatformUnchanged) {
+  core::PlatformConfig cfg;
+  cfg.threads = 1;
+  core::Df3Platform city(cfg);
+  city.install_grid(grid::two_region_demo_plane());
+  const std::size_t nodes = city.network().node_count();
+  const std::size_t links = city.network().link_count();
+  core::BuildingConfig b;
+  b.name = "typo";
+  b.rooms = 2;
+  b.grid_region = "geen";
+  try {
+    city.add_building(b);
+    ADD_FAILURE() << "an unknown grid_region was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("grid_region"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(city.building_count(), 0u);
+  EXPECT_EQ(city.network().node_count(), nodes);
+  EXPECT_EQ(city.network().link_count(), links);
+  b.grid_region = "dirty";
+  EXPECT_EQ(city.add_building(b), 0u);
+  EXPECT_EQ(city.building_region(0), 1u);
+  city.run(u::hours(1.0));
+  EXPECT_GT(city.grid_accounts()[1].energy_j, 0.0);
+}
+
+// Every earlier building's region resolves before the plane goes in: an
+// unknown name leaves no plane installed, so a corrected plane installs.
+TEST(GridPlatform, FailedInstallLeavesNoPlane) {
+  core::PlatformConfig cfg;
+  cfg.threads = 1;
+  core::Df3Platform city(cfg);
+  core::BuildingConfig b;
+  b.name = "b0";
+  b.rooms = 1;
+  b.grid_region = "green";
+  city.add_building(b);
+  b.name = "b1";
+  b.grid_region = "blue";
+  city.add_building(b);
+  EXPECT_THROW(city.install_grid(grid::two_region_demo_plane()), std::invalid_argument);
+  EXPECT_EQ(city.grid_plane(), nullptr);
+  EXPECT_EQ(city.cluster(0).grid_region(), 0u);
+  grid::GridPlane plane = grid::two_region_demo_plane();
+  grid::GridSignal blue;
+  blue.add_point(0.0, {50.0, 0.05, 0.9});
+  plane.add_region("blue", std::move(blue));
+  city.install_grid(std::move(plane));
+  ASSERT_NE(city.grid_plane(), nullptr);
+  EXPECT_EQ(city.building_region(0), 0u);
+  EXPECT_EQ(city.building_region(1), 2u);
+  city.run(u::hours(1.0));
+  EXPECT_GT(city.grid_accounts()[2].energy_j, 0.0);
+}
+
 TEST(GridPlatform, BoilerPlantDrawsFromItsRegion) {
   // A digital-boiler plant has no rooms but still draws grid energy: it
   // must take its own region slot, and buildings added after it must

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "df3/core/platform.hpp"
 #include "df3/net/fault.hpp"
@@ -385,6 +388,69 @@ TEST(Platform, RejectedBuildingLeavesThePlatformUnchanged) {
     EXPECT_EQ(city.building_count(), 0u);
     EXPECT_EQ(city.network().node_count(), nodes);
     EXPECT_EQ(city.network().link_count(), 0u);
+  }
+}
+
+// The building fields no model constructor checks are checked when the
+// building is planned: each bad value throws naming its field before
+// anything is added. Accepted, a NaN target or temperature ran the city
+// into NaN heat demand and room temperatures, and a negative hot-water
+// volume threw from the middle of a tick.
+TEST(Platform, PlanRejectsUncheckedBuildingFields) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    std::function<void(core::BuildingConfig&)> spoil;
+  };
+  const auto boiler = [](core::BuildingConfig& b, double litres) {
+    b.server = df3::hw::stimergy_boiler_spec();
+    b.water_tank = th::WaterTankParams{};
+    b.daily_hot_water_l = litres;
+  };
+  const std::vector<Case> cases = {
+      {"daily_hot_water_l", [&](core::BuildingConfig& b) { boiler(b, -1.0); }},
+      {"daily_hot_water_l", [&](core::BuildingConfig& b) { boiler(b, nan); }},
+      {"comfort.day_target",
+       [&](core::BuildingConfig& b) { b.comfort.day_target = u::celsius(nan); }},
+      {"comfort.night_target",
+       [&](core::BuildingConfig& b) { b.comfort.night_target = u::celsius(nan); }},
+      {"comfort.night_start_hour",
+       [&](core::BuildingConfig& b) { b.comfort.night_start_hour = 25.0; }},
+      {"comfort.night_end_hour", [&](core::BuildingConfig& b) { b.comfort.night_end_hour = nan; }},
+      {"comfort.heating_cutoff_outdoor",
+       [&](core::BuildingConfig& b) { b.comfort.heating_cutoff_outdoor = u::celsius(inf); }},
+      {"initial_temperature",
+       [&](core::BuildingConfig& b) { b.initial_temperature = u::celsius(nan); }},
+      {"solar_gain_peak_w", [&](core::BuildingConfig& b) { b.solar_gain_peak_w = nan; }},
+      {"room.internal_gains",
+       [&](core::BuildingConfig& b) { b.room.internal_gains = u::Watts{nan}; }},
+      {"room_2r2c.internal_gains",
+       [&](core::BuildingConfig& b) {
+         b.high_fidelity_rooms = true;
+         b.room_2r2c.internal_gains = u::Watts{nan};
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    core::Df3Platform city(winter_config());
+    city.add_building(small_building("b0"));
+    const std::size_t nodes = city.network().node_count();
+    const std::size_t links = city.network().link_count();
+    core::BuildingConfig bad = small_building("b1");
+    c.spoil(bad);
+    try {
+      city.add_building(bad);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(city.building_count(), 1u);
+    EXPECT_EQ(city.network().node_count(), nodes);
+    EXPECT_EQ(city.network().link_count(), links);
+    EXPECT_EQ(city.add_building(small_building("b1")), 1u);
+    city.run(u::hours(1.0));
+    EXPECT_TRUE(std::isfinite(city.room_temperature(1, 0).value()));
   }
 }
 
