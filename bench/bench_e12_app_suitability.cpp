@@ -29,9 +29,7 @@ double run_on_df(const workload::Request& r, double& heat_kwh, bool hot_room) {
   net::Network netw(sim, "df");
   const auto gw = netw.add_node("gw");
   std::vector<net::NodeId> nodes;
-  core::ClusterConfig cfg;
-  cfg.fabric_gbps = 1.0;
-  cfg.reference_fabric_gbps = 10.0;
+  const core::ClusterConfig cfg;  // 1 Gb/s fabric against the 10 Gb/s reference
   double done_at = -1.0;
   core::Cluster cluster(sim, "df", cfg, netw, gw,
                         [&](workload::CompletionRecord rec) { done_at = rec.completed_at; });

@@ -24,7 +24,8 @@ int main() {
   // --- boiler + tank closed loop over a year -------------------------------
   const thermal::WeatherModel weather(thermal::ClimateNormals{}, 14);
   hw::DfServer boiler(hw::stimergy_boiler_spec());
-  core::HeatRegulator regulator({core::GatingPolicy::kAggressive});
+  constexpr auto kGating = core::GatingPolicy::kAggressive;
+  core::HeatRegulator regulator;
   thermal::WaterTankParams tank_params;
   // Block-sized store: ~1.7x the daily draw, charged to 58 degC. (The
   // lumped single-node tank mixes every draw into the whole volume, so it
@@ -39,7 +40,7 @@ int main() {
   // Q.rad comparison: one room of equal comfort demand.
   thermal::Room room(thermal::RoomParams{}, util::celsius(20.0));
   hw::DfServer qrad(hw::qrad_spec());
-  core::HeatRegulator qreg({core::GatingPolicy::kAggressive});
+  core::HeatRegulator qreg;
   const thermal::ComfortProfile comfort;
 
   util::Table table({"month", "boiler_usable_cores", "qrad_usable_cores", "tank_mean_c",
@@ -59,7 +60,7 @@ int main() {
       // Boiler: tank demand (always in season).
       const double draw = thermal::hot_water_draw_lps(t, 1500.0);  // small apartment block
       const auto tank_demand = tank.demand(draw, rating);
-      regulator.regulate(boiler, tank_demand);
+      regulator.regulate(boiler, tank_demand, kGating);
       boiler.advance(util::Seconds{tick}, true);
       tank.advance(util::Seconds{tick}, boiler.power(), draw);
       boiler_cores.add(boiler.usable_cores());
@@ -72,7 +73,7 @@ int main() {
         thermal::ModulatingThermostat thermostat(target, 250.0, qrad.spec().rated_power());
         room_demand = thermostat.demand(room.temperature(), room.holding_power(target, t_out));
       }
-      qreg.regulate(qrad, room_demand);
+      qreg.regulate(qrad, room_demand, kGating);
       qrad.advance(util::Seconds{tick}, season);
       room.advance(util::Seconds{tick}, qrad.power(), t_out);
       qrad_cores.add(qrad.usable_cores());

@@ -21,14 +21,14 @@ struct PhaseResult {
 };
 
 /// Drive `server` at constant demand for `seconds`; return means.
-PhaseResult run_phase(hw::DfServer& server, core::HeatRegulator& reg, double demand_w,
-                      double seconds) {
+PhaseResult run_phase(hw::DfServer& server, core::HeatRegulator& reg,
+                      core::GatingPolicy gating, double demand_w, double seconds) {
   const thermal::HeatDemand demand{util::watts(demand_w), true};
   const double tick = 60.0;
   double delivered_j = 0.0;
   const double e0 = server.energy_consumed().value();
   for (double t = 0.0; t < seconds; t += tick) {
-    reg.regulate(server, demand);
+    reg.regulate(server, demand, gating);
     server.advance(util::Seconds{tick}, true);
   }
   delivered_j = server.energy_consumed().value() - e0;
@@ -51,9 +51,9 @@ int main() {
   stair.set_precision(1);
   {
     hw::DfServer server(hw::qrad_spec());
-    core::HeatRegulator reg({core::GatingPolicy::kAggressive});
+    core::HeatRegulator reg;
     for (const double demand : {0.0, 60.0, 150.0, 300.0, 450.0, 500.0, 200.0, 0.0}) {
-      const auto r = run_phase(server, reg, demand, 3600.0);
+      const auto r = run_phase(server, reg, core::GatingPolicy::kAggressive, demand, 3600.0);
       const double err = demand > 0.0
                              ? 100.0 * std::abs(r.delivered_w - demand) / demand
                              : r.delivered_w;  // watts leaked when zero asked
@@ -72,7 +72,7 @@ int main() {
   day.set_precision(2);
   for (const auto policy : {core::GatingPolicy::kAggressive, core::GatingPolicy::kKeepWarm}) {
     hw::DfServer server(hw::qrad_spec());
-    core::HeatRegulator reg({policy});
+    core::HeatRegulator reg;
     thermal::Room room(thermal::RoomParams{}, util::celsius(19.0));
     thermal::ModulatingThermostat thermostat(util::celsius(20.5), 250.0, util::watts(500.0));
     const thermal::WeatherModel weather(thermal::ClimateNormals{}, 3);
@@ -92,7 +92,7 @@ int main() {
         demand = thermostat.demand(room.temperature(),
                                    room.holding_power(thermostat.target(), t_out));
       }
-      reg.regulate(server, demand);
+      reg.regulate(server, demand, policy);
       server.set_inlet_temperature(room.temperature());
       server.advance(util::Seconds{tick}, true);
       const double delta = server.energy_consumed().value() - e_mark;

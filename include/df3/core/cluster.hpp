@@ -65,10 +65,22 @@ class ComputeService {
   virtual void submit(workload::Request r, net::NodeId origin, Done done) = 0;
 };
 
+/// Checkpoint/restore cost charged to a preempted shard (gigacycles added
+/// to its remaining work): serializing container state is not free.
+inline constexpr double kPreemptionOverheadGc = 2.0;
+/// Reference fabric bandwidth for the coupled-app slowdown model (the
+/// datacenter-grade fabric tightly coupled apps were written for).
+inline constexpr double kReferenceFabricGbps = 10.0;
+
+/// What a cluster is told at construction. The scalars every cluster
+/// shares are constants: the gateway queue is EDF (scheduler.hpp), a
+/// preempted shard pays kPreemptionOverheadGc, and the coupled-app slowdown
+/// compares the cluster's fabric with kReferenceFabricGbps. The fabric
+/// itself is the LAN joining the workers: 1 Gb/s until set_fabric_gbps
+/// (the platform sets it from each building's LAN profile).
 struct ClusterConfig {
   /// Class B when > 0: that many workers are reserved for edge shards.
   int dedicated_edge_workers = 0;
-  QueueDiscipline discipline = QueueDiscipline::kEdf;
   /// Rung names tried in order for edge shards that cannot be placed on
   /// arrival; resolved through policy::Registry::global() (built-ins:
   /// preempt, horizontal, vertical, delay). Exhausting the ladder is
@@ -81,14 +93,6 @@ struct ClusterConfig {
   /// Cloud backlog (gigacycles per usable core) beyond which *new* cloud
   /// requests are offloaded vertically; infinity disables.
   double cloud_offload_backlog_gc_per_core = std::numeric_limits<double>::infinity();
-  /// Checkpoint/restore cost charged to a preempted shard (gigacycles added
-  /// to its remaining work): serializing container state is not free.
-  double preemption_overhead_gc = 2.0;
-  /// Reference fabric bandwidth for the coupled-app slowdown model (the
-  /// datacenter-grade fabric tightly coupled apps were written for).
-  double reference_fabric_gbps = 10.0;
-  /// Actual bandwidth of the LAN interconnecting this cluster's workers.
-  double fabric_gbps = 1.0;
 };
 
 /// Per-cluster activity counters (fairness accounting, section III-B).
@@ -181,14 +185,13 @@ class Cluster : public WorkerHost, private policy::LadderMechanism {
           RequestPool* requests = nullptr);
 
   /// Throws std::invalid_argument, as the constructor does, for a config it
-  /// would reject: a negative dedicated_edge_workers or preemption
-  /// overhead, a fabric bandwidth that is not positive, or a rung,
-  /// placement or peer-selector name the policy registry does not know.
+  /// would reject: a negative dedicated_edge_workers, or a rung, placement
+  /// or peer-selector name the policy registry does not know.
   static void check_config(const ClusterConfig& config);
 
-  /// Replace ClusterConfig::fabric_gbps, the bandwidth of the LAN joining
-  /// the workers (the platform sets it from each building's LAN profile).
-  /// Throws std::invalid_argument unless positive.
+  /// Set the bandwidth of the LAN joining the workers (1 Gb/s until set;
+  /// the platform sets it from each building's LAN profile). Throws
+  /// std::invalid_argument unless positive.
   void set_fabric_gbps(double gbps);
 
   /// Create and register a worker on `node` with the given chassis.
@@ -417,9 +420,7 @@ class Cluster : public WorkerHost, private policy::LadderMechanism {
   struct Tuning {
     int dedicated_edge_workers;
     double cloud_offload_backlog_gc_per_core;
-    double preemption_overhead_gc;
-    double reference_fabric_gbps;
-    double fabric_gbps;
+    double fabric_gbps;  ///< 1 Gb/s until set_fabric_gbps
   } tuning_;
   net::Network& network_;
   net::NodeId gateway_node_;

@@ -36,22 +36,24 @@ enum class GatingPolicy : std::uint8_t {
 
 struct RegulatorConfig {
   GatingPolicy gating = GatingPolicy::kAggressive;
-  /// Demand below this is treated as "no heat requested" (W).
-  double demand_epsilon_w = 1.0;
 };
 
-/// Per-server control loop. Call `regulate` every control period.
+/// Demand at or below this is treated as "no heat requested" (W).
+inline constexpr double kDemandEpsilonW = 1.0;
+
+/// Per-server control loop. Call `regulate` every control period. It keeps
+/// only its delivery integrals; the gating policy is the caller's (one per
+/// city), so a room's regulator is three doubles.
 class HeatRegulator {
  public:
-  explicit HeatRegulator(RegulatorConfig config = {});
-
   /// Apply the thermostat demand to the server: picks P-state/gating.
   /// Returns the power ceiling the chassis can now reach. Header-inline:
   /// runs once per room per control period, the hottest control-plane call.
-  util::Watts regulate(hw::DfServer& server, const thermal::HeatDemand& demand) {
+  util::Watts regulate(hw::DfServer& server, const thermal::HeatDemand& demand,
+                       GatingPolicy gating) {
     const double want = demand.power.value();
-    if (!demand.heating_season || want <= config_.demand_epsilon_w) {
-      if (config_.gating == GatingPolicy::kAggressive) {
+    if (!demand.heating_season || want <= kDemandEpsilonW) {
+      if (gating == GatingPolicy::kAggressive) {
         server.set_powered(false);
         return server.standby_power();
       }
@@ -104,14 +106,14 @@ class HeatRegulator {
 
   /// Energy-weighted relative error: |delivered-requested| integral over
   /// requested integral. 0 == perfect tracking.
-  [[nodiscard]] double relative_error() const;
+  [[nodiscard]] double relative_error() const {
+    if (requested_.value() <= 0.0) return 0.0;
+    return abs_error_.value() / requested_.value();
+  }
   [[nodiscard]] util::Joules delivered_total() const { return delivered_; }
   [[nodiscard]] util::Joules requested_total() const { return requested_; }
 
-  [[nodiscard]] const RegulatorConfig& config() const { return config_; }
-
  private:
-  RegulatorConfig config_;
   util::Joules delivered_{0.0};
   util::Joules requested_{0.0};
   util::Joules abs_error_{0.0};

@@ -120,7 +120,8 @@ struct PlatformConfig {
   /// provably idle-stable skip the per-room control replay, and quiescent
   /// 2R2C slices stop substepping at a bitwise fixed point. Both fast paths
   /// fire only when bit-identical to the stepped path (assert-checked under
-  /// DF3_AUDIT), so this is a pure speed knob.
+  /// DF3_AUDIT), so this is a pure speed knob. No scenario turns it off;
+  /// tests do, to get the stepped reference.
   bool activity_gating = true;
   /// Federation peers per cluster: 0 = full mesh (the historical default),
   /// otherwise each cluster peers with its `federation_degree` next ring
@@ -422,8 +423,7 @@ class Df3Platform {
     double scratch_useful_j = 0.0;
     double scratch_draw_lps = 0.0;
 
-    TankUnit(thermal::WaterTank t, HeatRegulator reg)
-        : tank(std::move(t)), regulator(std::move(reg)) {}
+    explicit TankUnit(thermal::WaterTank t) : tank(std::move(t)) {}
   };
 
   /// The record of a building; its name is its cluster's.
@@ -445,7 +445,6 @@ class Df3Platform {
     const hw::ServerModel* server = nullptr;  ///< every worker's chassis
     std::size_t servers = 0;                  ///< the boiler, or one per room
     RoomModel model;
-    HeatRegulator regulator;  ///< the state every room's (or the tank's) starts in
     std::optional<thermal::WaterTank> tank;  ///< set for a digital-boiler plant
     double fabric_gbps = 0.0;  ///< the cluster's fabric, from the LAN
     std::size_t region = 0;    ///< grid region, when a plane is installed

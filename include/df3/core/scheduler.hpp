@@ -1,18 +1,14 @@
 #pragma once
 /// \file scheduler.hpp
-/// \brief Gateway task queue with pluggable discipline.
+/// \brief Gateway task queue: earliest deadline first within each class.
 ///
-/// The gateway keeps one logical queue of task shards. Two disciplines:
-///
-///  * FCFS — strict arrival order (within a priority class);
-///  * EDF  — earliest absolute deadline first (deadline-less cloud shards
-///           sort after all deadline-carrying edge shards).
+/// The gateway keeps one logical queue of task shards, ordered EDF: earliest
+/// absolute deadline first, deadline-less cloud shards after every
+/// deadline-carrying one, arrival order among equal deadlines.
 ///
 /// Edge priority always dominates cloud priority (paper: the whole point of
-/// the edge flow is near-real-time service); the discipline orders *within*
-/// a class.
+/// the edge flow is near-real-time service); EDF orders *within* a class.
 
-#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -22,23 +18,14 @@
 
 namespace df3::core {
 
-enum class QueueDiscipline : std::uint8_t { kFcfs, kEdf };
-
-[[nodiscard]] constexpr const char* discipline_name(QueueDiscipline d) {
-  return d == QueueDiscipline::kFcfs ? "fcfs" : "edf";
-}
-
 /// Priority queue of task shards. Not a std::priority_queue: we need
 /// removal of expired work and requeue-at-front for preemption victims.
 class TaskQueue {
  public:
-  explicit TaskQueue(QueueDiscipline discipline) : discipline_(discipline) {}
-
-  /// Enqueue a fresh shard (back of its class, subject to discipline).
+  /// Enqueue a fresh shard: by deadline, behind entries with an equal key.
   void push(Task t);
 
-  /// Requeue a preemption/delay victim. FCFS: true front-insert (it has
-  /// already waited once). EDF: re-insert by deadline, ahead of fresh work
+  /// Requeue a preemption/delay victim: by deadline, ahead of fresh work
   /// with an equal key — a blind front-insert would break the sorted-lane
   /// invariant the binary-search insert of push() depends on.
   void push_front(Task t);
@@ -65,8 +52,8 @@ class TaskQueue {
   /// bit-identical to a fresh walk while a stable queue pays O(1).
   [[nodiscard]] double backlog_gigacycles() const;
 
-  /// Structural invariant sweep (lifecycle auditor, DESIGN.md §9): EDF
-  /// lanes sorted by deadline, no negative remaining work. Appends one
+  /// Structural invariant sweep (lifecycle auditor, DESIGN.md §9): lanes
+  /// sorted by deadline, no negative remaining work. Appends one
   /// human-readable line per violation, prefixed with `who`.
   void audit(std::vector<std::string>& out, const std::string& who) const;
 
@@ -75,15 +62,13 @@ class TaskQueue {
   /// snapshot digests (DESIGN.md §13); not a hot path.
   void for_each(const std::function<void(const Task&, Priority)>& fn) const;
 
-  /// Test-only fault plant: when set, push_front() on an EDF lane performs
-  /// the blind front-insert this class shipped before the PR-3 fix,
-  /// re-breaking the sorted-lane invariant. Exists solely so the model
-  /// checker's self-test can prove it detects a known-bad build
-  /// (tests/mc_test.cpp); never enable outside a test.
+  /// Test-only fault plant: when set, push_front() performs the blind
+  /// front-insert an earlier version of this class shipped, re-breaking the
+  /// sorted-lane invariant. Exists solely so the model checker's self-test
+  /// can prove it detects a known-bad build (tests/mc_test.cpp); never
+  /// enable outside a test.
   static void set_test_unsorted_push_front(bool plant) { test_unsorted_push_front_ = plant; }
   [[nodiscard]] static bool test_unsorted_push_front() { return test_unsorted_push_front_; }
-
-  [[nodiscard]] QueueDiscipline discipline() const { return discipline_; }
 
  private:
   /// One priority class's shards in pop order: a ring over a power-of-two
@@ -117,11 +102,10 @@ class TaskQueue {
   };
 
   Lane& lane(Priority p) { return p == Priority::kEdge ? edge_ : cloud_; }
-  void insert_by_discipline(Lane& q, Task t);
+  void insert_by_deadline(Lane& q, Task t);
 
   static bool test_unsorted_push_front_;  ///< see set_test_unsorted_push_front
 
-  QueueDiscipline discipline_;
   Lane edge_;
   Lane cloud_;
   mutable double backlog_cache_ = 0.0;

@@ -9,7 +9,7 @@
 ///    a single-core DF server — so one task shard saturates a worker and
 ///    every placement decision is observable;
 ///  * full four-rung peak ladder (preempt -> horizontal -> vertical ->
-///    delay), EDF discipline, full-mesh federation, datacenter attached,
+///    delay), EDF queues, full-mesh federation, datacenter attached,
 ///    lifecycle auditing at kFull;
 ///  * background load pinning the root state: b0's workers run
 ///    non-preemptible cloud work (so a native edge burst must escalate past

@@ -51,7 +51,6 @@ Df3Platform::BuildingPlan Df3Platform::plan_building(const BuildingConfig& cfg) 
   positive("lan bandwidth in Gbps", plan.fabric_gbps);
   plan.server = checked("server", [&] { return &hw::ServerModel::intern(cfg.server); });
   plan.servers = cfg.water_tank ? 1 : static_cast<std::size_t>(cfg.rooms);
-  plan.regulator = HeatRegulator(config_.regulator);
 
   RoomModel& m = plan.model;
   m.comfort = cfg.comfort;

@@ -30,14 +30,12 @@ Cluster::Cluster(sim::Simulation& sim, std::string name, const ClusterConfig& co
                  net::Network& network, net::NodeId gateway_node, CompletionSink sink,
                  RequestPool* requests)
     : WorkerHost(sim, std::move(name)),
-      tuning_{config.dedicated_edge_workers, config.cloud_offload_backlog_gc_per_core,
-              config.preemption_overhead_gc, config.reference_fabric_gbps, config.fabric_gbps},
+      tuning_{config.dedicated_edge_workers, config.cloud_offload_backlog_gc_per_core, 1.0},
       network_(network),
       gateway_node_(gateway_node),
       sink_(std::move(sink)),
       own_requests_(requests == nullptr ? std::make_unique<RequestPool>() : nullptr),
-      requests_(requests == nullptr ? own_requests_.get() : requests),
-      queue_(config.discipline) {
+      requests_(requests == nullptr ? own_requests_.get() : requests) {
   if (!sink_) throw std::invalid_argument("Cluster: null completion sink");
   check_config(config);
   const auto& registry = policy::Registry::global();
@@ -53,12 +51,6 @@ void Cluster::check_config(const ClusterConfig& config) {
   if (config.dedicated_edge_workers < 0) {
     throw std::invalid_argument("Cluster: negative dedicated_edge_workers");
   }
-  if (config.fabric_gbps <= 0.0 || config.reference_fabric_gbps <= 0.0) {
-    throw std::invalid_argument("Cluster: fabric bandwidths must be positive");
-  }
-  if (config.preemption_overhead_gc < 0.0) {
-    throw std::invalid_argument("Cluster: negative preemption overhead");
-  }
   // Resolve the decision plane's names without building the objects;
   // unknown ones throw here (listing the known ones) rather than silently
   // defaulting.
@@ -69,7 +61,7 @@ void Cluster::check_config(const ClusterConfig& config) {
 }
 
 void Cluster::set_fabric_gbps(double gbps) {
-  if (!(gbps > 0.0)) throw std::invalid_argument("Cluster: fabric bandwidths must be positive");
+  if (!(gbps > 0.0)) throw std::invalid_argument("Cluster: fabric bandwidth must be positive");
   tuning_.fabric_gbps = gbps;
 }
 
@@ -99,7 +91,7 @@ double Cluster::slowdown_for(const workload::Request& r) const {
   // A coupled app written for the reference fabric spends comm_fraction of
   // its time communicating there; on our fabric that part stretches by the
   // bandwidth ratio.
-  const double stretch = tuning_.reference_fabric_gbps / tuning_.fabric_gbps;
+  const double stretch = kReferenceFabricGbps / tuning_.fabric_gbps;
   return (1.0 - r.comm_fraction) + r.comm_fraction * stretch;
 }
 
@@ -349,7 +341,7 @@ policy::RungOutcome Cluster::relieve_by_preemption(Task& t) {
       o->journey_span(this, name(), obs::Phase::kPreempt, now(), now(), t.request->request.id,
                       t.shard_index);
     }
-    victim->remaining_gigacycles += tuning_.preemption_overhead_gc;
+    victim->remaining_gigacycles += kPreemptionOverheadGc;
     victim->enqueued_at = now();
     queue_.push_front(std::move(*victim));
     if (w.try_start(t)) {

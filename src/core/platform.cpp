@@ -161,7 +161,7 @@ std::size_t Df3Platform::add_building(const BuildingConfig& cfg) {
   std::unique_ptr<TankUnit> tank;
   if (plan.tank) {
     // Digital-boiler plant: one chassis charging the hot-water store.
-    tank = std::make_unique<TankUnit>(std::move(*plan.tank), plan.regulator);
+    tank = std::make_unique<TankUnit>(std::move(*plan.tank));
     tank->server = &cluster.worker(0).server();
   } else {
     for (std::size_t i = 0; i < plan.servers; ++i) {
@@ -170,7 +170,7 @@ std::size_t Df3Platform::add_building(const BuildingConfig& cfg) {
       fleet_.env_c.push_back(inlet.value());
       fleet_.last_demand_w.push_back(0.0);
       fleet_.energy_mark_j.push_back(0.0);
-      fleet_.regulator.push_back(plan.regulator);
+      fleet_.regulator.emplace_back();
       fleet_.delta_j.push_back(0.0);
       fleet_.useful_j.push_back(0.0);
     }
@@ -670,6 +670,7 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
 void Df3Platform::control_building_math(std::size_t b, double t_out_c,
                                         std::vector<std::string>& findings) {
   Building& bd = *buildings_[b];
+  const GatingPolicy gating = config_.regulator.gating;
   if (bld_gated_[b] != 0) {
     // Activity-gated fast path, lane half. The building was proved quiet:
     // off season the thermostat demand chain is identically zero, every
@@ -691,8 +692,8 @@ void Df3Platform::control_building_math(std::size_t b, double t_out_c,
         const std::size_t pstate0 = server.pstate();
         const int filler0 = server.filler_cores();
         const int busy0 = server.busy_cores();
-        fleet_.regulator[i].regulate(server,
-                                     thermal::HeatDemand{util::Watts{0.0}, false});
+        fleet_.regulator[i].regulate(server, thermal::HeatDemand{util::Watts{0.0}, false},
+                                     gating);
         if (server.powered() != powered0 || server.pstate() != pstate0 ||
             server.filler_cores() != filler0 || server.busy_cores() != busy0) {
           findings.push_back("activity-gate: regulate() mutated a quiet server in building " +
@@ -722,8 +723,8 @@ void Df3Platform::control_building_math(std::size_t b, double t_out_c,
         demand_w = std::clamp(raw, 0.0, m.rating_w);
       }
       hw::DfServer& server = *fleet_.server[i];
-      fleet_.regulator[i].regulate(server,
-                                   thermal::HeatDemand{util::Watts{demand_w}, heating_season});
+      fleet_.regulator[i].regulate(
+          server, thermal::HeatDemand{util::Watts{demand_w}, heating_season}, gating);
       server.set_inlet_temperature(util::Celsius{fleet_.temp_c[i]});
       fleet_.last_demand_w[i] = demand_w;
       bld_demand_w += demand_w;
@@ -733,7 +734,7 @@ void Df3Platform::control_building_math(std::size_t b, double t_out_c,
     if (tank != nullptr) {
       TankUnit& tu = *tank;
       const auto demand = tu.tank.demand(tu.scratch_draw_lps, util::Watts{m.rating_w});
-      tu.regulator.regulate(*tu.server, demand);
+      tu.regulator.regulate(*tu.server, demand, gating);
       // The immersion oil returns cooled from the tank heat exchanger:
       // inlet sits a design approach (~15 K) below the store, so a store
       // at setpoint keeps the boiler inside its thermal envelope while an
@@ -752,7 +753,7 @@ void Df3Platform::control_building_math(std::size_t b, double t_out_c,
     if (config_.activity_gating) {
       bool quiet = !heating_season && tank == nullptr && room_end(b) > room_begin(b);
       if (quiet) {
-        const bool aggressive = config_.regulator.gating == GatingPolicy::kAggressive;
+        const bool aggressive = gating == GatingPolicy::kAggressive;
         for (std::size_t i = room_begin(b); quiet && i < room_end(b); ++i) {
           const hw::DfServer& server = *fleet_.server[i];
           quiet = aggressive ? (!server.powered() && server.busy_cores() == 0 &&

@@ -46,12 +46,8 @@ void TaskQueue::Lane::insert(std::size_t i, Task t) {
   ++size_;
 }
 
-void TaskQueue::insert_by_discipline(Lane& q, Task t) {
-  if (discipline_ == QueueDiscipline::kFcfs) {
-    q.insert(q.size(), std::move(t));
-    return;
-  }
-  // EDF: stable insert before the first entry with a later deadline. The
+void TaskQueue::insert_by_deadline(Lane& q, Task t) {
+  // Stable insert before the first entry with a later deadline. The
   // lane is always sorted, so binary search finds the spot in O(log n) —
   // and the dominant case (deadline-less cloud shards, key = +inf, which
   // land at the back) degenerates to an O(1) append instead of a full
@@ -70,20 +66,14 @@ void TaskQueue::push(Task t) {
   // Evaluate the lane before moving `t` into the parameter: function
   // argument evaluation order is unspecified.
   auto& q = lane(t.priority());
-  insert_by_discipline(q, std::move(t));
+  insert_by_deadline(q, std::move(t));
 }
 
 void TaskQueue::push_front(Task t) {
   backlog_dirty_ = true;
   auto& q = lane(t.priority());
-  if (discipline_ == QueueDiscipline::kFcfs) {
-    // FCFS: a re-queued shard has already waited once, so a true
-    // front-insert is both correct and the intended fairness.
-    q.insert(0, std::move(t));
-    return;
-  }
-  // EDF: a blind front-insert would break the sorted-lane invariant that
-  // insert_by_discipline's binary search relies on — every later
+  // A blind front-insert would break the sorted-lane invariant that
+  // insert_by_deadline's binary search relies on — every later
   // upper_bound would probe a lane that is no longer ordered and could
   // land fresh shards at the wrong position. Re-queue by deadline instead,
   // in front of any entry with an equal key so the returning shard still
@@ -140,8 +130,7 @@ void TaskQueue::audit(std::vector<std::string>& out, const std::string& who) con
                       std::to_string(q[i].remaining_gigacycles) + " Gc) queued in " + lane_name +
                       " lane at position " + std::to_string(i));
       }
-      if (discipline_ == QueueDiscipline::kEdf && i + 1 < q.size() &&
-          edf_key(q[i]) > edf_key(q[i + 1])) {
+      if (i + 1 < q.size() && edf_key(q[i]) > edf_key(q[i + 1])) {
         out.push_back(who + ": EDF " + lane_name + " lane out of order at position " +
                       std::to_string(i) + " (deadline " + std::to_string(edf_key(q[i])) +
                       " before " + std::to_string(edf_key(q[i + 1])) + ")");

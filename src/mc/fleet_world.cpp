@@ -59,7 +59,6 @@ void FleetWorld::reset() {
   pc.tick_s = config_.tick_s;
   pc.with_datacenter = true;
   pc.audit = metrics::AuditLevel::kFull;
-  pc.cluster.discipline = core::QueueDiscipline::kEdf;
   pc.cluster.edge_peak_ladder = {"preempt", "horizontal", "vertical", "delay"};
   city_ = std::make_unique<core::Df3Platform>(pc);
 

@@ -206,11 +206,9 @@ TEST(TaskQueueAlloc, DefaultConstructedAllocatesNothing) {
   // A city has one queue per building and most of them sit idle: an empty
   // lane must cost no heap block until its first push.
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  for (const auto d : {core::QueueDiscipline::kFcfs, core::QueueDiscipline::kEdf}) {
-    const core::TaskQueue q(d);
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.backlog_gigacycles(), 0.0);
-  }
+  const core::TaskQueue q;
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.backlog_gigacycles(), 0.0);
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
 }
 

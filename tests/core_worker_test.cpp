@@ -287,7 +287,7 @@ TEST(WorkerRuntime, BusyCoreSecondsUtilization) {
 // ------------------------------------------------------------ task queue ---
 
 TEST(TaskQueueTest, EdgeClassAlwaysFirst) {
-  core::TaskQueue q(core::QueueDiscipline::kFcfs);
+  core::TaskQueue q;
   auto cloud = core::make_tasks(requests, cloud_request());
   auto edge = core::make_tasks(requests, edge_request());
   q.push(cloud[0]);
@@ -298,7 +298,7 @@ TEST(TaskQueueTest, EdgeClassAlwaysFirst) {
 }
 
 TEST(TaskQueueTest, EdfOrdersByDeadline) {
-  core::TaskQueue q(core::QueueDiscipline::kEdf);
+  core::TaskQueue q;
   auto late = core::make_tasks(requests, edge_request(1.0, 10.0));
   auto soon = core::make_tasks(requests, edge_request(1.0, 1.0));
   auto mid = core::make_tasks(requests, edge_request(1.0, 5.0));
@@ -310,17 +310,8 @@ TEST(TaskQueueTest, EdfOrdersByDeadline) {
   EXPECT_DOUBLE_EQ(*q.pop()->deadline(), 10.0);
 }
 
-TEST(TaskQueueTest, FcfsPreservesArrivalOrder) {
-  core::TaskQueue q(core::QueueDiscipline::kFcfs);
-  auto late = core::make_tasks(requests, edge_request(1.0, 10.0));
-  auto soon = core::make_tasks(requests, edge_request(1.0, 1.0));
-  q.push(late[0]);
-  q.push(soon[0]);
-  EXPECT_DOUBLE_EQ(*q.pop()->deadline(), 10.0);  // arrival order, not deadline
-}
-
 TEST(TaskQueueTest, PushFrontJumpsClassQueue) {
-  core::TaskQueue q(core::QueueDiscipline::kEdf);
+  core::TaskQueue q;
   auto a = core::make_tasks(requests, cloud_request(10.0));
   auto b = core::make_tasks(requests, cloud_request(20.0));
   q.push(a[0]);
@@ -329,7 +320,7 @@ TEST(TaskQueueTest, PushFrontJumpsClassQueue) {
 }
 
 TEST(TaskQueueTest, EdfPushFrontReinsertsByDeadline) {
-  core::TaskQueue q(core::QueueDiscipline::kEdf);
+  core::TaskQueue q;
   auto d1 = core::make_tasks(requests, edge_request(1.0, 1.0));
   auto d3 = core::make_tasks(requests, edge_request(1.0, 3.0));
   auto d5 = core::make_tasks(requests, edge_request(1.0, 5.0));
@@ -350,7 +341,7 @@ TEST(TaskQueueTest, EdfPushFrontReinsertsByDeadline) {
 }
 
 TEST(TaskQueueTest, EdfPushFrontResumesAheadOfEqualDeadline) {
-  core::TaskQueue q(core::QueueDiscipline::kEdf);
+  core::TaskQueue q;
   auto fresh = core::make_tasks(requests, edge_request(1.0, 3.0));
   q.push(fresh[0]);
   auto resumed = core::make_tasks(requests, edge_request(1.0, 3.0));
@@ -362,7 +353,7 @@ TEST(TaskQueueTest, EdfPushFrontResumesAheadOfEqualDeadline) {
 }
 
 TEST(TaskQueueTest, EdfPushFrontDeadlinelessVictimLeadsCloudLane) {
-  core::TaskQueue q(core::QueueDiscipline::kEdf);
+  core::TaskQueue q;
   auto a = core::make_tasks(requests, cloud_request(10.0));
   auto b = core::make_tasks(requests, cloud_request(20.0));
   q.push(a[0]);
@@ -377,21 +368,8 @@ TEST(TaskQueueTest, EdfPushFrontDeadlinelessVictimLeadsCloudLane) {
   EXPECT_TRUE(violations.empty());
 }
 
-TEST(TaskQueueTest, FcfsPushFrontIsTrueFrontInsert) {
-  core::TaskQueue q(core::QueueDiscipline::kFcfs);
-  auto first = core::make_tasks(requests, edge_request(1.0, 1.0));
-  auto second = core::make_tasks(requests, edge_request(1.0, 10.0));
-  q.push(first[0]);
-  q.push(second[0]);
-  auto returning = core::make_tasks(requests, edge_request(1.0, 5.0));
-  q.push_front(returning[0]);
-  EXPECT_DOUBLE_EQ(*q.pop()->deadline(), 5.0);  // jumped the whole class
-  EXPECT_DOUBLE_EQ(*q.pop()->deadline(), 1.0);
-  EXPECT_DOUBLE_EQ(*q.pop()->deadline(), 10.0);
-}
-
 TEST(TaskQueueTest, AuditFlagsNegativeRemainingWork) {
-  core::TaskQueue q(core::QueueDiscipline::kEdf);
+  core::TaskQueue q;
   auto t = core::make_tasks(requests, cloud_request(10.0));
   t[0].remaining_gigacycles = -1.0;
   q.push(t[0]);
@@ -402,7 +380,7 @@ TEST(TaskQueueTest, AuditFlagsNegativeRemainingWork) {
 }
 
 TEST(TaskQueueTest, PopClassAndBacklog) {
-  core::TaskQueue q(core::QueueDiscipline::kEdf);
+  core::TaskQueue q;
   auto cloud = core::make_tasks(requests, cloud_request(100.0));
   q.push(cloud[0]);
   EXPECT_FALSE(q.pop_class(core::Priority::kEdge).has_value());
@@ -415,21 +393,19 @@ TEST(TaskQueueTest, PopClassAndBacklog) {
 }
 
 TEST(TaskQueueTest, PopClassOnEmptyLaneIsNulloptAndHarmless) {
-  for (const auto d : {core::QueueDiscipline::kFcfs, core::QueueDiscipline::kEdf}) {
-    core::TaskQueue q(d);
-    // Fully empty queue: neither class lane yields anything.
-    EXPECT_FALSE(q.pop_class(core::Priority::kEdge).has_value());
-    EXPECT_FALSE(q.pop_class(core::Priority::kCloud).has_value());
-    // One edge shard: popping the empty *cloud* lane must not disturb the
-    // populated edge lane (dedicated edge workers pull by class).
-    auto t = core::make_tasks(requests, edge_request(1.0, 2.0));
-    q.push(t[0]);
-    EXPECT_FALSE(q.pop_class(core::Priority::kCloud).has_value());
-    EXPECT_EQ(q.size(), 1u);
-    EXPECT_EQ(q.size_class(core::Priority::kEdge), 1u);
-    EXPECT_TRUE(q.pop_class(core::Priority::kEdge).has_value());
-    EXPECT_TRUE(q.empty());
-  }
+  core::TaskQueue q;
+  // Fully empty queue: neither class lane yields anything.
+  EXPECT_FALSE(q.pop_class(core::Priority::kEdge).has_value());
+  EXPECT_FALSE(q.pop_class(core::Priority::kCloud).has_value());
+  // One edge shard: popping the empty *cloud* lane must not disturb the
+  // populated edge lane (dedicated edge workers pull by class).
+  auto t = core::make_tasks(requests, edge_request(1.0, 2.0));
+  q.push(t[0]);
+  EXPECT_FALSE(q.pop_class(core::Priority::kCloud).has_value());
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.size_class(core::Priority::kEdge), 1u);
+  EXPECT_TRUE(q.pop_class(core::Priority::kEdge).has_value());
+  EXPECT_TRUE(q.empty());
 }
 
 namespace {
@@ -438,12 +414,10 @@ namespace {
 /// the ring lanes are checked against.
 class DequeQueue {
  public:
-  explicit DequeQueue(core::QueueDiscipline d) : d_(d) {}
-
   void push(const core::Task& t) {
     auto& q = lane(t.priority());
     const double k = key(t);
-    if (d_ == core::QueueDiscipline::kFcfs || q.empty() || key(q.back()) <= k) {
+    if (q.empty() || key(q.back()) <= k) {
       q.push_back(t);
       return;
     }
@@ -454,8 +428,7 @@ class DequeQueue {
   void push_front(const core::Task& t) {
     auto& q = lane(t.priority());
     const double k = key(t);
-    if (d_ == core::QueueDiscipline::kFcfs || core::TaskQueue::test_unsorted_push_front() ||
-        q.empty() || k <= key(q.front())) {
+    if (core::TaskQueue::test_unsorted_push_front() || q.empty() || k <= key(q.front())) {
       q.push_front(t);
       return;
     }
@@ -494,7 +467,6 @@ class DequeQueue {
     q.pop_front();
     return t;
   }
-  core::QueueDiscipline d_;
   std::deque<core::Task> edge_;
   std::deque<core::Task> cloud_;
 };
@@ -518,19 +490,12 @@ bool same_task(const core::Task& a, const core::Task& b) {
 }  // namespace
 
 TEST(TaskQueueTest, MatchesDequeReferenceUnderRandomOps) {
-  struct Mode {
-    core::QueueDiscipline discipline;
-    bool plant;  ///< the test-only blind EDF push_front
-  };
-  for (const Mode mode : {Mode{core::QueueDiscipline::kFcfs, false},
-                          Mode{core::QueueDiscipline::kEdf, false},
-                          Mode{core::QueueDiscipline::kEdf, true}}) {
+  for (const bool planted : {false, true}) {  // the test-only blind push_front
     for (const std::size_t target : {1u, 2u, 3u, 17u, 1000u}) {
-      SCOPED_TRACE(std::string(core::discipline_name(mode.discipline)) +
-                   (mode.plant ? "+plant" : "") + " target " + std::to_string(target));
-      const PlantGuard plant(mode.plant);
-      core::TaskQueue q(mode.discipline);
-      DequeQueue ref(mode.discipline);
+      SCOPED_TRACE(std::string(planted ? "plant" : "edf") + " target " + std::to_string(target));
+      const PlantGuard plant(planted);
+      core::TaskQueue q;
+      DequeQueue ref;
       std::mt19937_64 rng(2016 + target);
       // Few distinct deadlines, so equal keys are common; cloud requests
       // are deadline-less (+inf key) or carry one.
@@ -594,37 +559,45 @@ TEST(TaskQueueTest, MatchesDequeReferenceUnderRandomOps) {
 
 // --------------------------------------------------------- heat regulator ---
 
+TEST(HeatRegulatorTest, KeepsOnlyItsIntegrals) {
+  // One regulator per room: the gating policy is the city's and comes with
+  // each regulate() call, so a regulator is delivered, requested and
+  // absolute-error joules and nothing else.
+  EXPECT_EQ(sizeof(core::HeatRegulator), 3 * sizeof(double));
+}
+
 TEST(HeatRegulatorTest, MatchesPStateToDemand) {
   hw::DfServer server(hw::qrad_spec());
   core::HeatRegulator reg;
   // Demand 300 W: the chosen P-state must be able to *reach* the demand so
   // filler utilization can modulate down onto it exactly.
-  const auto ceiling = reg.regulate(server, {u::watts(300.0), true});
+  const auto ceiling =
+      reg.regulate(server, {u::watts(300.0), true}, core::GatingPolicy::kAggressive);
   EXPECT_TRUE(server.powered());
   EXPECT_GE(ceiling.value(), 300.0);
   EXPECT_LT(server.pstate(), server.spec().cpu.top_pstate());  // not more than needed
   // With no real work the filler alone must land on the demand.
   EXPECT_NEAR(server.power().value(), 300.0, 30.0);  // one-core quantization
   // Full demand: top P-state, everything loaded.
-  reg.regulate(server, {u::watts(500.0), true});
+  reg.regulate(server, {u::watts(500.0), true}, core::GatingPolicy::kAggressive);
   EXPECT_EQ(server.pstate(), server.spec().cpu.top_pstate());
   EXPECT_NEAR(server.power().value(), 500.0, 30.0);
 }
 
 TEST(HeatRegulatorTest, AggressiveGatingOnZeroDemand) {
   hw::DfServer server(hw::qrad_spec());
-  core::HeatRegulator reg({core::GatingPolicy::kAggressive});
-  reg.regulate(server, {u::watts(0.0), true});
+  core::HeatRegulator reg;
+  reg.regulate(server, {u::watts(0.0), true}, core::GatingPolicy::kAggressive);
   EXPECT_FALSE(server.powered());
   // Demand returns: wakes up.
-  reg.regulate(server, {u::watts(400.0), true});
+  reg.regulate(server, {u::watts(400.0), true}, core::GatingPolicy::kAggressive);
   EXPECT_TRUE(server.powered());
 }
 
 TEST(HeatRegulatorTest, KeepWarmHoldsFloorState) {
   hw::DfServer server(hw::qrad_spec());
-  core::HeatRegulator reg({core::GatingPolicy::kKeepWarm});
-  reg.regulate(server, {u::watts(0.0), true});
+  core::HeatRegulator reg;
+  reg.regulate(server, {u::watts(0.0), true}, core::GatingPolicy::kKeepWarm);
   EXPECT_TRUE(server.powered());
   EXPECT_EQ(server.pstate(), 0u);
   EXPECT_GT(server.usable_cores(), 0);
@@ -635,7 +608,7 @@ TEST(HeatRegulatorTest, TinyDemandKeepsFloorNotGate) {
   core::HeatRegulator reg;
   // 50 W is below the floor state's full power but nonzero: stay powered at
   // the floor so utilization can modulate.
-  reg.regulate(server, {u::watts(50.0), true});
+  reg.regulate(server, {u::watts(50.0), true}, core::GatingPolicy::kAggressive);
   EXPECT_TRUE(server.powered());
   EXPECT_EQ(server.pstate(), 0u);
 }
@@ -643,7 +616,8 @@ TEST(HeatRegulatorTest, TinyDemandKeepsFloorNotGate) {
 TEST(HeatRegulatorTest, OffSeasonGates) {
   hw::DfServer server(hw::qrad_spec());
   core::HeatRegulator reg;
-  reg.regulate(server, {u::watts(400.0), /*heating_season=*/false});
+  reg.regulate(server, {u::watts(400.0), /*heating_season=*/false},
+               core::GatingPolicy::kAggressive);
   EXPECT_FALSE(server.powered());
 }
 

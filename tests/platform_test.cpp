@@ -6,7 +6,9 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "df3/core/platform.hpp"
@@ -452,6 +454,151 @@ TEST(Platform, PlanRejectsUncheckedBuildingFields) {
     city.run(u::hours(1.0));
     EXPECT_TRUE(std::isfinite(city.room_temperature(1, 0).value()));
   }
+}
+
+// Seeded mutation of one numeric field per case, from a valid building of
+// each kind (1R1C rooms, 2R2C rooms, a digital-boiler plant): NaN, +-inf, a
+// negative value, zero or 1e308. Planning either accepts the building or
+// throws std::invalid_argument naming the field before anything is added.
+TEST(Platform, PlanSurvivesSeededFieldMutations) {
+  struct Field {
+    std::string path;  ///< the rejection must name its first component
+    bool integral;     ///< takes only the negative and zero mutations
+    std::function<void(core::BuildingConfig&, double)> set;
+  };
+  std::vector<Field> fields = {
+      {"rooms", true, [](auto& b, double v) { b.rooms = static_cast<int>(v); }},
+      {"thermostat_gain_w_per_k", false, [](auto& b, double v) { b.thermostat_gain_w_per_k = v; }},
+      {"solar_gain_peak_w", false, [](auto& b, double v) { b.solar_gain_peak_w = v; }},
+      {"daily_hot_water_l", false, [](auto& b, double v) { b.daily_hot_water_l = v; }},
+      {"initial_temperature", false,
+       [](auto& b, double v) { b.initial_temperature = u::celsius(v); }},
+      {"comfort.day_target", false,
+       [](auto& b, double v) { b.comfort.day_target = u::celsius(v); }},
+      {"comfort.night_target", false,
+       [](auto& b, double v) { b.comfort.night_target = u::celsius(v); }},
+      {"comfort.night_start_hour", false,
+       [](auto& b, double v) { b.comfort.night_start_hour = v; }},
+      {"comfort.night_end_hour", false, [](auto& b, double v) { b.comfort.night_end_hour = v; }},
+      {"comfort.heating_cutoff_outdoor", false,
+       [](auto& b, double v) { b.comfort.heating_cutoff_outdoor = u::celsius(v); }},
+      {"room.resistance_k_per_w", false, [](auto& b, double v) { b.room.resistance_k_per_w = v; }},
+      {"room.capacitance_j_per_k", false,
+       [](auto& b, double v) { b.room.capacitance_j_per_k = v; }},
+      {"room.internal_gains", false,
+       [](auto& b, double v) { b.room.internal_gains = u::Watts{v}; }},
+      {"room_2r2c.r_air_env_k_per_w", false,
+       [](auto& b, double v) { b.room_2r2c.r_air_env_k_per_w = v; }},
+      {"room_2r2c.r_env_out_k_per_w", false,
+       [](auto& b, double v) { b.room_2r2c.r_env_out_k_per_w = v; }},
+      {"room_2r2c.c_air_j_per_k", false, [](auto& b, double v) { b.room_2r2c.c_air_j_per_k = v; }},
+      {"room_2r2c.c_env_j_per_k", false, [](auto& b, double v) { b.room_2r2c.c_env_j_per_k = v; }},
+      {"room_2r2c.internal_gains", false,
+       [](auto& b, double v) { b.room_2r2c.internal_gains = u::Watts{v}; }},
+      {"server.cpu_count", true,
+       [](auto& b, double v) { b.server.cpu_count = static_cast<int>(v); }},
+      {"server.cpu.cores", true,
+       [](auto& b, double v) { b.server.cpu.cores = static_cast<int>(v); }},
+      {"server.cpu.pstates.freq_ghz", false,
+       [](auto& b, double v) { b.server.cpu.pstates.front().freq_ghz = v; }},
+      {"server.cpu.pstates.voltage_v", false,
+       [](auto& b, double v) { b.server.cpu.pstates.back().voltage_v = v; }},
+      {"server.cpu.static_power", false,
+       [](auto& b, double v) { b.server.cpu.static_power = u::Watts{v}; }},
+      {"server.cpu.dynamic_power_max", false,
+       [](auto& b, double v) { b.server.cpu.dynamic_power_max = u::Watts{v}; }},
+      {"server.standby_power", false,
+       [](auto& b, double v) { b.server.standby_power = u::Watts{v}; }},
+      {"server.throttle_start", false,
+       [](auto& b, double v) { b.server.throttle_start = u::celsius(v); }},
+      {"server.shutdown_temp", false,
+       [](auto& b, double v) { b.server.shutdown_temp = u::celsius(v); }},
+      {"server.aging_reference_junction", false,
+       [](auto& b, double v) { b.server.aging_reference_junction = u::celsius(v); }},
+  };
+  // The water tank's fields, set only on a plant (elsewhere it is unset).
+  const auto tank_field = [&](const char* path, auto member) {
+    fields.push_back({path, false, [member](core::BuildingConfig& b, double v) {
+                        if (b.water_tank) member(*b.water_tank, v);
+                      }});
+  };
+  tank_field("water_tank.volume_l", [](th::WaterTankParams& t, double v) { t.volume_l = v; });
+  tank_field("water_tank.ua_w_per_k", [](th::WaterTankParams& t, double v) { t.ua_w_per_k = v; });
+  tank_field("water_tank.setpoint",
+             [](th::WaterTankParams& t, double v) { t.setpoint = u::celsius(v); });
+  tank_field("water_tank.mains", [](th::WaterTankParams& t, double v) { t.mains = u::celsius(v); });
+  tank_field("water_tank.ambient",
+             [](th::WaterTankParams& t, double v) { t.ambient = u::celsius(v); });
+  tank_field("water_tank.legionella_min",
+             [](th::WaterTankParams& t, double v) { t.legionella_min = u::celsius(v); });
+  tank_field("water_tank.charge_gain_w_per_k",
+             [](th::WaterTankParams& t, double v) { t.charge_gain_w_per_k = v; });
+  // Every link profile's numbers, for each of the four links.
+  using Link = net::LinkProfile core::BuildingConfig::*;
+  for (const auto& [name, link] : {std::pair<const char*, Link>{"lan", &core::BuildingConfig::lan},
+                                   {"device_link", &core::BuildingConfig::device_link},
+                                   {"wifi_link", &core::BuildingConfig::wifi_link},
+                                   {"uplink", &core::BuildingConfig::uplink}}) {
+    const Link l = link;
+    const std::string n = name;
+    fields.push_back(
+        {n + ".bandwidth", false, [l](auto& b, double v) { (b.*l).bandwidth = u::bps(v); }});
+    fields.push_back({n + ".base_latency", false,
+                      [l](auto& b, double v) { (b.*l).base_latency = u::seconds(v); }});
+    fields.push_back(
+        {n + ".max_payload", false, [l](auto& b, double v) { (b.*l).max_payload = u::bytes(v); }});
+    fields.push_back({n + ".frame_overhead", false,
+                      [l](auto& b, double v) { (b.*l).frame_overhead = u::bytes(v); }});
+    fields.push_back({n + ".duty_cycle", false, [l](auto& b, double v) { (b.*l).duty_cycle = v; }});
+  }
+
+  const double inf = std::numeric_limits<double>::infinity();
+  std::mt19937_64 rng(2016);
+  core::Df3Platform city(winter_config());
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int i = 0; i < 400; ++i) {
+    const Field& f = fields[rng() % fields.size()];
+    double v = 0.0;
+    switch (f.integral ? 3 + rng() % 2 : rng() % 6) {
+      case 0: v = std::numeric_limits<double>::quiet_NaN(); break;
+      case 1: v = inf; break;
+      case 2: v = -inf; break;
+      case 3: v = -static_cast<double>(1 + rng() % 100); break;
+      case 4: v = 0.0; break;
+      default: v = 1e308; break;
+    }
+    core::BuildingConfig b = small_building("m" + std::to_string(i));
+    switch (rng() % 3) {
+      case 0: break;
+      case 1: b.high_fidelity_rooms = true; break;
+      default:
+        b.server = df3::hw::stimergy_boiler_spec();
+        b.water_tank = th::WaterTankParams{};
+        break;
+    }
+    f.set(b, v);
+    SCOPED_TRACE(f.path + " = " + std::to_string(v) + ", case " + std::to_string(i));
+    const std::size_t buildings = city.building_count();
+    const std::size_t nodes = city.network().node_count();
+    const std::size_t links = city.network().link_count();
+    try {
+      EXPECT_EQ(city.add_building(b), buildings);
+      EXPECT_EQ(city.building_count(), buildings + 1);
+      ++accepted;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("add_building: ", 0), 0u) << what;
+      EXPECT_NE(what.find(f.path.substr(0, f.path.find('.'))), std::string::npos) << what;
+      EXPECT_EQ(city.building_count(), buildings);
+      EXPECT_EQ(city.network().node_count(), nodes);
+      EXPECT_EQ(city.network().link_count(), links);
+      ++rejected;
+    }
+  }
+  // The seed reaches both outcomes.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // Worker 0 runs a pinned batch at full load, so room 0 runs hotter than its

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "df3/core/cluster.hpp"
 #include "df3/core/scheduler.hpp"
@@ -165,10 +166,15 @@ INSTANTIATE_TEST_SUITE_P(Catalogue, ServerEnergyProperty,
 
 // ----------------------------------------------------- queue invariants ---
 
-class QueueProperty : public ::testing::TestWithParam<core::QueueDiscipline> {};
+// Whether the random ops requeue shards through push_front as well as push.
+// A 1-byte scoped enum has no printer, so gtest names each instance by its
+// byte (<00>, <01>), which is stable across builds.
+enum class Requeues : std::uint8_t { kNone, kMixed };
+
+class QueueProperty : public ::testing::TestWithParam<Requeues> {};
 
 TEST_P(QueueProperty, RandomOpsPreserveCountAndOrdering) {
-  core::TaskQueue q(GetParam());
+  core::TaskQueue q;
   core::RequestPool requests;
   u::RngStream rng(5, "queue-prop");
   std::size_t pushed = 0, popped = 0;
@@ -179,7 +185,7 @@ TEST_P(QueueProperty, RandomOpsPreserveCountAndOrdering) {
       if (wl::is_edge(r.flow)) r.deadline_s = rng.uniform(0.5, 50.0);
       r.arrival = static_cast<double>(op);
       auto tasks = core::make_tasks(requests, r);
-      if (rng.bernoulli(0.2)) {
+      if (rng.bernoulli(0.2) && GetParam() == Requeues::kMixed) {
         q.push_front(tasks[0]);
       } else {
         q.push(tasks[0]);
@@ -194,19 +200,24 @@ TEST_P(QueueProperty, RandomOpsPreserveCountAndOrdering) {
     }
     EXPECT_EQ(q.size(), pushed - popped);
   }
-  // Drain: EDF lane comes out deadline-sorted (modulo push_front jumps,
-  // which only ever move a task earlier, so we check cloud lane emptiness
-  // invariant instead and total conservation).
-  while (q.pop()) ++popped;
+  // Drain: push_front re-inserts by deadline too, so the edge lane comes
+  // out deadline-sorted and every shard is conserved.
+  double prev = -1.0;
+  while (auto t = q.pop()) {
+    ++popped;
+    if (t->priority() == core::Priority::kEdge) {
+      EXPECT_GE(*t->deadline(), prev);
+      prev = *t->deadline();
+    }
+  }
   EXPECT_EQ(popped, pushed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Disciplines, QueueProperty,
-                         ::testing::Values(core::QueueDiscipline::kFcfs,
-                                           core::QueueDiscipline::kEdf));
+                         ::testing::Values(Requeues::kNone, Requeues::kMixed));
 
 TEST(QueueEdfOrdering, PurePushesDrainByDeadline) {
-  core::TaskQueue q(core::QueueDiscipline::kEdf);
+  core::TaskQueue q;
   core::RequestPool requests;
   u::RngStream rng(9, "edf");
   for (int i = 0; i < 300; ++i) {
