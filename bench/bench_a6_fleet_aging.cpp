@@ -33,7 +33,7 @@ AgingResult run_profile(util::Celsius inlet, double duty_cycle, std::size_t psta
   for (int h = 0; h < 24 * 365; ++h) {
     const bool busy = rng.bernoulli(duty_cycle);
     if (server.usable_cores() > 0) server.set_busy_cores(busy ? cores : 0);
-    server.advance(util::Seconds{tick}, true);
+    server.advance(util::Seconds{tick});
   }
   const double wall_hours = 24.0 * 365.0;
   return {server.aging_stress_hours(), server.aging_stress_hours() / wall_hours};

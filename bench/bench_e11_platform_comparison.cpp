@@ -118,7 +118,7 @@ int main() {
     baselines::Datacenter dc(sim, c.cfg);
     auto row = run_service(
         c.name, sim,
-        [&dc](const workload::Request& r, core::ComputeService::Done done) {
+        [&dc](const workload::Request& r, core::CompletionSink done) {
           dc.submit(r, 0, std::move(done));
         },
         stream, horizon,
@@ -147,7 +147,7 @@ int main() {
     grid.submit(background, 0, [](workload::CompletionRecord) {});
     auto row = run_service(
         "desktop grid (contended)", sim,
-        [&grid](const workload::Request& r, core::ComputeService::Done done) {
+        [&grid](const workload::Request& r, core::CompletionSink done) {
           grid.submit(r, 0, std::move(done));
         },
         stream, horizon,

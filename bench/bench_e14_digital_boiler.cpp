@@ -61,7 +61,7 @@ int main() {
       const double draw = thermal::hot_water_draw_lps(t, 1500.0);  // small apartment block
       const auto tank_demand = tank.demand(draw, rating);
       regulator.regulate(boiler, tank_demand, kGating);
-      boiler.advance(util::Seconds{tick}, true);
+      boiler.advance(util::Seconds{tick});
       tank.advance(util::Seconds{tick}, boiler.power(), draw);
       boiler_cores.add(boiler.usable_cores());
       tank_c.add(tank.temperature().value());
@@ -74,7 +74,7 @@ int main() {
         room_demand = thermostat.demand(room.temperature(), room.holding_power(target, t_out));
       }
       qreg.regulate(qrad, room_demand, kGating);
-      qrad.advance(util::Seconds{tick}, season);
+      qrad.advance(util::Seconds{tick});
       room.advance(util::Seconds{tick}, qrad.power(), t_out);
       qrad_cores.add(qrad.usable_cores());
     }

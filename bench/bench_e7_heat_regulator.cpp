@@ -29,7 +29,7 @@ PhaseResult run_phase(hw::DfServer& server, core::HeatRegulator& reg,
   const double e0 = server.energy_consumed().value();
   for (double t = 0.0; t < seconds; t += tick) {
     reg.regulate(server, demand, gating);
-    server.advance(util::Seconds{tick}, true);
+    server.advance(util::Seconds{tick});
   }
   delivered_j = server.energy_consumed().value() - e0;
   const double delivered_w = delivered_j / seconds;
@@ -94,7 +94,7 @@ int main() {
       }
       reg.regulate(server, demand, policy);
       server.set_inlet_temperature(room.temperature());
-      server.advance(util::Seconds{tick}, true);
+      server.advance(util::Seconds{tick});
       const double delta = server.energy_consumed().value() - e_mark;
       e_mark = server.energy_consumed().value();
       room.advance(util::Seconds{tick}, util::watts(delta / tick), t_out);

@@ -48,7 +48,7 @@ class Datacenter : public sim::Entity, public core::ComputeService {
   Datacenter(sim::Simulation& sim, DatacenterConfig config);
 
   // core::ComputeService
-  void submit(workload::Request r, net::NodeId origin, Done done) override;
+  void submit(workload::Request r, net::NodeId origin, core::CompletionSink done) override;
 
   [[nodiscard]] const DatacenterConfig& config() const { return config_; }
   [[nodiscard]] int busy_cores() const { return busy_cores_; }
@@ -65,7 +65,7 @@ class Datacenter : public sim::Entity, public core::ComputeService {
   struct Job {
     workload::Request request;
     net::NodeId origin;
-    Done done;
+    core::CompletionSink done;
     int shards_left;
     sim::Time arrived_at_dc;
     sim::Time first_start = -1.0;  ///< first shard dispatch (queue-wait end)

@@ -45,7 +45,7 @@ class DesktopGrid : public sim::Entity, public core::ComputeService {
  public:
   DesktopGrid(sim::Simulation& sim, DesktopGridConfig config, std::uint64_t seed);
 
-  void submit(workload::Request r, net::NodeId origin, Done done) override;
+  void submit(workload::Request r, net::NodeId origin, core::CompletionSink done) override;
 
   [[nodiscard]] int available_hosts() const;
   [[nodiscard]] std::uint64_t restarts() const { return restarts_; }
@@ -55,7 +55,7 @@ class DesktopGrid : public sim::Entity, public core::ComputeService {
  private:
   struct Job {
     workload::Request request;
-    Done done;
+    core::CompletionSink done;
     int shards_left;
   };
   struct Host {

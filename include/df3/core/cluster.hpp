@@ -58,11 +58,10 @@ namespace df3::core {
 class ComputeService {
  public:
   virtual ~ComputeService() = default;
-  using Done = std::function<void(workload::CompletionRecord)>;
 
   /// Execute `r` on behalf of a client at `origin`; `done` fires with the
   /// completion record (network round trip included).
-  virtual void submit(workload::Request r, net::NodeId origin, Done done) = 0;
+  virtual void submit(workload::Request r, net::NodeId origin, CompletionSink done) = 0;
 };
 
 /// Checkpoint/restore cost charged to a preempted shard (gigacycles added
@@ -392,7 +391,6 @@ class Cluster : public WorkerHost, private policy::LadderMechanism {
   /// to the request's sink (the cluster's own one unless foreign/pinned).
   void finish(RequestRef ref, workload::Outcome outcome, workload::ServedBy served_by);
   [[nodiscard]] double slowdown_for(const workload::Request& r) const;
-  [[nodiscard]] bool worker_eligible(std::size_t widx, Priority p) const;
   [[nodiscard]] bool place(Task& t);
   bool handle_unplaceable_edge(Task t);
   void abandon_expired(Task t);

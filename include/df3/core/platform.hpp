@@ -433,8 +433,9 @@ class Df3Platform {
     net::NodeId wifi_node = 0;
     std::unique_ptr<Cluster> cluster;
     RoomModel model;
-    /// Season of the last stepped control pass: the next physics pass runs
-    /// the servers under it (a dual-pipe chassis vents outdoors when off).
+    /// Season of the last stepped control pass: the next physics pass books
+    /// the servers' heat under it (a dual-pipe chassis vents outdoors when
+    /// off, so its room gets none).
     bool last_season = true;
     metrics::ComfortMetrics comfort_metrics;
   };

@@ -33,17 +33,7 @@ class TaskQueue {
   /// Remove and return the best shard to run next; nullopt when empty.
   [[nodiscard]] std::optional<Task> pop();
 
-  /// Best shard of a given priority class only (e.g. dedicated edge workers
-  /// pull only edge shards); nullopt if that class is empty.
-  [[nodiscard]] std::optional<Task> pop_class(Priority p);
-
-  /// Inspect without removing. nullptr when empty.
-  [[nodiscard]] const Task* peek() const;
-
   [[nodiscard]] std::size_t size() const { return edge_.size() + cloud_.size(); }
-  [[nodiscard]] std::size_t size_class(Priority p) const {
-    return p == Priority::kEdge ? edge_.size() : cloud_.size();
-  }
   [[nodiscard]] bool empty() const { return edge_.empty() && cloud_.empty(); }
 
   /// Total queued gigacycles, for backlog-based offload decisions and the

@@ -94,7 +94,6 @@ class Worker {
 
   // --- accounting ---
   [[nodiscard]] std::uint64_t tasks_completed() const { return completed_; }
-  [[nodiscard]] std::uint64_t tasks_preempted() const { return preempted_; }
   /// Core-seconds of executed work (at whatever speed), for utilization.
   [[nodiscard]] double busy_core_seconds() const;
 
@@ -138,7 +137,6 @@ class Worker {
   hw::DfServer server_;
   std::vector<Running> running_;
   std::uint64_t completed_ = 0;
-  std::uint64_t preempted_ = 0;
   double busy_core_seconds_ = 0.0;
   sim::Time busy_accum_mark_ = 0.0;
   net::NodeId node_;

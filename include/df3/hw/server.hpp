@@ -11,8 +11,9 @@
 ///  * **free-cooling throttle**: with no active cooling, a hot room forces
 ///    frequency reduction and eventually shutdown (paper: long compute-heavy
 ///    jobs "might not be enough" for free cooling — section VI);
-///  * **heat routing**: Q.rads emit 100% indoors; the Nerdalize e-radiator's
-///    dual pipe vents outdoors off-season; boilers heat a water loop;
+///  * **heat routing** (`ServerSpec::routing`): Q.rads emit 100% indoors;
+///    the Nerdalize e-radiator's dual pipe vents outdoors off-season, which
+///    the platform tick books; boilers heat a water loop;
 ///  * **aging**: thermal stress accumulates with an Arrhenius-style factor,
 ///    doubling per +10 K over the reference junction temperature
 ///    (section III-C: free cooling "might cause the acceleration of
@@ -106,7 +107,8 @@ struct ServerSpec {
 class ServerModel {
  public:
   /// Throws std::invalid_argument for a bad CPU spec, a non-positive
-  /// cpu_count or an empty throttle window.
+  /// cpu_count, a throttle window that is empty or not finite, or a
+  /// standby power that is negative or not finite.
   explicit ServerModel(ServerSpec spec);
 
   /// The model equal to `spec`, made on first use and kept for the life of
@@ -132,7 +134,6 @@ class ServerModel {
   [[nodiscard]] double static_power_w() const { return static_power_w_; }
   [[nodiscard]] int total_cores() const { return total_cores_; }
   [[nodiscard]] int cpu_count() const { return cpu_count_; }
-  [[nodiscard]] HeatRouting routing() const { return routing_; }
 
  private:
   // The per-tick fields first: one cache line serves the whole family.
@@ -145,7 +146,6 @@ class ServerModel {
   double static_power_w_;
   int total_cores_;
   int cpu_count_;
-  HeatRouting routing_;
   ServerSpec spec_;
   CpuModel cpu_model_;
 };
@@ -285,22 +285,13 @@ class DfServer {
 
   // --- accounting (advanced by the physics tick) ---
 
-  /// Integrate energy and aging over `dt` at current settings. `heating_
-  /// season` selects the dual-pipe routing direction. Header-inline: this
-  /// is the single hottest call of the fleet-physics sweep.
-  void advance(util::Seconds dt, bool heating_season) {
+  /// Integrate energy and aging over `dt` at current settings. Where the
+  /// heat goes (room, water loop, or a dual pipe's outdoor vent) is the
+  /// platform tick's to book. Header-inline: this is the single hottest
+  /// call of the fleet-physics sweep.
+  void advance(util::Seconds dt) {
     if (dt.value() < 0.0) throw std::invalid_argument("DfServer::advance: negative dt");
-    const util::Joules e = util::Watts{power_w_} * dt;
-    energy_ += e;
-    switch (model_->routing()) {
-      case HeatRouting::kIndoor:
-      case HeatRouting::kWaterLoop:
-        heat_indoor_ += e;
-        break;
-      case HeatRouting::kDualPipe:
-        (heating_season ? heat_indoor_ : heat_outdoor_) += e;
-        break;
-    }
+    energy_ += util::Watts{power_w_} * dt;
     // Arrhenius-style stress accumulation: doubles per +10 K of junction
     // temperature over the reference. The accelerator uses fast_exp2: the
     // stress-hour tally is an engineering estimate (never telemetry), so a
@@ -312,8 +303,6 @@ class DfServer {
   }
 
   [[nodiscard]] util::Joules energy_consumed() const { return energy_; }
-  [[nodiscard]] util::Joules heat_indoor() const { return heat_indoor_; }
-  [[nodiscard]] util::Joules heat_outdoor() const { return heat_outdoor_; }
 
   /// Estimated junction temperature: inlet plus a load-dependent rise.
   /// Free-cooled parts run hot: ~25 K rise at idle clocks, up to ~45 K at
@@ -431,8 +420,6 @@ class DfServer {
   // advance() path.
   double power_w_ = 0.0;         ///< == power().value()
   util::Joules energy_{0.0};
-  util::Joules heat_indoor_{0.0};
-  util::Joules heat_outdoor_{0.0};
   double stress_hours_ = 0.0;
   util::Celsius inlet_{20.0};
   double rise_k_ = 0.0;          ///< junction rise beyond inlet + 25 K

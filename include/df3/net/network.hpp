@@ -54,13 +54,6 @@ struct Message {
   obs::HopKind journey_hop = obs::HopKind::kNone;
 };
 
-/// Traffic a link carried, both directions together.
-struct LinkStats {
-  std::uint64_t messages = 0;
-  double bytes = 0.0;
-  double busy_seconds = 0.0;  ///< cumulative serialization time carried
-};
-
 class Network : public sim::Entity {
  public:
   explicit Network(sim::Simulation& sim, std::string name = "net");
@@ -84,7 +77,8 @@ class Network : public sim::Entity {
   /// Throws like check_link_profile for a bad profile.
   std::size_t add_link(NodeId a, NodeId b, const LinkProfile& profile);
   /// Throws std::invalid_argument, naming the field, unless the bandwidth is
-  /// > 0, the duty cycle in (0, 1] and the base latency finite and >= 0.
+  /// > 0, the duty cycle in (0, 1], the base latency and frame overhead
+  /// finite and >= 0 and the max payload finite and > 0.
   static void check_link_profile(const LinkProfile& profile);
 
   /// Enable/disable a link (network partition injection).
@@ -127,7 +121,6 @@ class Network : public sim::Entity {
   void send(const Message& msg, sim::Simulation::Callback on_delivery,
             sim::Simulation::Callback on_drop = nullptr);
 
-  [[nodiscard]] const LinkStats& stats(std::size_t link) const;
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
   [[nodiscard]] std::uint64_t messages_dropped() const { return dropped_; }
 
@@ -156,8 +149,8 @@ class Network : public sim::Entity {
     bool up = true;
     /// Earliest time each direction is free (0: a->b, 1: b->a).
     std::array<sim::Time, 2> next_free{0.0, 0.0};
-    LinkStats stats{};
   };
+  static_assert(sizeof(Link) == 32);
   /// One direction of a link, seen from the node it leaves.
   struct Arc {
     NodeId to;

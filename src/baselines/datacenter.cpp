@@ -42,7 +42,7 @@ void Datacenter::settle_energy() {
   ledger_.add_waste_heat(it * (1.0 + config_.cooling_fraction));
 }
 
-void Datacenter::submit(workload::Request r, net::NodeId origin, Done done) {
+void Datacenter::submit(workload::Request r, net::NodeId origin, core::CompletionSink done) {
   if (!done) throw std::invalid_argument("Datacenter::submit: null completion callback");
   const double uplink =
       config_.wan.one_hop_delay(r.input_size).value() + config_.extra_latency_s;

@@ -94,7 +94,7 @@ void DesktopGrid::settle_energy() {
   ledger_.add_waste_heat(it);
 }
 
-void DesktopGrid::submit(workload::Request r, net::NodeId /*origin*/, Done done) {
+void DesktopGrid::submit(workload::Request r, net::NodeId /*origin*/, core::CompletionSink done) {
   if (!done) throw std::invalid_argument("DesktopGrid::submit: null completion callback");
   const double uplink = config_.wan.one_hop_delay(r.input_size).value();
   sim().schedule_in(uplink, [this, r = std::move(r), done = std::move(done)]() mutable {

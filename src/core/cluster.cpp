@@ -238,11 +238,6 @@ void Cluster::finish(RequestRef ref, workload::Outcome outcome, workload::Served
                          .served_by = served_by});
 }
 
-bool Cluster::worker_eligible(std::size_t widx, Priority p) const {
-  if (p == Priority::kEdge) return true;
-  return widx >= static_cast<std::size_t>(tuning_.dedicated_edge_workers);
-}
-
 bool Cluster::place(Task& t) {
   const Priority prio = t.priority();
   RequestState& s = *t.request;
@@ -271,7 +266,6 @@ bool Cluster::place(Task& t) {
       prio == Priority::kEdge ? 0 : static_cast<std::size_t>(tuning_.dedicated_edge_workers);
   place_scratch_.clear();
   for (std::size_t w = start; w < workers_.size(); ++w) {
-    if (!worker_eligible(w, prio)) continue;
     if (workers_[w].available()) place_scratch_.push_back({w, workers_[w].free_cores()});
   }
   while (!place_scratch_.empty()) {

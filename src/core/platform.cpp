@@ -584,8 +584,7 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
   const double solar_w = m.solar_peak_w * solar_frac;
   const std::size_t begin = room_begin(b);
   const std::size_t end = room_end(b);
-  const bool last_season = bd.last_season;
-  const bool indoors = !m.dual_pipe || last_season;
+  const bool indoors = !m.dual_pipe || bd.last_season;
   fleet::Substeps2R2C sub;
 
   // Pass A (scalar, per room): integrate the interval that just elapsed at
@@ -597,7 +596,7 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
   // so the split is bit-free.
   for (std::size_t i = begin; i < end; ++i) {
     hw::DfServer& server = *fleet_.server[i];
-    server.advance(dts, last_season);
+    server.advance(dts);
     const double delta_j = server.energy_consumed().value() - fleet_.energy_mark_j[i];
     fleet_.energy_mark_j[i] = server.energy_consumed().value();
     const double emitted_w = delta_j / dt;
@@ -651,7 +650,7 @@ fleet::Substeps2R2C Df3Platform::physics_building(std::size_t b, sim::Time t,
     // wants heat in every season.
     TankUnit& tu = *bld_tank_[b];
     hw::DfServer& server = *tu.server;
-    server.advance(dts, /*heating_season=*/true);
+    server.advance(dts);
     const double delta_j = server.energy_consumed().value() - tu.energy_mark.value();
     tu.energy_mark = server.energy_consumed();
     const util::Watts emitted{delta_j / dt};

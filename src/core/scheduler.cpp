@@ -107,21 +107,6 @@ std::optional<Task> TaskQueue::pop() {
   return std::nullopt;
 }
 
-std::optional<Task> TaskQueue::pop_class(Priority p) {
-  backlog_dirty_ = true;
-  auto& q = lane(p);
-  if (q.empty()) return std::nullopt;
-  Task t = std::move(q.front());
-  q.pop_front();
-  return t;
-}
-
-const Task* TaskQueue::peek() const {
-  if (!edge_.empty()) return &edge_.front();
-  if (!cloud_.empty()) return &cloud_.front();
-  return nullptr;
-}
-
 void TaskQueue::audit(std::vector<std::string>& out, const std::string& who) const {
   const auto check_lane = [&](const Lane& q, const char* lane_name) {
     for (std::size_t i = 0; i < q.size(); ++i) {

@@ -106,7 +106,6 @@ std::optional<Task> Worker::preempt_one(Priority min_keep) {
   victim.completion.cancel();
   settle(victim);
   sync_busy_cores();
-  ++preempted_;
   // The partial execution segment still shows up in the trace; the ladder
   // records the preemption event itself on the cluster track.
   DF3_OBS_TRACE_IF(o) {

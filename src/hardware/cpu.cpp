@@ -1,6 +1,8 @@
 #include "df3/hw/cpu.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace df3::hw {
 
@@ -12,11 +14,20 @@ CpuModel::CpuModel(CpuSpec spec) : spec_(std::move(spec)) {
       throw std::invalid_argument("CpuModel: P-states must be sorted by ascending frequency");
     }
   }
+  // Written so that NaN fails each check.
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(std::string("CpuModel: ") + what);
+  };
   for (const auto& ps : spec_.pstates) {
-    if (ps.freq_ghz <= 0.0 || ps.voltage_v <= 0.0) {
-      throw std::invalid_argument("CpuModel: P-state values must be positive");
-    }
+    require(ps.freq_ghz > 0.0 && std::isfinite(ps.freq_ghz),
+            "P-state freq_ghz must be positive and finite");
+    require(ps.voltage_v > 0.0 && std::isfinite(ps.voltage_v),
+            "P-state voltage_v must be positive and finite");
   }
+  const double stat = spec_.static_power.value();
+  const double dyn = spec_.dynamic_power_max.value();
+  require(stat >= 0.0 && std::isfinite(stat), "static_power must be finite and >= 0");
+  require(dyn >= 0.0 && std::isfinite(dyn), "dynamic_power_max must be finite and >= 0");
   // Freeze the frequency/voltage ratios: the ladder never changes after
   // construction, so power() reduces to one fused multiply-add.
   const PState& top = spec_.pstates.back();

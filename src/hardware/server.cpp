@@ -70,8 +70,16 @@ ServerSpec stimergy_boiler_spec() {
 
 ServerModel::ServerModel(ServerSpec spec) : spec_(std::move(spec)), cpu_model_(spec_.cpu) {
   if (spec_.cpu_count <= 0) throw std::invalid_argument("DfServer: cpu_count must be positive");
-  if (spec_.shutdown_temp <= spec_.throttle_start) {
-    throw std::invalid_argument("DfServer: shutdown_temp must exceed throttle_start");
+  // Written so that NaN fails each check.
+  const double throttle = spec_.throttle_start.value();
+  const double shutdown = spec_.shutdown_temp.value();
+  if (!(shutdown > throttle && std::isfinite(throttle) && std::isfinite(shutdown))) {
+    throw std::invalid_argument(
+        "DfServer: throttle_start and shutdown_temp must be finite, shutdown_temp the higher");
+  }
+  const double standby = spec_.standby_power.value();
+  if (!(standby >= 0.0 && std::isfinite(standby))) {
+    throw std::invalid_argument("DfServer: standby_power must be finite and >= 0");
   }
   const auto n = spec_.cpu.pstates.size();
   tables_.resize(5 * n);
@@ -91,7 +99,6 @@ ServerModel::ServerModel(ServerSpec spec) : spec_(std::move(spec)), cpu_model_(s
   static_power_w_ = spec_.cpu.static_power.value();
   total_cores_ = spec_.total_cores();
   cpu_count_ = spec_.cpu_count;
-  routing_ = spec_.routing;
 }
 
 const ServerModel& ServerModel::intern(ServerSpec spec) {

@@ -97,6 +97,12 @@ void Network::check_link_profile(const LinkProfile& profile) {
   if (!std::isfinite(latency) || latency < 0.0) {
     throw bad("base_latency negative or not finite");
   }
+  const double payload = profile.max_payload.value();
+  if (!(payload > 0.0 && std::isfinite(payload))) throw bad("max_payload <= 0 or not finite");
+  const double overhead = profile.frame_overhead.value();
+  if (!std::isfinite(overhead) || overhead < 0.0) {
+    throw bad("frame_overhead negative or not finite");
+  }
 }
 
 void Network::set_link_up(std::size_t link, bool up) {
@@ -509,9 +515,6 @@ void Network::send(const Message& msg, sim::Simulation::Callback on_delivery,
     const double ser = profile.serialization_time(msg.size).value();
     l.next_free[dir] = start + ser;
     t = start + ser + profile.base_latency.value();
-    ++l.stats.messages;
-    l.stats.bytes += msg.size.value();
-    l.stats.busy_seconds += ser;
     at = (l.a == at) ? l.b : l.a;
   }
   // One span covers the whole multi-hop delivery: cut-through reserves
@@ -528,7 +531,5 @@ void Network::send(const Message& msg, sim::Simulation::Callback on_delivery,
   }
   sim().schedule_at(t, std::move(on_delivery));
 }
-
-const LinkStats& Network::stats(std::size_t link) const { return links_.at(link).stats; }
 
 }  // namespace df3::net

@@ -200,7 +200,6 @@ TEST(WorkerRuntime, PreemptionCapturesRemainingWork) {
   ASSERT_TRUE(victim.has_value());
   EXPECT_NEAR(victim->remaining_gigacycles, 16.0, 1e-9);
   EXPECT_EQ(f.worker.busy_cores(), 0);
-  EXPECT_EQ(f.worker.tasks_preempted(), 1u);
   f.sim.run();
   EXPECT_TRUE(f.done.empty());  // completion was cancelled
 
@@ -209,6 +208,12 @@ TEST(WorkerRuntime, PreemptionCapturesRemainingWork) {
   f.sim.run();
   ASSERT_EQ(f.done.size(), 1u);
   EXPECT_NEAR(f.sim.now(), 10.0, 1e-9);
+}
+
+TEST(WorkerRuntime, KeepsOnlyWhatProgramsRead) {
+  // One worker per room: its chassis, running set, completion count and
+  // busy-time integral. Preemptions are counted by the cluster.
+  EXPECT_EQ(sizeof(core::Worker), 144u);
 }
 
 TEST(WorkerRuntime, PreemptionSkipsEdgeAndNonPreemptible) {
@@ -383,29 +388,18 @@ TEST(TaskQueueTest, PopClassAndBacklog) {
   core::TaskQueue q;
   auto cloud = core::make_tasks(requests, cloud_request(100.0));
   q.push(cloud[0]);
-  EXPECT_FALSE(q.pop_class(core::Priority::kEdge).has_value());
-  EXPECT_EQ(q.size_class(core::Priority::kCloud), 1u);
-  EXPECT_DOUBLE_EQ(q.backlog_gigacycles(), 100.0);
-  EXPECT_TRUE(q.pop_class(core::Priority::kCloud).has_value());
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.pop().has_value());
-  EXPECT_EQ(q.peek(), nullptr);
-}
-
-TEST(TaskQueueTest, PopClassOnEmptyLaneIsNulloptAndHarmless) {
-  core::TaskQueue q;
-  // Fully empty queue: neither class lane yields anything.
-  EXPECT_FALSE(q.pop_class(core::Priority::kEdge).has_value());
-  EXPECT_FALSE(q.pop_class(core::Priority::kCloud).has_value());
-  // One edge shard: popping the empty *cloud* lane must not disturb the
-  // populated edge lane (dedicated edge workers pull by class).
-  auto t = core::make_tasks(requests, edge_request(1.0, 2.0));
-  q.push(t[0]);
-  EXPECT_FALSE(q.pop_class(core::Priority::kCloud).has_value());
+  std::size_t edge = 0;
+  q.for_each([&](const core::Task&, core::Priority p) { edge += p == core::Priority::kEdge; });
+  EXPECT_EQ(edge, 0u);
   EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.size_class(core::Priority::kEdge), 1u);
-  EXPECT_TRUE(q.pop_class(core::Priority::kEdge).has_value());
+  EXPECT_DOUBLE_EQ(q.backlog_gigacycles(), 100.0);
+  // With the edge lane empty, pop serves the cloud lane.
+  const auto t = q.pop();
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(t->priority(), core::Priority::kCloud);
   EXPECT_TRUE(q.empty());
+  EXPECT_DOUBLE_EQ(q.backlog_gigacycles(), 0.0);
+  EXPECT_FALSE(q.pop().has_value());
 }
 
 namespace {
@@ -437,10 +431,7 @@ class DequeQueue {
              t);
   }
   std::optional<core::Task> pop() { return !edge_.empty() ? take(edge_) : take(cloud_); }
-  std::optional<core::Task> pop_class(core::Priority p) { return take(lane(p)); }
-  [[nodiscard]] std::size_t size_class(core::Priority p) const {
-    return p == core::Priority::kEdge ? edge_.size() : cloud_.size();
-  }
+  [[nodiscard]] std::size_t size() const { return edge_.size() + cloud_.size(); }
   [[nodiscard]] double backlog() const {
     double total = 0.0;
     for (const auto& t : edge_) total += t.remaining_gigacycles;
@@ -523,23 +514,14 @@ TEST(TaskQueueTest, MatchesDequeReferenceUnderRandomOps) {
           q.push_front(t);
           ref.push_front(t);
         } else {
-          std::optional<core::Task> got;
-          std::optional<core::Task> want;
-          if (rng() % 2 == 0) {
-            got = q.pop();
-            want = ref.pop();
-          } else {
-            const auto p = rng() % 2 == 0 ? core::Priority::kEdge : core::Priority::kCloud;
-            got = q.pop_class(p);
-            want = ref.pop_class(p);
-          }
+          const std::optional<core::Task> got = q.pop();
+          const std::optional<core::Task> want = ref.pop();
           ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
           if (got) {
             ASSERT_TRUE(same_task(*got, *want)) << "op " << op;
           }
         }
-        ASSERT_EQ(q.size_class(core::Priority::kEdge), ref.size_class(core::Priority::kEdge));
-        ASSERT_EQ(q.size_class(core::Priority::kCloud), ref.size_class(core::Priority::kCloud));
+        ASSERT_EQ(q.size(), ref.size());
         ASSERT_EQ(std::bit_cast<std::uint64_t>(q.backlog_gigacycles()),
                   std::bit_cast<std::uint64_t>(ref.backlog()))
             << "op " << op;

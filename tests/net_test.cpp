@@ -282,18 +282,6 @@ TEST(Network, RoutePrefersFasterPath) {
   EXPECT_EQ(path, (std::vector<std::size_t>{fast1, fast2}));
 }
 
-TEST(Network, StatsAccumulate) {
-  Chain c;
-  const net::Message m{c.device, c.gateway, u::bytes(100.0), 0};
-  c.netw.send(m, [] {});
-  c.netw.send(m, [] {});
-  c.sim.run();
-  const auto& st = c.netw.stats(c.l_dev);
-  EXPECT_EQ(st.messages, 2u);
-  EXPECT_DOUBLE_EQ(st.bytes, 200.0);
-  EXPECT_GT(st.busy_seconds, 0.0);
-}
-
 TEST(Network, Validation) {
   Simulation sim;
   net::Network n(sim, "v");

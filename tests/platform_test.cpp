@@ -397,7 +397,9 @@ TEST(Platform, RejectedBuildingLeavesThePlatformUnchanged) {
 // building is planned: each bad value throws naming its field before
 // anything is added. Accepted, a NaN target or temperature ran the city
 // into NaN heat demand and room temperatures, and a negative hot-water
-// volume threw from the middle of a tick.
+// volume threw from the middle of a tick. The server, CPU and link cases
+// are checked by those models' own constructors; a NaN throttle_start
+// left the rooms silently unheated.
 TEST(Platform, PlanRejectsUncheckedBuildingFields) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -432,6 +434,24 @@ TEST(Platform, PlanRejectsUncheckedBuildingFields) {
          b.high_fidelity_rooms = true;
          b.room_2r2c.internal_gains = u::Watts{nan};
        }},
+      // The chassis, CPU and link checks compare so that NaN fails them.
+      {"throttle_start",
+       [&](core::BuildingConfig& b) { b.server.throttle_start = u::celsius(nan); }},
+      {"shutdown_temp", [&](core::BuildingConfig& b) { b.server.shutdown_temp = u::celsius(nan); }},
+      {"standby_power", [&](core::BuildingConfig& b) { b.server.standby_power = u::Watts{-1.0}; }},
+      {"freq_ghz", [&](core::BuildingConfig& b) { b.server.cpu.pstates.front().freq_ghz = nan; }},
+      {"voltage_v",
+       [&](core::BuildingConfig& b) { b.server.cpu.pstates.front().voltage_v = nan; }},
+      {"static_power",
+       [&](core::BuildingConfig& b) { b.server.cpu.static_power = u::Watts{-1.0}; }},
+      {"dynamic_power_max",
+       [&](core::BuildingConfig& b) { b.server.cpu.dynamic_power_max = u::Watts{-1.0}; }},
+      {"max_payload", [&](core::BuildingConfig& b) { b.lan.max_payload = u::bytes(nan); }},
+      {"max_payload", [&](core::BuildingConfig& b) { b.uplink.max_payload = u::bytes(-1.0); }},
+      {"frame_overhead",
+       [&](core::BuildingConfig& b) { b.device_link.frame_overhead = u::bytes(nan); }},
+      {"frame_overhead",
+       [&](core::BuildingConfig& b) { b.wifi_link.frame_overhead = u::bytes(-1.0); }},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.field);

@@ -48,6 +48,11 @@
 //              warning reports the dropped() count and df3trace will
 //              refuse the export without --partial
 //   slo_window_s (3600)      rolling SLO window for the per-flow report
+//   threads (0 = hardware concurrency; 1 = the serial walk)
+//   shard_rooms (4096)       target rooms per physics shard; with threads,
+//              bit-for-bit neutral at any value
+//   federation_degree (0 = full mesh) — peers per cluster along the ring;
+//              a nonzero degree changes peer hand-offs
 //   report (""|json)
 //   grid_signals ("" = no grid plane) — per-region carbon/price/renewables
 //              CSV (see df3/grid/signal.hpp for the format); resolved as
